@@ -27,7 +27,6 @@ from .f2series import (
     InsufficientBitmapError,
     NotInvertibleError,
     SparseExponents,
-    coefficient,
     from_exponents,
     generalized_pentagonals,
     inverse_seventh_power,

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import f2series
-from .f2series import BitSeries, InsufficientBitmapError
+from .f2series import BitSeries, InsufficientBitmapError, _mask
 
 __all__ = [
     "CensusTable",
@@ -36,10 +36,6 @@ __all__ = [
     "residue_class_counts",
     "non15_count",
 ]
-
-
-def _mask(nbits: int) -> int:
-    return (1 << nbits) - 1
 
 
 def build_B(limit: int) -> BitSeries:

@@ -215,18 +215,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "arithmetic cross-checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_threads = os.cpu_count() or 1
-
-    def add_threads(p):
-        p.add_argument("--threads", type=int, default=default_threads,
-                       help="worker threads for range scans (default: all cores)")
 
     p_gen = sub.add_parser("gen", help="build a bitmap and write it as .f2s")
     p_gen.add_argument("series", choices=sorted(_BUILDERS))
     p_gen.add_argument("limit", type=_positive_count,
                        help="coefficient count, e.g. 2^23+1")
     p_gen.add_argument("--out", required=True)
-    add_threads(p_gen)
 
     p_ver = sub.add_parser("verify", help="run the statement suite over a range")
     p_ver.add_argument("statements", type=_statement_ids,
@@ -236,7 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--inv-theta", required=True, help=".f2s bitmap of 1/g")
     p_ver.add_argument("--inv-theta7", help=".f2s bitmap of 1/g^7 (for L3_5)")
     p_ver.add_argument("--out", help="write the CSV report here instead of stdout")
-    add_threads(p_ver)
+    p_ver.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                       help="worker threads for range scans (default: all cores)")
 
     p_cen = sub.add_parser("census", help="count members = 15 mod 16 per interval")
     p_cen.add_argument("--x", type=_positive_count, required=True,
@@ -244,14 +239,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cen.add_argument("--intervals", type=_parse_count, required=True)
     p_cen.add_argument("--bitmap", required=True)
     p_cen.add_argument("--out")
-    add_threads(p_cen)
 
     p_alp = sub.add_parser("alpha", help="sweep the deviation alpha(x)")
     p_alp.add_argument("--max-x", type=_positive_count, required=True)
     p_alp.add_argument("--step", type=_positive_count, required=True)
     p_alp.add_argument("--bitmap", required=True)
     p_alp.add_argument("--out")
-    add_threads(p_alp)
 
     p_rep = sub.add_parser("repcount", help="representation counts for one n")
     p_rep.add_argument("--n", type=_parse_count, required=True)
@@ -261,16 +254,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="count signed integer vectors instead of square tuples")
     p_rep.add_argument("--primitive", action="store_true",
                        help="restrict to gcd-1 vectors (needs --signed)")
-    add_threads(p_rep)
 
     p_cls = sub.add_parser("classnum", help="class number of a negative discriminant")
     p_cls.add_argument("--disc", type=int, required=True)
-    add_threads(p_cls)
 
     p_jac = sub.add_parser("jacobi", help="Jacobi symbol (a | n)")
     p_jac.add_argument("--a", type=int, required=True)
     p_jac.add_argument("--n", type=int, required=True)
-    add_threads(p_jac)
 
     return parser
 

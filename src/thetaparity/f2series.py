@@ -2,21 +2,31 @@
 
 A series is a pair (length, bits): `length` is the number of represented
 coefficients (exponents 0 .. length-1) and `bits` packs them into a single
-Python integer, bit n holding the coefficient of x^n. Python integers already
-run XOR and shift at word level in C, so they double as the storage format;
-a 2^23-coefficient series occupies about one megabyte.
+Python integer, bit n holding the coefficient of x^n. That integer is the
+public face and the form that squaring, masking and .f2s I/O work on; a
+2^23-coefficient series occupies about one megabyte.
 
 The generators of interest here are sparse (perfect squares, generalized
 pentagonal numbers), so multiplication by a generator is an XOR of shifted
-copies, one per exponent below the truncation point. Reciprocals come from
-precision doubling: over GF(2) the Newton step for h -> 1/g collapses to
-h <- g*h^2, because g*h^2 - 1/g = g*(h - 1/g)^2 doubles the error valuation.
-Squaring itself is the Frobenius map, coefficient n moves to 2n, implemented
-by spreading bits through a 256-entry table.
+copies, one per exponent below the truncation point. One word kernel,
+`_xor_shifted`, does every such product. It converts the source to uint64
+words, groups the exponents by k mod 64, and for each residue r present
+builds one copy of the source shifted left by r bits. Each exponent of that
+group then XORs the copy into the accumulator in place at word offset
+k >> 6, so no per-exponent shift allocates. The copy buffer is reused for
+the next residue: the pentagonal exponents hit all 64 residues, and holding
+every shifted copy at once would cost 64 source-sized buffers.
 
-A quadratic-time sequential recurrence (`invert_recurrence`) is kept
-alongside as an independent oracle; the test suite asserts bit-identical
-agreement with the Newton route.
+Reciprocals come from precision doubling: over GF(2) the Newton step for
+h -> 1/g collapses to h <- g*h^2, because g*h^2 - 1/g = g*(h - 1/g)^2
+doubles the error valuation. Squaring itself is the Frobenius map,
+coefficient n moves to 2n, implemented by spreading bits through a
+256-entry table.
+
+A quadratic-time sequential recurrence (`invert_recurrence`) and the
+big-int carryless product `mul_dense` are kept alongside as independent
+oracles. Neither uses the word kernel; the test suite asserts bit-identical
+agreement with the Newton route and the sparse product.
 
 Truncation is always explicit. No operation grows storage implicitly, and
 reading a coefficient at or past `length` raises instead of returning zero.
@@ -45,7 +55,6 @@ __all__ = [
     "invert_newton",
     "invert_recurrence",
     "inverse_seventh_power",
-    "coefficient",
     "write_f2s",
     "read_f2s",
 ]
@@ -221,17 +230,39 @@ def square(s: BitSeries, limit: int) -> BitSeries:
     return BitSeries(limit, _square_bits(s.bits, limit))
 
 
+def _xor_shifted(bits: int, exponents, nbits: int) -> int:
+    """XOR of bits << k over the exponents k < nbits, truncated to nbits.
+
+    `exponents` must be increasing. The sum runs on uint64 words: one
+    shifted copy of the source per residue k mod 64, XORed in place at word
+    offset k >> 6 for each exponent of that residue.
+    """
+    nwords = (nbits + 63) // 64
+    src = np.frombuffer((bits & _mask(nbits)).to_bytes(8 * nwords, "little"),
+                        dtype="<u8")
+    offsets: dict[int, list[int]] = {}
+    for k in exponents:
+        if k >= nbits:
+            break
+        offsets.setdefault(k & 63, []).append(k >> 6)
+    acc = np.zeros(nwords, dtype="<u8")
+    shifted = np.empty_like(acc)
+    carry = np.empty_like(acc)
+    for r, words in offsets.items():
+        np.left_shift(src, r, out=shifted)
+        if r:
+            np.right_shift(src[:-1], 64 - r, out=carry[1:])
+            shifted[1:] |= carry[1:]
+        for q in words:
+            acc[q:] ^= shifted[:nwords - q]
+    return int.from_bytes(acc.tobytes(), "little") & _mask(nbits)
+
+
 def mul_sparse(s: BitSeries, e: SparseExponents, limit: int) -> BitSeries:
     """Product with a sparse series: XOR of one shifted copy per exponent."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    src = s.bits & _mask(limit)
-    acc = 0
-    for k in e.exponents:
-        if k >= limit:
-            break
-        acc ^= src << k
-    return BitSeries(limit, acc & _mask(limit))
+    return BitSeries(limit, _xor_shifted(s.bits, e.exponents, limit))
 
 
 def mul_dense(a: BitSeries, b: BitSeries, limit: int) -> BitSeries:
@@ -276,13 +307,7 @@ def invert_newton(e: SparseExponents, limit: int) -> BitSeries:
     prec = 1
     while prec < limit:
         prec = min(2 * prec, limit)
-        h2 = _square_bits(h, prec)
-        acc = 0
-        for k in exps:
-            if k >= prec:
-                break
-            acc ^= h2 << k
-        h = acc & _mask(prec)
+        h = _xor_shifted(_square_bits(h, prec), exps, prec)
     return BitSeries(limit, h)
 
 
@@ -333,17 +358,7 @@ def inverse_seventh_power(limit: int) -> BitSeries:
     h = invert_newton(e, limit).bits
     for _ in range(3):
         h = _square_bits(h, limit)
-    acc = 0
-    for k in e.exponents:
-        if k >= limit:
-            break
-        acc ^= h << k
-    return BitSeries(limit, acc & _mask(limit))
-
-
-def coefficient(s: BitSeries, n: int) -> int:
-    """Coefficient of x^n in s; raises IndexError past the truncation point."""
-    return s.coefficient(n)
+    return BitSeries(limit, _xor_shifted(h, e.exponents, limit))
 
 
 def write_f2s(s: BitSeries, path) -> None:

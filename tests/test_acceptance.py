@@ -184,6 +184,15 @@ def test_full_bitmap_multiplicative_identity(big_b):
     assert product == tp.BitSeries(limit, 1)
 
 
+def test_full_bitmap_identity_by_dense_product(big_b):
+    # mul_sparse and invert_newton share one word kernel, so a kernel fault
+    # could cancel in the identity above; mul_dense multiplies on big ints
+    # without that kernel
+    limit = big_b.length
+    g = tp.from_exponents(tp.squares(limit), limit)
+    assert tp.mul_dense(g, big_b, limit) == tp.BitSeries(limit, 1)
+
+
 def test_full_range_even_projection(big_b):
     # even members across the whole bitmap are exactly the doubled squares
     limit = big_b.length

@@ -54,6 +54,20 @@ def test_gen_usage_errors(tmp_path):
     assert exc.value.code == 2
 
 
+def test_threads_only_on_verify(tmp_path):
+    # only verify scans a range on threads; the other subcommands reject it
+    bmp = str(tmp_path / "b.f2s")
+    for argv in (["gen", "inv-theta", "8", "--out", bmp],
+                 ["census", "--bitmap", bmp, "--x", "1", "--intervals", "1"],
+                 ["alpha", "--bitmap", bmp, "--max-x", "1", "--step", "1"],
+                 ["repcount", "--n", "11", "--form", "1,1,1"],
+                 ["classnum", "--disc", "-47"],
+                 ["jacobi", "--a", "-2", "--n", "7"]):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--threads", "2"])
+        assert exc.value.code == 2, argv
+
+
 def test_gen_io_failure(tmp_path):
     assert run(["gen", "theta", "16", "--out",
                 str(tmp_path / "no" / "dir" / "x.f2s")]) == 1

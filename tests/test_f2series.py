@@ -50,6 +50,40 @@ def random_series(rng: random.Random, limit: int) -> BitSeries:
     return BitSeries(limit, rng.getrandbits(limit - 1) | 1)
 
 
+def shift_xor_bits(bits: int, exps, limit: int) -> int:
+    # plain big-int sparse product, the reference for the word kernel
+    out = 0
+    for k in exps:
+        if k < limit:
+            out ^= bits << k
+    return out & ((1 << limit) - 1)
+
+
+def square_bits(bits: int, limit: int) -> int:
+    return sum(1 << 2 * n for n in range(limit) if bits >> n & 1 and 2 * n < limit)
+
+
+def newton_bits(exps, limit: int) -> int:
+    h = 1
+    prec = 1
+    while prec < limit:
+        prec = min(2 * prec, limit)
+        h = shift_xor_bits(square_bits(h, prec), exps, prec)
+    return h
+
+
+def every_residue_exponents(rng: random.Random, limit: int) -> tuple:
+    # 0, one exponent below limit for each residue mod 64 that fits there,
+    # and random extras below 2*limit; those at or past limit must be ignored
+    per_residue = {r + 64 * rng.randrange((limit - 1 - r) // 64 + 1)
+                   for r in range(min(64, limit))}
+    extras = rng.sample(range(2 * limit), k=min(2 * limit, 24))
+    return tuple(sorted({0, *per_residue, *extras}))
+
+
+KERNEL_LENGTHS = (1, 63, 64, 65, 127, 128, 129, 4097)
+
+
 def test_squares_generator():
     e = f2.squares(30)
     assert e.exponents == (0, 1, 4, 9, 16, 25)
@@ -90,7 +124,6 @@ def test_bitseries_validation():
 def test_coefficient_bounds():
     s = BitSeries(4, 0b1011)
     assert [s.coefficient(n) for n in range(4)] == [1, 1, 0, 1]
-    assert f2.coefficient(s, 3) == 1
     with pytest.raises(IndexError):
         s.coefficient(4)
     with pytest.raises(IndexError):
@@ -145,6 +178,45 @@ def test_mul_sparse_and_dense_match_naive():
         expect_sparse = naive_mul_bits(a.bits, ge.bits, limit)
         assert f2.mul_sparse(a, e, limit).bits == expect_sparse
         assert f2.mul_dense(a, ge, limit).bits == expect_sparse
+
+
+@pytest.mark.parametrize("limit", KERNEL_LENGTHS)
+def test_word_kernel_routes_match_big_int_reference(limit):
+    rng = random.Random(limit)
+    for _ in range(4):
+        exps = every_residue_exponents(rng, limit)
+        assert {k % 64 for k in exps if k < limit} == set(range(min(64, limit)))
+        e = SparseExponents(exps, 2 * limit)
+        # sources shorter than, equal to and longer than the product
+        for length in (max(1, limit // 2), limit, 2 * limit):
+            s = random_series(rng, length)
+            assert f2.mul_sparse(s, e, limit).bits == shift_xor_bits(s.bits, exps, limit)
+        assert f2.invert_newton(e, limit).bits == newton_bits(exps, limit)
+    sq = f2.squares(limit).exponents
+    h8 = newton_bits(sq, limit)
+    for _ in range(3):
+        h8 = square_bits(h8, limit)
+    assert f2.inverse_seventh_power(limit).bits == shift_xor_bits(h8, sq, limit)
+
+
+def test_oracles_do_not_use_word_kernel(monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("the oracles must not call the word kernel")
+
+    monkeypatch.setattr(f2, "_xor_shifted", no_kernel)
+    with pytest.raises(AssertionError):
+        f2.mul_sparse(BitSeries(4, 1), f2.squares(4), 4)
+    inv = f2.invert_recurrence(f2.squares(25), 25)
+    assert inv.support().tolist() == [0, 1, 2, 3, 5, 7, 8, 9, 13, 17, 18, 23]
+    inv_p = f2.invert_recurrence(f2.generalized_pentagonals(13), 13)
+    assert inv_p.support().tolist() == [0, 1, 3, 4, 5, 6, 7, 12]
+    g = f2.from_exponents(f2.squares(25), 25)
+    assert f2.mul_dense(g, inv, 25) == BitSeries(25, 1)
+    assert f2.mul_dense(inv, g, 25) == BitSeries(25, 1)
+    rng = random.Random(5)
+    for limit in (64, 129):
+        a, b = random_series(rng, limit), random_series(rng, limit)
+        assert f2.mul_dense(a, b, limit).bits == naive_mul_bits(a.bits, b.bits, limit)
 
 
 def test_mul_identity():
