@@ -15,15 +15,13 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--hi", type=int, default=10 ** 4,
                     help="check n in [0, hi] (default 10000)")
-    ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
 
     ctx = tp.SeriesContext(tp.build_B(args.hi + 1),
                            tp.inverse_seventh_power(args.hi + 1))
 
     t0 = time.perf_counter()
-    reports = tp.run_suite(list(tp.StatementId), 0, args.hi, ctx,
-                           threads=args.threads)
+    reports = tp.run_suite(list(tp.StatementId), 0, args.hi, ctx)
     elapsed = time.perf_counter() - t0
 
     print(f"{'statement':<20} {'holds':>8} {'vacuous':>8} {'violated':>9}")

@@ -13,7 +13,6 @@ Count-like arguments accept small arithmetic expressions such as 65536,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import census, f2series, quadarith, theorems
@@ -48,6 +47,13 @@ def _positive_count(text: str) -> int:
     value = _parse_count(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def _nonnegative_count(text: str) -> int:
+    value = _parse_count(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
     return value
 
 
@@ -131,7 +137,7 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
             return 1
     ctx = SeriesContext(inv, inv7)
     try:
-        reports = theorems.run_suite(ids, args.lo, args.hi, ctx, threads=args.threads)
+        reports = theorems.run_suite(ids, args.lo, args.hi, ctx)
     except InsufficientBitmapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -225,18 +231,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the statement suite over a range")
     p_ver.add_argument("statements", type=_statement_ids,
                        help="'all' or comma-separated ids like T1_1,L3_5")
-    p_ver.add_argument("lo", type=_parse_count)
-    p_ver.add_argument("hi", type=_parse_count)
+    p_ver.add_argument("lo", type=_nonnegative_count)
+    p_ver.add_argument("hi", type=_nonnegative_count)
     p_ver.add_argument("--inv-theta", required=True, help=".f2s bitmap of 1/g")
     p_ver.add_argument("--inv-theta7", help=".f2s bitmap of 1/g^7 (for L3_5)")
     p_ver.add_argument("--out", help="write the CSV report here instead of stdout")
-    p_ver.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker threads for range scans (default: all cores)")
 
     p_cen = sub.add_parser("census", help="count members = 15 mod 16 per interval")
     p_cen.add_argument("--x", type=_positive_count, required=True,
                        help="interval width is 16*x")
-    p_cen.add_argument("--intervals", type=_parse_count, required=True)
+    p_cen.add_argument("--intervals", type=_nonnegative_count, required=True)
     p_cen.add_argument("--bitmap", required=True)
     p_cen.add_argument("--out")
 
@@ -247,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_alp.add_argument("--out")
 
     p_rep = sub.add_parser("repcount", help="representation counts for one n")
-    p_rep.add_argument("--n", type=_parse_count, required=True)
+    p_rep.add_argument("--n", type=_nonnegative_count, required=True)
     p_rep.add_argument("--form", type=_form, required=True,
                        help="comma-separated coefficients, e.g. 1,1,1")
     p_rep.add_argument("--signed", action="store_true",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -93,9 +92,8 @@ class SeriesContext:
 
     `inv_theta` is the 1/g bitmap; `inv_theta7` (optional) is the 1/g^7
     bitmap needed only by L3_5. Count-table lookups fall back to the
-    per-query enumeration and agree with it exactly. warm_tuple_counts is
-    called before any worker threads share the context; after that the
-    context is read-only.
+    per-query enumeration and agree with it exactly. run_suite calls
+    warm_tuple_counts before it scans; the scan itself only reads.
     """
 
     def __init__(self, inv_theta: BitSeries, inv_theta7: Optional[BitSeries] = None):
@@ -451,7 +449,7 @@ class TheoremReport:
         return self.violations[0][0] if self.violations else None
 
 
-def _scan(sid: StatementId, lo: int, hi: int, ctx: SeriesContext, cap: int):
+def _scan(sid: StatementId, lo: int, hi: int, ctx: SeriesContext):
     stmt = _REGISTRY[sid]
     holds = vacuous = violated = inapplicable = 0
     kept: list[tuple[int, dict]] = []
@@ -469,33 +467,19 @@ def _scan(sid: StatementId, lo: int, hi: int, ctx: SeriesContext, cap: int):
             vacuous += 1
         else:
             violated += 1
-            if len(kept) < cap:
+            if len(kept) < MAX_RECORDED_VIOLATIONS:
                 kept.append((n, verdict.witness))
             else:
                 dropped += 1
     return holds, vacuous, violated, inapplicable, kept, dropped
 
 
-def _split_range(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
-    size = hi - lo + 1
-    parts = max(1, min(parts, size))
-    step = size // parts
-    extra = size % parts
-    chunks = []
-    start = lo
-    for i in range(parts):
-        stop = start + step + (1 if i < extra else 0) - 1
-        chunks.append((start, stop))
-        start = stop + 1
-    return chunks
-
-
-def run_suite(ids: Iterable[StatementId], lo: int, hi: int, ctx: SeriesContext,
-              threads: int = 1) -> list[TheoremReport]:
+def run_suite(ids: Iterable[StatementId], lo: int, hi: int,
+              ctx: SeriesContext) -> list[TheoremReport]:
     """One report per statement over every applicable n in [lo, hi].
 
-    The range may be partitioned across worker threads; partial tallies are
-    merged in range order, so the result does not depend on `threads`.
+    Each statement is scanned once, in increasing n, so its report keeps the
+    first MAX_RECORDED_VIOLATIONS witnesses and counts the rest as dropped.
     """
     if lo < 0 or hi < lo:
         raise ValueError("need 0 <= lo <= hi")
@@ -512,29 +496,9 @@ def run_suite(ids: Iterable[StatementId], lo: int, hi: int, ctx: SeriesContext,
         for form, mult in _REGISTRY[i].warm_forms:
             ctx.warm_tuple_counts(form, mult * hi)
 
-    cap = MAX_RECORDED_VIOLATIONS
-    chunks = _split_range(lo, hi, threads)
     reports = []
     for sid in ids:
-        if len(chunks) == 1:
-            partials = [_scan(sid, c[0], c[1], ctx, cap) for c in chunks]
-        else:
-            with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-                partials = list(pool.map(
-                    lambda c: _scan(sid, c[0], c[1], ctx, cap), chunks))
-        holds = sum(p[0] for p in partials)
-        vacuous = sum(p[1] for p in partials)
-        violated = sum(p[2] for p in partials)
-        inapplicable = sum(p[3] for p in partials)
-        kept: list[tuple[int, dict]] = []
-        dropped = 0
-        for p in partials:
-            for item in p[4]:
-                if len(kept) < cap:
-                    kept.append(item)
-                else:
-                    dropped += 1
-            dropped += p[5]
+        holds, vacuous, violated, inapplicable, kept, dropped = _scan(sid, lo, hi, ctx)
         reports.append(TheoremReport(sid, lo, hi, holds, vacuous, violated,
                                      inapplicable, tuple(kept), dropped))
     return reports

@@ -68,11 +68,11 @@ def test_c3_alpha_sweep(big_b):
 
 
 def test_c4_statement_suite(ctx_acc):
-    narrow = tp.run_suite(list(tp.StatementId), 0, 10 ** 4, ctx_acc, threads=4)
+    narrow = tp.run_suite(list(tp.StatementId), 0, 10 ** 4, ctx_acc)
     wide_ids = [tp.StatementId.T1_1, tp.StatementId.T1_2, tp.StatementId.T1_4,
                 tp.StatementId.T3_6, tp.StatementId.T3_8, tp.StatementId.L3_1,
                 tp.StatementId.L3_3, tp.StatementId.L3_5]
-    wide = tp.run_suite(wide_ids, 0, 10 ** 5, ctx_acc, threads=4)
+    wide = tp.run_suite(wide_ids, 0, 10 ** 5, ctx_acc)
     bad = [r for r in narrow + wide if r.violated]
     detail = "all statements to 1e4, eight statements to 1e5"
     if bad:

@@ -54,10 +54,11 @@ def test_gen_usage_errors(tmp_path):
     assert exc.value.code == 2
 
 
-def test_threads_only_on_verify(tmp_path):
-    # only verify scans a range on threads; the other subcommands reject it
+def test_no_threads_option(tmp_path):
+    # every scan runs on one thread, so no subcommand takes --threads
     bmp = str(tmp_path / "b.f2s")
     for argv in (["gen", "inv-theta", "8", "--out", bmp],
+                 ["verify", "T1_1", "0", "1", "--inv-theta", bmp],
                  ["census", "--bitmap", bmp, "--x", "1", "--intervals", "1"],
                  ["alpha", "--bitmap", bmp, "--max-x", "1", "--step", "1"],
                  ["repcount", "--n", "11", "--form", "1,1,1"],
@@ -130,6 +131,9 @@ def test_verify_usage_errors(tmp_path):
     assert exc.value.code == 2  # needs --inv-theta7
     with pytest.raises(SystemExit) as exc:
         run(["verify", "T1_1", "10", "0", "--inv-theta", str(bmp)])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "T1_1", "-5", "10", "--inv-theta", str(bmp)])
     assert exc.value.code == 2
 
 
@@ -208,6 +212,17 @@ def test_repcount_outputs(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["census", "--x", "2", "--intervals", "-1", "--bitmap", "b.f2s"],
+    ["repcount", "--n", "-3", "--form", "1,1"],
+])
+def test_negative_counts_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
 def test_classnum_outputs(capsys):
     assert run(["classnum", "--disc", "-56"]) == 0
     assert capsys.readouterr().out.strip() == "4"
@@ -244,7 +259,7 @@ def test_subprocess_end_to_end(tmp_path):
     assert "set bits" in gen.stdout
     ver = subprocess.run(
         [sys.executable, "-m", "thetaparity", "verify", "T1_1,T1_2", "0", "1000",
-         "--inv-theta", str(bmp), "--threads", "2"],
+         "--inv-theta", str(bmp)],
         capture_output=True, text=True)
     assert ver.returncode == 0
     assert ver.stdout.splitlines()[1].startswith("T1_1,0,1000,")

@@ -6,6 +6,8 @@ corrupted bitmap checks that the machinery reports violations instead of
 quietly passing.
 """
 
+import random
+
 import pytest
 
 import thetaparity as tp
@@ -182,12 +184,21 @@ def test_run_suite_tallies_sum(ctx20k):
         assert r.violated == 0, r.statement
 
 
-def test_run_suite_thread_determinism(ctx20k):
-    ids = [StatementId.T1_1, StatementId.T1_4, StatementId.L3_3,
-           StatementId.GAUSS_24H]
-    seq = th.run_suite(ids, 0, 1500, ctx20k, threads=1)
-    par = th.run_suite(ids, 0, 1500, ctx20k, threads=4)
-    assert seq == par
+def test_run_suite_caps_recorded_violations(ctx20k):
+    # every flipped even coefficient breaks T1_1 there; only the first
+    # MAX_RECORDED_VIOLATIONS witnesses are kept, the rest are counted
+    cap = th.MAX_RECORDED_VIOLATIONS
+    flipped = random.Random(4).sample(range(2, 4001, 2), cap + 18)
+    good = ctx20k.inv_theta
+    bad = BitSeries(good.length, good.bits ^ sum(1 << n for n in flipped))
+    r = th.run_suite([StatementId.T1_1], 0, 4000, tp.SeriesContext(bad))[0]
+    assert r.violated == len(flipped)
+    assert len(r.violations) == cap
+    assert r.violations_dropped == r.violated - cap
+    ns = [n for n, _ in r.violations]
+    assert all(a < b for a, b in zip(ns, ns[1:]))
+    assert ns == sorted(flipped)[:cap]
+    assert r.first_violation == min(flipped)
 
 
 def test_run_suite_coverage_errors(ctx20k):
