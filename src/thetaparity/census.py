@@ -3,8 +3,9 @@
 B is the support of 1/g for the squares theta series g; B* is the analogue
 for the generalized pentagonal generator, whose reciprocal carries the
 partition parities. Bitmaps are built once through the inversion kernels and
-then scanned read-only: a residue class mod 16 is a two-byte tiling pattern,
-an index interval is a shift plus mask, and every count is a popcount.
+then scanned read-only through their byte view: members = r mod 16 are bit
+r & 7 of every second byte, so a residue class is one strided numpy slice and
+every count is a sum over it.
 
 beta(x) counts members of B that are congruent to 15 mod 16 and smaller than
 16x. Among the 16x - 1 positive integers below 16x, exactly x lie in that
@@ -23,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import f2series
-from .f2series import BitSeries, InsufficientBitmapError, _mask
+from .f2series import BitSeries, InsufficientBitmapError
 
 __all__ = [
     "CensusTable",
@@ -48,11 +49,11 @@ def build_Bstar(limit: int) -> BitSeries:
     return f2series.invert_newton(f2series.generalized_pentagonals(limit), limit)
 
 
-def _residue_mask_bits(residue: int, length: int) -> int:
-    # positions congruent to `residue` mod 16, below `length`
-    unit = (1 << residue).to_bytes(2, "little")
-    reps = (length + 15) // 16
-    return int.from_bytes(unit * reps, "little") & _mask(length)
+def _residue(b: BitSeries, r: int) -> np.ndarray:
+    # entry i is the coefficient of 16i + r: bit r & 7 of byte 2i + (r >> 3)
+    col = np.frombuffer(b.raw, dtype=np.uint8)[r >> 3::2] >> (r & 7)
+    col &= 1
+    return col
 
 
 @dataclass(frozen=True)
@@ -83,11 +84,8 @@ def interval_counts(b: BitSeries, x: int, intervals: int) -> CensusTable:
     needed = width * intervals
     if b.length < needed:
         raise InsufficientBitmapError(needed, b.length)
-    sel = b.bits & _residue_mask_bits(15, b.length)
-    counts = []
-    for j in range(intervals):
-        counts.append(((sel >> (j * width)) & _mask(width)).bit_count())
-    return CensusTable(16, 15, x, width, tuple(counts))
+    counts = _residue(b, 15)[:x * intervals].reshape(intervals, x).sum(axis=1)
+    return CensusTable(16, 15, x, width, tuple(counts.tolist()))
 
 
 class SweepRow(NamedTuple):
@@ -161,15 +159,11 @@ def alpha_sweep(b: BitSeries, max_x: int, step: int) -> AlphaSweep:
         raise ValueError("need 1 <= step <= max_x")
     if b.length < 16 * max_x:
         raise InsufficientBitmapError(16 * max_x, b.length)
-    sel = b.bits & _residue_mask_bits(15, b.length)
-    rows = []
-    beta = 0
-    prev = 0
-    for x in range(step, max_x + 1, step):
-        bound = 16 * x
-        beta += ((sel >> prev) & _mask(bound - prev)).bit_count()
-        prev = bound
-        rows.append(SweepRow(x, beta, (beta - x / 2) / math.sqrt(x)))
+    steps = max_x // step
+    per_step = _residue(b, 15)[:steps * step].reshape(steps, step).sum(axis=1)
+    rows = [SweepRow(x, beta, (beta - x / 2) / math.sqrt(x))
+            for x, beta in zip(range(step, max_x + 1, step),
+                               np.cumsum(per_step).tolist())]
     lo = hi = rows[0]
     for r in rows[1:]:
         if _cmp_rows(r, lo) < 0:
@@ -185,11 +179,8 @@ def residue_class_counts(b: BitSeries, limit: int) -> np.ndarray:
         raise ValueError("limit must be >= 1")
     if limit > b.length:
         raise InsufficientBitmapError(limit, b.length)
-    src = b.bits & _mask(limit)
-    counts = np.zeros(16, dtype=np.int64)
-    for r in range(16):
-        counts[r] = (src & _residue_mask_bits(r, limit)).bit_count()
-    return counts
+    return np.array([_residue(b, r)[:(limit - r + 15) // 16].sum()
+                     for r in range(16)], dtype=np.int64)
 
 
 def non15_count(b: BitSeries, n_max: int) -> int:
@@ -198,5 +189,5 @@ def non15_count(b: BitSeries, n_max: int) -> int:
         raise ValueError("n_max must be nonnegative")
     if n_max + 1 > b.length:
         raise InsufficientBitmapError(n_max + 1, b.length)
-    src = b.bits & _mask(n_max + 1)
-    return src.bit_count() - (src & _residue_mask_bits(15, n_max + 1)).bit_count()
+    return (b.truncate(n_max + 1).popcount()
+            - int(_residue(b, 15)[:(n_max + 1) // 16].sum()))

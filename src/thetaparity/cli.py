@@ -79,25 +79,12 @@ def _statement_ids(text: str) -> list[StatementId]:
     return ids
 
 
-def _read_bitmap(path: str):
-    try:
-        return f2series.read_f2s(path)
-    except (OSError, BitmapFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
-def _write_text(text: str, path: str | None) -> bool:
+def _write_text(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-        return True
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False
-    return True
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 _BUILDERS = {
@@ -110,13 +97,9 @@ _BUILDERS = {
 }
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args, parser: argparse.ArgumentParser) -> int:
     series = _BUILDERS[args.series](args.limit)
-    try:
-        f2series.write_f2s(series, args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    f2series.write_f2s(series, args.out)
     print(f"{args.out}: {series.length} coefficients, {series.popcount()} set bits")
     return 0
 
@@ -127,22 +110,10 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         parser.error("LO must not exceed HI")
     if any(theorems.requires_seventh(i) for i in ids) and not args.inv_theta7:
         parser.error("the requested statements need --inv-theta7")
-    inv = _read_bitmap(args.inv_theta)
-    if inv is None:
-        return 1
-    inv7 = None
-    if args.inv_theta7:
-        inv7 = _read_bitmap(args.inv_theta7)
-        if inv7 is None:
-            return 1
-    ctx = SeriesContext(inv, inv7)
-    try:
-        reports = theorems.run_suite(ids, args.lo, args.hi, ctx)
-    except InsufficientBitmapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    if not _write_text(theorems.reports_to_csv(reports), args.out):
-        return 1
+    inv = f2series.read_f2s(args.inv_theta)
+    inv7 = f2series.read_f2s(args.inv_theta7) if args.inv_theta7 else None
+    reports = theorems.run_suite(ids, args.lo, args.hi, SeriesContext(inv, inv7))
+    _write_text(theorems.reports_to_csv(reports), args.out)
     return 0 if all(r.violated == 0 for r in reports) else 1
 
 
@@ -152,36 +123,26 @@ def _half_delta(count: int, x: int) -> str:
     return str(twice // 2) if twice % 2 == 0 else f"{twice / 2:.1f}"
 
 
-def _cmd_census(args) -> int:
-    b = _read_bitmap(args.bitmap)
-    if b is None:
-        return 1
-    try:
-        table = census.interval_counts(b, args.x, args.intervals)
-    except InsufficientBitmapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+def _cmd_census(args, parser: argparse.ArgumentParser) -> int:
+    b = f2series.read_f2s(args.bitmap)
+    table = census.interval_counts(b, args.x, args.intervals)
     lines = ["interval_index,lo,hi,count,count_minus_half_x"]
     for j, count in enumerate(table.counts):
         lo = j * table.interval_width
         hi = lo + table.interval_width
         lines.append(f"{j},{lo},{hi},{count},{_half_delta(count, table.x)}")
-    return 0 if _write_text("\n".join(lines) + "\n", args.out) else 1
+    _write_text("\n".join(lines) + "\n", args.out)
+    return 0
 
 
-def _cmd_alpha(args) -> int:
-    b = _read_bitmap(args.bitmap)
-    if b is None:
-        return 1
-    try:
-        sweep = census.alpha_sweep(b, args.max_x, args.step)
-    except InsufficientBitmapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+def _cmd_alpha(args, parser: argparse.ArgumentParser) -> int:
+    b = f2series.read_f2s(args.bitmap)
+    sweep = census.alpha_sweep(b, args.max_x, args.step)
     lines = ["x,beta,alpha"]
     for row in sweep.rows:
         lines.append(f"{row.x},{row.beta},{row.alpha:.6f}")
-    return 0 if _write_text("\n".join(lines) + "\n", args.out) else 1
+    _write_text("\n".join(lines) + "\n", args.out)
+    return 0
 
 
 def _cmd_repcount(args, parser: argparse.ArgumentParser) -> int:
@@ -227,6 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("limit", type=_positive_count,
                        help="coefficient count, e.g. 2^23+1")
     p_gen.add_argument("--out", required=True)
+    p_gen.set_defaults(run=_cmd_gen)
 
     p_ver = sub.add_parser("verify", help="run the statement suite over a range")
     p_ver.add_argument("statements", type=_statement_ids,
@@ -236,6 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--inv-theta", required=True, help=".f2s bitmap of 1/g")
     p_ver.add_argument("--inv-theta7", help=".f2s bitmap of 1/g^7 (for L3_5)")
     p_ver.add_argument("--out", help="write the CSV report here instead of stdout")
+    p_ver.set_defaults(run=_cmd_verify)
 
     p_cen = sub.add_parser("census", help="count members = 15 mod 16 per interval")
     p_cen.add_argument("--x", type=_positive_count, required=True,
@@ -243,12 +206,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cen.add_argument("--intervals", type=_nonnegative_count, required=True)
     p_cen.add_argument("--bitmap", required=True)
     p_cen.add_argument("--out")
+    p_cen.set_defaults(run=_cmd_census)
 
     p_alp = sub.add_parser("alpha", help="sweep the deviation alpha(x)")
     p_alp.add_argument("--max-x", type=_positive_count, required=True)
     p_alp.add_argument("--step", type=_positive_count, required=True)
     p_alp.add_argument("--bitmap", required=True)
     p_alp.add_argument("--out")
+    p_alp.set_defaults(run=_cmd_alpha)
 
     p_rep = sub.add_parser("repcount", help="representation counts for one n")
     p_rep.add_argument("--n", type=_nonnegative_count, required=True)
@@ -258,13 +223,16 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="count signed integer vectors instead of square tuples")
     p_rep.add_argument("--primitive", action="store_true",
                        help="restrict to gcd-1 vectors (needs --signed)")
+    p_rep.set_defaults(run=_cmd_repcount)
 
     p_cls = sub.add_parser("classnum", help="class number of a negative discriminant")
     p_cls.add_argument("--disc", type=int, required=True)
+    p_cls.set_defaults(run=_cmd_classnum)
 
     p_jac = sub.add_parser("jacobi", help="Jacobi symbol (a | n)")
     p_jac.add_argument("--a", type=int, required=True)
     p_jac.add_argument("--n", type=int, required=True)
+    p_jac.set_defaults(run=_cmd_jacobi)
 
     return parser
 
@@ -272,19 +240,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gen":
-        return _cmd_gen(args)
-    if args.command == "verify":
-        return _cmd_verify(args, parser)
-    if args.command == "census":
-        return _cmd_census(args)
-    if args.command == "alpha":
-        return _cmd_alpha(args)
-    if args.command == "repcount":
-        return _cmd_repcount(args, parser)
-    if args.command == "classnum":
-        return _cmd_classnum(args, parser)
-    return _cmd_jacobi(args, parser)
+    try:
+        return args.run(args, parser)
+    except InsufficientBitmapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (OSError, BitmapFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

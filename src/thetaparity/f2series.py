@@ -3,8 +3,11 @@
 A series is a pair (length, bits): `length` is the number of represented
 coefficients (exponents 0 .. length-1) and `bits` packs them into a single
 Python integer, bit n holding the coefficient of x^n. That integer is the
-public face and the form that squaring, masking and .f2s I/O work on; a
-2^23-coefficient series occupies about one megabyte.
+public face and the form that squaring, the word kernel and .f2s I/O work
+on; a 2^23-coefficient series occupies about one megabyte. Reads go through
+one lazily cached little-endian byte view, `BitSeries.raw`, in which
+coefficient n is bit n & 7 of byte n >> 3: a lookup indexes one byte instead
+of shifting the whole integer, and `support` and the census scans slice it.
 
 The generators of interest here are sparse (perfect squares, generalized
 pentagonal numbers), so multiplication by a generator is an XOR of shifted
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,12 +111,6 @@ def _bits_from_positions(positions, limit: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _positions(bits: int, length: int) -> np.ndarray:
-    raw = bits.to_bytes((length + 7) // 8, "little")
-    flat = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return np.nonzero(flat)[0]
-
-
 @dataclass(frozen=True)
 class SparseExponents:
     """Strictly increasing exponent list of a sparse GF(2) series.
@@ -140,7 +138,11 @@ class SparseExponents:
 
 @dataclass(frozen=True)
 class BitSeries:
-    """Truncated GF(2) series; bit n of `bits` is the coefficient of x^n."""
+    """Truncated GF(2) series; bit n of `bits` is the coefficient of x^n.
+
+    Every read goes through `raw`, the same bits as bytes, built on first
+    use and kept for the life of the series.
+    """
 
     length: int
     bits: int
@@ -162,7 +164,12 @@ class BitSeries:
             raise IndexError(
                 f"coefficient {n} outside series of length {self.length}"
             )
-        return self.bits >> n & 1
+        return self.raw[n >> 3] >> (n & 7) & 1
+
+    @cached_property
+    def raw(self) -> bytes:
+        """`bits` as (length + 7) // 8 little-endian bytes, padding bits zero."""
+        return self.bits.to_bytes((self.length + 7) // 8, "little")
 
     def popcount(self) -> int:
         """Number of nonzero coefficients."""
@@ -170,7 +177,9 @@ class BitSeries:
 
     def support(self) -> np.ndarray:
         """Sorted exponents of the nonzero coefficients (int64 array)."""
-        return _positions(self.bits, self.length)
+        flat = np.unpackbits(np.frombuffer(self.raw, dtype=np.uint8),
+                             bitorder="little")
+        return np.nonzero(flat)[0]
 
     def truncate(self, limit: int) -> BitSeries:
         """Prefix holding the first `limit` coefficients."""
@@ -278,7 +287,7 @@ def mul_dense(a: BitSeries, b: BitSeries, limit: int) -> BitSeries:
     if x.bit_count() > y.bit_count():
         x, y = y, x
     acc = 0
-    for k in _positions(x, limit).tolist():
+    for k in BitSeries(limit, x).support().tolist():
         acc ^= y << k
     return BitSeries(limit, acc & _mask(limit))
 

@@ -348,10 +348,13 @@ def class_number(d: int) -> int:
     Counts reduced primitive positive definite forms (a, b, c) with
     b^2 - 4ac = d: the conditions are |b| <= a <= c, gcd(a, b, c) = 1, and
     b >= 0 whenever |b| = a or a = c. Enumeration over a up to sqrt(-d/3)
-    with a vectorized scan over the admissible b values.
+    with a vectorized scan over the admissible b values. The scan holds
+    b^2 - d <= -4d/3 in int64, so d must exceed -3*2^61.
     """
     if d >= 0 or d % 4 not in (0, 1):
         raise ValueError("discriminant must be negative and 0 or 1 mod 4")
+    if d <= -3 * 2**61:
+        raise ValueError("discriminant must exceed -3*2^61 (int64 scan)")
     h = 0
     for a in range(1, math.isqrt(-d // 3) + 1):
         start = -a + (a + d) % 2  # smallest b >= -a with b = d mod 2

@@ -1,7 +1,8 @@
 """Census scans: interval counts, alpha sweeps, residue tables.
 
-Every popcount-mask scan is recounted here from the support array, a route
-that shares no code with the masks. The exact comparators get boundary cases
+Every scan of the byte view is recounted here from the bits integer, a route
+that shares no code with the view. Each recount also runs on a bitmap whose
+length is not a multiple of 8. The exact comparators get boundary cases
 where a float comparison would be undecidable.
 """
 
@@ -16,7 +17,13 @@ from thetaparity.f2series import BitSeries, InsufficientBitmapError
 
 
 def support_set(b):
-    return set(b.support().tolist())
+    return {n for n in range(b.length) if b.bits >> n & 1}
+
+
+@pytest.fixture(scope="module")
+def b_ragged():
+    """Membership bitmap of B whose last byte is partly padding."""
+    return tp.build_B(4093)
 
 
 def test_build_b_first_terms():
@@ -35,19 +42,20 @@ def test_interval_counts_tiny(b_small):
     assert table.total == 0
 
 
-def test_interval_counts_match_support_recount(b_small):
-    members = support_set(b_small)
+def test_interval_counts_match_support_recount(b_small, b_ragged):
     rng = random.Random(3)
-    for _ in range(20):
-        x = rng.randrange(1, 40)
-        intervals = rng.randrange(0, b_small.length // (16 * x) + 1)
-        table = tp.interval_counts(b_small, x, intervals)
-        assert len(table.counts) == intervals
-        for j, count in enumerate(table.counts):
-            lo, hi = j * 16 * x, (j + 1) * 16 * x
-            expect = sum(1 for n in range(lo + 15, hi, 16) if n in members)
-            assert count == expect, (x, j)
-        assert table.total == sum(table.counts)
+    for b in (b_small, b_ragged):
+        members = support_set(b)
+        for _ in range(20):
+            x = rng.randrange(1, 40)
+            intervals = rng.randrange(0, b.length // (16 * x) + 1)
+            table = tp.interval_counts(b, x, intervals)
+            assert len(table.counts) == intervals
+            for j, count in enumerate(table.counts):
+                lo, hi = j * 16 * x, (j + 1) * 16 * x
+                expect = sum(1 for n in range(lo + 15, hi, 16) if n in members)
+                assert count == expect, (b.length, x, j)
+            assert table.total == sum(table.counts)
 
 
 def test_interval_counts_errors(b_small):
@@ -78,12 +86,15 @@ def test_alpha_sweep_betas_are_prefix_sums(b_small):
                         (running - x * k / 2) / math.sqrt(x * k))
 
 
-def test_alpha_sweep_match_support_recount(b_small):
-    members = support_set(b_small)
-    sweep = tp.alpha_sweep(b_small, 16, 3)
-    for row in sweep.rows:
-        expect = sum(1 for n in range(15, 16 * row.x, 16) if n in members)
-        assert row.beta == expect
+def test_alpha_sweep_match_support_recount(b_small, b_ragged):
+    for b in (b_small, b_ragged):
+        members = support_set(b)
+        for max_x, step in ((16, 3), (b.length // 16, 7)):
+            sweep = tp.alpha_sweep(b, max_x, step)
+            assert [r.x for r in sweep.rows] == list(range(step, max_x + 1, step))
+            for row in sweep.rows:
+                expect = sum(1 for n in range(15, 16 * row.x, 16) if n in members)
+                assert row.beta == expect, (b.length, row.x)
 
 
 def test_alpha_sweep_errors(b_small):
@@ -150,14 +161,15 @@ def test_residue_class_counts_small():
     assert counts.sum() == b.popcount()
 
 
-def test_residue_class_counts_match_support(b_small):
-    members = support_set(b_small)
-    for limit in (1, 15, 16, 17, 100, b_small.length):
-        counts = tp.residue_class_counts(b_small, limit)
-        for r in range(16):
-            assert counts[r] == sum(1 for n in members
-                                    if n < limit and n % 16 == r)
-        assert counts.sum() == sum(1 for n in members if n < limit)
+def test_residue_class_counts_match_support(b_small, b_ragged):
+    for b in (b_small, b_ragged):
+        members = support_set(b)
+        for limit in (1, 15, 16, 17, 100, b.length - 1, b.length):
+            counts = tp.residue_class_counts(b, limit)
+            for r in range(16):
+                assert counts[r] == sum(1 for n in members
+                                        if n < limit and n % 16 == r)
+            assert counts.sum() == sum(1 for n in members if n < limit)
 
 
 def test_residue_class_counts_errors(b_small):
@@ -167,10 +179,13 @@ def test_residue_class_counts_errors(b_small):
         tp.residue_class_counts(tp.build_B(16), 17)
 
 
-def test_non15_count(b_small):
-    members = support_set(b_small)
-    for n_max in (0, 14, 15, 16, 255, b_small.length - 1):
-        expect = sum(1 for n in members if n <= n_max and n % 16 != 15)
-        assert tp.non15_count(b_small, n_max) == expect
-    with pytest.raises(InsufficientBitmapError):
-        tp.non15_count(b_small, b_small.length)
+def test_non15_count(b_small, b_ragged):
+    for b in (b_small, b_ragged):
+        members = support_set(b)
+        first15 = min(n for n in members if n % 16 == 15)
+        for n_max in (0, 14, 15, 16, 255, first15 - 1, first15,
+                      b.length - 2, b.length - 1):
+            expect = sum(1 for n in members if n <= n_max and n % 16 != 15)
+            assert tp.non15_count(b, n_max) == expect
+        with pytest.raises(InsufficientBitmapError):
+            tp.non15_count(b, b.length)

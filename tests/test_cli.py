@@ -69,9 +69,18 @@ def test_no_threads_option(tmp_path):
         assert exc.value.code == 2, argv
 
 
-def test_gen_io_failure(tmp_path):
-    assert run(["gen", "theta", "16", "--out",
-                str(tmp_path / "no" / "dir" / "x.f2s")]) == 1
+@pytest.mark.parametrize("argv", [
+    ["gen", "theta", "16"],
+    ["verify", "T1_1", "0", "10", "--inv-theta", "{bmp}"],
+    ["census", "--x", "1", "--intervals", "2", "--bitmap", "{bmp}"],
+    ["alpha", "--max-x", "2", "--step", "1", "--bitmap", "{bmp}"],
+], ids=["gen", "verify", "census", "alpha"])
+def test_out_in_missing_directory(argv, tmp_path, capsys):
+    bmp = tmp_path / "b.f2s"
+    tp.write_f2s(tp.build_B(64), bmp)
+    argv = [arg.format(bmp=bmp) for arg in argv]
+    assert run([*argv, "--out", str(tmp_path / "no" / "dir" / "x")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_t1_1_range(tmp_path, capsys):
@@ -182,6 +191,15 @@ def test_census_exit_three(tmp_path, capsys):
     assert "32" in capsys.readouterr().err
 
 
+def test_alpha_exit_three(tmp_path, capsys):
+    bmp = tmp_path / "b.f2s"
+    run(["gen", "inv-theta", "16", "--out", str(bmp)])
+    capsys.readouterr()
+    assert run(["alpha", "--max-x", "2", "--step", "1",
+                "--bitmap", str(bmp)]) == 3
+    assert "32" in capsys.readouterr().err
+
+
 def test_alpha_csv(tmp_path, capsys):
     bmp = tmp_path / "b.f2s"
     run(["gen", "inv-theta", "2^8", "--out", str(bmp)])
@@ -231,6 +249,10 @@ def test_classnum_outputs(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["classnum", "--disc", "-5"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["classnum", "--disc", "-10000000000000000000"])
+    assert exc.value.code == 2
+    assert "-3*2^61" in capsys.readouterr().err
 
 
 def test_jacobi_outputs(capsys):

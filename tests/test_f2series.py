@@ -128,6 +128,17 @@ def test_coefficient_bounds():
         s.coefficient(4)
     with pytest.raises(IndexError):
         s.coefficient(-1)
+    # the byte view around byte and word boundaries agrees with the int
+    rng = random.Random(8)
+    for length in (1, 7, 8, 9, 63, 64, 65):
+        bits = rng.getrandbits(length) | 1 << (length - 1)
+        s = BitSeries(length, bits)
+        assert [s.coefficient(n) for n in range(length)] == [
+            bits >> n & 1 for n in range(length)]
+        with pytest.raises(IndexError):
+            s.coefficient(length)
+        with pytest.raises(IndexError):
+            s.coefficient(-1)
 
 
 def test_truncate():

@@ -271,7 +271,8 @@ def test_class_number_known_values():
 
 
 def test_class_number_validation():
-    for bad in (5, 0, -5, -6):
+    # the last two lie past -3*2^61, where the int64 scan could overflow
+    for bad in (5, 0, -5, -6, -10**19, -(1 << 70)):
         with pytest.raises(ValueError):
             qa.class_number(bad)
 
