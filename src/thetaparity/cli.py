@@ -148,11 +148,14 @@ def _cmd_alpha(args, parser: argparse.ArgumentParser) -> int:
 def _cmd_repcount(args, parser: argparse.ArgumentParser) -> int:
     if args.primitive and not args.signed:
         parser.error("--primitive requires --signed")
-    if args.signed:
-        value = quadarith.count_signed_representations(
-            args.n, args.form, primitive=args.primitive)
-    else:
-        value = quadarith.count_square_tuples(args.n, args.form)
+    try:
+        if args.signed:
+            value = quadarith.count_signed_representations(
+                args.n, args.form, primitive=args.primitive)
+        else:
+            value = quadarith.count_square_tuples(args.n, args.form)
+    except ValueError as exc:
+        parser.error(str(exc))
     print(value)
     return 0
 

@@ -7,7 +7,10 @@ deterministic factorization, multiplicative ideal-count divisor sums for the
 imaginary quadratic orders of discriminant -4 and -8, and class numbers of
 arbitrary negative discriminants by reduced-form enumeration.
 
-Counting conventions are fixed once and never converted implicitly:
+Both per-query representation counts are sums over one enumerator of the
+nonnegative solutions, which walks the grid of leading coordinates in
+fixed-size blocks (memory O(sqrt n), n < 2^63). Counting conventions are
+fixed once and never converted implicitly:
 
 * `count_square_tuples(n, form)` counts ORDERED tuples (s_1, ..., s_k) of
   nonnegative perfect-square values with sum a_i * s_i = n. Positions are
@@ -52,8 +55,8 @@ class DiagonalForm:
     def __post_init__(self):
         if not 1 <= len(self.coefficients) <= 3:
             raise ValueError("forms have one to three variables")
-        if any(a < 1 for a in self.coefficients):
-            raise ValueError("coefficients must be positive integers")
+        if any(not 1 <= a < 1 << 63 for a in self.coefficients):
+            raise ValueError("coefficients must be integers in [1, 2^63)")
 
 
 def _coefficients(form) -> tuple[int, ...]:
@@ -72,28 +75,57 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
+def _check_n(n: int) -> int:
+    if not 0 <= n < 1 << 63:
+        raise ValueError("n must satisfy 0 <= n < 2**63")
+    return n
+
+
+# grid cells per block of _solutions; a block never holds less than one row
+_BLOCK_CELLS = 1 << 16
+_MAX_ROOT = math.isqrt((1 << 63) - 1)
+
+
+def _exact_sqrt(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # values are nonnegative int64, so the rounded float sqrt of a perfect
+    # square is its root; the cap keeps roots * roots inside int64
+    roots = np.rint(np.sqrt(values.astype(np.float64))).astype(np.int64)
+    roots = np.minimum(roots, _MAX_ROOT)
+    return roots, roots * roots == values
+
+
+def _solutions(n: int, coeffs: tuple[int, ...]):
+    """Nonnegative solutions of sum a_i x_i^2 = n as (k, m) int64 blocks.
+
+    Column j of a block is one solution. The leading k - 1 coordinates range
+    over a broadcast grid, every axis from 0, cut along its first axis into
+    blocks of at most _BLOCK_CELLS cells (one row when a row alone is
+    larger); the last coordinate is the exact root of what remains. Memory
+    is O(sqrt n) for three variables.
+    """
+    *head, last = coeffs
+    axes = [np.arange(math.isqrt(n // a) + 1, dtype=np.int64) for a in head]
+    rows = max(1, _BLOCK_CELLS // math.prod(map(len, axes[1:])))
+    for lo in range(0, len(axes[0]) if axes else 1, rows):
+        block = [x[lo:lo + rows] for x in axes[:1]] + axes[1:]
+        grid = np.ix_(*block)
+        rem = np.atleast_1d(n - sum(a * x * x for a, x in zip(head, grid)))
+        quot = rem // last
+        roots, square = _exact_sqrt(np.maximum(quot, 0))
+        keep = (rem >= 0) & (quot * last == rem) & square
+        # zip stops at the k - 1 grid axes, which k = 1 does not have
+        yield np.stack([*(x[i] for x, i in zip(block, np.nonzero(keep))),
+                        roots[keep]])
+
+
 def count_square_tuples(n: int, form) -> int:
     """Ordered tuples of square values (s_1, ..., s_k) with sum a_i s_i = n.
 
-    Plain nested enumeration over the trailing square values with an exact
-    square test on what remains; the table builder below is the fast path and
-    is checked against this one.
+    The number of nonnegative solutions from the block enumerator; the table
+    builder below is the fast path and is checked against this one.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _tuple_count(n, _coefficients(form))
-
-
-def _tuple_count(n: int, coeffs: tuple[int, ...]) -> int:
-    if len(coeffs) == 1:
-        a = coeffs[0]
-        return 1 if n % a == 0 and is_square(n // a) else 0
-    a = coeffs[-1]
-    head = coeffs[:-1]
-    total = 0
-    for r in range(math.isqrt(n // a) + 1):
-        total += _tuple_count(n - a * r * r, head)
-    return total
+    blocks = _solutions(_check_n(n), _coefficients(form))
+    return sum(block.shape[1] for block in blocks)
 
 
 def square_tuple_count_table(form, n_max: int) -> np.ndarray:
@@ -116,72 +148,19 @@ def square_tuple_count_table(form, n_max: int) -> np.ndarray:
     return counts
 
 
-def _exact_sqrt(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # values are nonnegative int64 well below 2^63, so the rounded float
-    # sqrt is within 1/2 of the true root and the verify step is exact
-    roots = np.rint(np.sqrt(values.astype(np.float64))).astype(np.int64)
-    return roots, roots * roots == values
-
-
 def count_signed_representations(n: int, form, primitive: bool = False) -> int:
     """Integer solution vectors of sum a_i x_i^2 = n, signs and order distinct.
 
-    With primitive=True only vectors with gcd(x_1, ..., x_k) = 1 are counted;
-    the zero vector is never primitive, so n = 0 counts 1 or 0.
+    Each nonnegative solution stands for 2^(number of nonzero coordinates)
+    signed ones. With primitive=True only vectors with gcd(x_1, ..., x_k) = 1
+    are counted; the zero vector is never primitive, so n = 0 counts 1 or 0.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    coeffs = _coefficients(form)
-    if n == 0:
-        return 0 if primitive else 1
-    if len(coeffs) == 1:
-        a = coeffs[0]
-        if n % a:
-            return 0
-        r = math.isqrt(n // a)
-        if r * r != n // a:
-            return 0
-        if primitive and r != 1:
-            return 0
-        return 2
-    if len(coeffs) == 2:
-        return _signed_two(n, coeffs, primitive)
-    return _signed_three(n, coeffs, primitive)
-
-
-def _signed_two(n: int, coeffs: tuple[int, ...], primitive: bool) -> int:
-    a1, a2 = coeffs
-    xs = np.arange(math.isqrt(n // a1) + 1, dtype=np.int64)
-    rem = n - a1 * xs * xs
-    ok = rem % a2 == 0
-    ys, sq = _exact_sqrt(np.where(ok, rem // a2, 0))
-    keep = ok & sq
-    xs, ys = xs[keep], ys[keep]
-    if primitive:
-        prim = np.gcd(xs, ys) == 1
-        xs, ys = xs[prim], ys[prim]
-    weights = (1 + (xs > 0)) * (1 + (ys > 0))
-    return int(weights.sum())
-
-
-def _signed_three(n: int, coeffs: tuple[int, ...], primitive: bool) -> int:
-    a1, a2, a3 = coeffs
-    xs = np.arange(math.isqrt(n // a1) + 1, dtype=np.int64)[:, None]
-    ys = np.arange(math.isqrt(n // a2) + 1, dtype=np.int64)[None, :]
-    rem = n - a1 * xs * xs - a2 * ys * ys
-    valid = rem >= 0
-    rem = np.where(valid, rem, 0)
-    ok = valid & (rem % a3 == 0)
-    zs, sq = _exact_sqrt(np.where(ok, rem // a3, 0))
-    keep = ok & sq
-    gx = np.broadcast_to(xs, keep.shape)[keep]
-    gy = np.broadcast_to(ys, keep.shape)[keep]
-    gz = zs[keep]
-    if primitive:
-        prim = np.gcd(np.gcd(gx, gy), gz) == 1
-        gx, gy, gz = gx[prim], gy[prim], gz[prim]
-    weights = (1 + (gx > 0)) * (1 + (gy > 0)) * (1 + (gz > 0))
-    return int(weights.sum())
+    total = 0
+    for xs in _solutions(_check_n(n), _coefficients(form)):
+        if primitive:
+            xs = xs[:, np.gcd.reduce(xs) == 1]
+        total += int((1 << (xs > 0).sum(axis=0)).sum())
+    return total
 
 
 def jacobi(a: int, n: int) -> int:

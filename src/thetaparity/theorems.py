@@ -19,6 +19,7 @@ the registry's description strings say what each one asserts.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -136,16 +137,12 @@ def _check_t1_1(n: int, ctx: SeriesContext) -> Verdict:
                     half_square=half_square)
 
 
-def _check_t1_2(n: int, ctx: SeriesContext) -> Verdict:
+def _check_parity(form: tuple[int, ...], n: int, ctx: SeriesContext) -> Verdict:
+    # membership matches the parity of the square-tuple count of the form
     member = ctx.member(n)
-    c = ctx.tuple_count(n, (1, 4))
-    return _verdict(member == (c % 2 == 1), member=member, count_1_4=c)
-
-
-def _check_t1_4(n: int, ctx: SeriesContext) -> Verdict:
-    member = ctx.member(n)
-    c = ctx.tuple_count(n, (1, 2, 8))
-    return _verdict(member == (c % 2 == 1), member=member, count_1_2_8=c)
+    c = ctx.tuple_count(n, form)
+    return _verdict(member == (c % 2 == 1), member=member,
+                    **{"count_" + "_".join(map(str, form)): c})
 
 
 def _check_l2_1_identity(n: int, ctx: SeriesContext) -> Verdict:
@@ -164,26 +161,24 @@ def _check_l2_1_sufficiency(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(not member, r1=r1, r2=r2, member=member)
 
 
-def _primitive_triple_count(n: int) -> tuple[int, int]:
-    # primitive unsigned ordered triples of squares summing to n; in the
-    # residue classes used here (n = 3 mod 8, or 2n with n odd) every
-    # coordinate is nonzero, so each unsigned triple carries 8 sign patterns
-    signed = quadarith.count_signed_representations(n, (1, 1, 1), primitive=True)
-    if signed % 8:
-        raise AssertionError(f"unexpected zero coordinate in primitive triple, n={n}")
-    return signed // 8, signed
-
-
-def _check_l2_2(n: int, ctx: SeriesContext) -> Verdict:
+def _check_primitive_triples(scale: int, n: int, ctx: SeriesContext) -> Verdict:
     m = len(quadarith.factorize(n).pairs)
     if m < 3:
         return _vacuous(distinct_primes=m)
-    triples, signed = _primitive_triple_count(n)
+    # primitive unsigned ordered triples of squares summing to scale * n; in
+    # the residue classes used here (n = 3 mod 8 at scale 1, n odd at scale
+    # 2) every coordinate is nonzero, so each triple carries 8 sign patterns
+    signed = quadarith.count_signed_representations(scale * n, (1, 1, 1),
+                                                    primitive=True)
+    if signed % 8:
+        raise AssertionError(
+            f"unexpected zero coordinate in primitive triple, n={scale * n}")
+    triples = signed // 8
     return _verdict(triples % 4 == 0, distinct_primes=m,
                     primitive_triples=triples, signed_primitive=signed)
 
 
-def _check_t2_3(n: int, ctx: SeriesContext) -> Verdict:
+def _check_three_odd_primes(n: int, ctx: SeriesContext) -> Verdict:
     odd = quadarith.odd_exponent_prime_count(quadarith.factorize(n))
     if odd < 3:
         return _vacuous(odd_exponent_primes=odd)
@@ -219,12 +214,6 @@ def _check_l3_5(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict((coeff == 1) == square, coefficient=coeff, square=square)
 
 
-def _check_t3_6(n: int, ctx: SeriesContext) -> Verdict:
-    member = ctx.member(n)
-    c = ctx.tuple_count(n, (1, 2, 4))
-    return _verdict(member == (c % 2 == 1), member=member, count_1_2_4=c)
-
-
 def _check_l3_7_identity(n: int, ctx: SeriesContext) -> Verdict:
     r3 = ctx.tuple_count(2 * n, (1, 1, 1))
     t = ctx.tuple_count(n, (1, 2, 4))
@@ -237,29 +226,12 @@ def _check_t3_8(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(member == (r3 % 4 == 2), member=member, r3=r3)
 
 
-def _check_l3_9(n: int, ctx: SeriesContext) -> Verdict:
-    m = len(quadarith.factorize(n).pairs)
-    if m < 3:
-        return _vacuous(distinct_primes=m)
-    triples, signed = _primitive_triple_count(2 * n)
-    return _verdict(triples % 4 == 0, distinct_primes=m,
-                    primitive_triples=triples, signed_primitive=signed)
-
-
 def _check_c3_10(n: int, ctx: SeriesContext) -> Verdict:
     odd = quadarith.odd_exponent_prime_count(quadarith.factorize(n))
     if odd < 3:
         return _vacuous(odd_exponent_primes=odd)
     r3 = ctx.tuple_count(2 * n, (1, 1, 1))
     return _verdict(r3 % 4 == 0, odd_exponent_primes=odd, r3=r3)
-
-
-def _check_t3_11(n: int, ctx: SeriesContext) -> Verdict:
-    odd = quadarith.odd_exponent_prime_count(quadarith.factorize(n))
-    if odd < 3:
-        return _vacuous(odd_exponent_primes=odd)
-    member = ctx.member(n)
-    return _verdict(not member, odd_exponent_primes=odd, member=member)
 
 
 def _check_gauss_24h(n: int, ctx: SeriesContext) -> Verdict:
@@ -294,14 +266,14 @@ _REGISTRY: dict[StatementId, _Statement] = {
     ),
     StatementId.T1_2: _Statement(
         lambda n: n % 4 == 1,
-        _check_t1_2,
+        functools.partial(_check_parity, (1, 4)),
         "n = 1 mod 4: membership matches the parity of the (1,4) square-tuple count",
         needs_membership=True,
         warm_forms=(((1, 4), 1),),
     ),
     StatementId.T1_4: _Statement(
         lambda n: n % 8 == 3,
-        _check_t1_4,
+        functools.partial(_check_parity, (1, 2, 8)),
         "n = 3 mod 8: membership matches the parity of the (1,2,8) square-tuple count",
         needs_membership=True,
         warm_forms=(((1, 2, 8), 1),),
@@ -321,12 +293,12 @@ _REGISTRY: dict[StatementId, _Statement] = {
     ),
     StatementId.L2_2: _Statement(
         lambda n: n % 8 == 3,
-        _check_l2_2,
+        functools.partial(_check_primitive_triples, 1),
         "n = 3 mod 8 with >= 3 distinct primes: primitive triple count is divisible by 4",
     ),
     StatementId.T2_3: _Statement(
         lambda n: n % 8 == 3,
-        _check_t2_3,
+        _check_three_odd_primes,
         "n = 3 mod 8 with >= 3 odd-exponent primes is not in B",
         needs_membership=True,
     ),
@@ -352,7 +324,7 @@ _REGISTRY: dict[StatementId, _Statement] = {
     ),
     StatementId.T3_6: _Statement(
         lambda n: n % 16 == 7,
-        _check_t3_6,
+        functools.partial(_check_parity, (1, 2, 4)),
         "n = 7 mod 16: membership matches the parity of the (1,2,4) square-tuple count",
         needs_membership=True,
         warm_forms=(((1, 2, 4), 1),),
@@ -372,7 +344,7 @@ _REGISTRY: dict[StatementId, _Statement] = {
     ),
     StatementId.L3_9: _Statement(
         lambda n: n % 8 == 7,
-        _check_l3_9,
+        functools.partial(_check_primitive_triples, 2),
         "n = 7 mod 8 with >= 3 distinct primes: primitive triple count at 2n is "
         "divisible by 4",
     ),
@@ -384,7 +356,7 @@ _REGISTRY: dict[StatementId, _Statement] = {
     ),
     StatementId.T3_11: _Statement(
         lambda n: n % 16 == 7,
-        _check_t3_11,
+        _check_three_odd_primes,
         "n = 7 mod 16 with >= 3 odd-exponent primes is not in B",
         needs_membership=True,
     ),

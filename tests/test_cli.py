@@ -230,6 +230,23 @@ def test_repcount_outputs(capsys):
     assert exc.value.code == 2
 
 
+def test_repcount_int64_edges(capsys):
+    # the last representable n is counted; 2^63 is a usage error
+    top = str((1 << 63) - 1)
+    assert run(["repcount", "--n", top, "--form", "1", "--signed"]) == 0
+    assert capsys.readouterr().out.strip() == "0"
+    square = str(3037000499 ** 2)
+    assert run(["repcount", "--n", square, "--form", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+    assert run(["repcount", "--n", square, "--form", "1", "--signed"]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+    for form_args in (["--form", "3"], ["--form", "1,2", "--signed"]):
+        with pytest.raises(SystemExit) as exc:
+            run(["repcount", "--n", "2^63", *form_args])
+        assert exc.value.code == 2
+        assert "2**63" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["census", "--x", "2", "--intervals", "-1", "--bitmap", "b.f2s"],
     ["repcount", "--n", "-3", "--form", "1,1"],

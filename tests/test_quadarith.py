@@ -3,11 +3,15 @@
 Wherever possible each function is checked against a second route computed
 here from first principles: brute-force solution enumeration for the
 counting functions, Euler's criterion for the Jacobi symbol on primes, a
-sieve for primality, and literal divisor sums for the ideal counts.
+sieve for primality, and literal divisor sums for the ideal counts. Where
+sympy is installed it is a third route for factorization, primality and the
+Jacobi symbol.
 """
 
+import functools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from thetaparity import quadarith as qa
 from thetaparity.quadarith import DiagonalForm, IdealCountKind
 
 
+@functools.lru_cache(maxsize=None)
 def brute_square_tuples(n, coeffs):
     # all ordered tuples of square values, by unconditional enumeration
     if len(coeffs) == 1:
@@ -28,6 +33,7 @@ def brute_square_tuples(n, coeffs):
     return total
 
 
+@functools.lru_cache(maxsize=None)
 def brute_signed(n, coeffs, primitive):
     bound = math.isqrt(n) + 1
     count = 0
@@ -77,10 +83,18 @@ def test_count_square_tuples_accepts_form_object():
     assert qa.count_square_tuples(11, form) == 2
 
 
-def test_count_square_tuples_vs_brute():
-    for coeffs in [(1,), (2,), (1, 2), (1, 4), (1, 1, 1), (1, 2, 8), (1, 2, 4)]:
-        for n in range(0, 200):
-            assert qa.count_square_tuples(n, coeffs) == brute_square_tuples(n, coeffs)
+# the default block holds each grid below whole; blocks of one row, of a few
+# rows, and of rows cut mid-axis must give the same counts
+BLOCK_SIZES = (qa._BLOCK_CELLS, 1, 7, 64)
+
+
+def test_count_square_tuples_vs_brute(monkeypatch):
+    for block in BLOCK_SIZES:
+        monkeypatch.setattr(qa, "_BLOCK_CELLS", block)
+        for coeffs in [(1,), (2,), (1, 2), (1, 4), (1, 1, 1), (1, 2, 8), (1, 2, 4)]:
+            for n in range(0, 200):
+                assert qa.count_square_tuples(n, coeffs) == \
+                    brute_square_tuples(n, coeffs), (block, coeffs, n)
 
 
 def test_count_table_matches_per_query():
@@ -105,12 +119,42 @@ def test_signed_representations_known_values():
         qa.count_signed_representations(-2, (1, 1))
 
 
-def test_signed_representations_vs_brute():
-    for coeffs in [(1, 2), (1, 4), (1, 1, 1), (1, 2, 4)]:
-        for n in range(0, 120):
-            for primitive in (False, True):
-                assert qa.count_signed_representations(n, coeffs, primitive) == \
-                    brute_signed(n, coeffs, primitive), (coeffs, n, primitive)
+def test_signed_representations_vs_brute(monkeypatch):
+    for block in BLOCK_SIZES:
+        monkeypatch.setattr(qa, "_BLOCK_CELLS", block)
+        for coeffs in [(1, 2), (1, 4), (1, 1, 1), (1, 2, 4)]:
+            for n in range(0, 120):
+                for primitive in (False, True):
+                    assert qa.count_signed_representations(n, coeffs, primitive) == \
+                        brute_signed(n, coeffs, primitive), (block, coeffs, n, primitive)
+
+
+def test_signed_representations_memory_is_blocked():
+    # the whole sqrt(n) x sqrt(n) grid at n = 10^7 would need hundreds of MiB
+    n = 10**7 + 3
+    tracemalloc.start()
+    try:
+        signed = qa.count_signed_representations(n, (1, 1, 1), primitive=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak
+    assert signed == 24 * qa.class_number(-n) == 16944
+
+
+def test_counts_at_the_int64_edge():
+    top = (1 << 63) - 1
+    root = math.isqrt(top)  # 3037000499
+    assert qa.count_signed_representations(top, (1,)) == 0
+    assert qa.count_square_tuples(root * root, (1,)) == 1
+    assert qa.count_signed_representations(root * root, (1,)) == 2
+    for count in (qa.count_square_tuples, qa.count_signed_representations):
+        with pytest.raises(ValueError):
+            count(1 << 63, (3,))
+        with pytest.raises(ValueError):
+            count(1 << 63, (1, 2))
+    with pytest.raises(ValueError):
+        DiagonalForm((1, 1 << 63))
 
 
 def test_signed_imprimitive_decomposition():
@@ -213,6 +257,37 @@ def test_factorize_beyond_trial_division():
     p, q = int(big[0]), int(big[7])
     assert qa.factorize(p * q).pairs == ((p, 1), (q, 1))
     assert qa.factorize(p * p).pairs == ((p, 2),)
+
+
+def test_factorize_vs_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(41)
+    values = [rng.randrange(1, 1 << 63) for _ in range(10)]
+    for _ in range(5):
+        # two primes above the trial-division limit force the rho path
+        p = sympy.nextprime(rng.randrange(1 << 20, 1 << 31))
+        q = sympy.nextprime(rng.randrange(1 << 20, 1 << 31))
+        values.append(p * q)
+    for n in values:
+        assert dict(qa.factorize(n).pairs) == sympy.factorint(n), n
+
+
+def test_is_prime_vs_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(43)
+    values = [rng.randrange(0, 1 << 64) for _ in range(300)]
+    values += [int(sympy.nextprime(rng.randrange(1 << 63))) for _ in range(50)]
+    for n in values:
+        assert qa.is_prime(n) == sympy.isprime(n), n
+
+
+def test_jacobi_vs_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(47)
+    for _ in range(2000):
+        n = rng.randrange(0, 1 << rng.choice((8, 32, 64))) * 2 + 1
+        a = rng.randrange(-(1 << 64), 1 << 64)
+        assert qa.jacobi(a, n) == sympy.jacobi_symbol(a, n), (a, n)
 
 
 def test_factorize_validation():
