@@ -3,7 +3,8 @@
 Subcommands build and persist bitmaps, run the statement suite over a range,
 emit census tables and alpha sweeps as CSV, and answer one-off arithmetic
 queries. Exit codes: 0 success (and, for verify, zero violations), 1 for
-violations or I/O failure, 2 for usage errors, 3 when a bitmap is too short
+violations or I/O failure, 2 for usage errors, for ranges past a supported
+ceiling and for queries too large for memory, 3 when a bitmap is too short
 for the requested scan.
 
 Count-like arguments accept small arithmetic expressions such as 65536,
@@ -106,8 +107,10 @@ def _cmd_gen(args, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     ids = args.statements
-    if args.lo > args.hi:
-        parser.error("LO must not exceed HI")
+    try:
+        theorems.check_range(ids, args.lo, args.hi)
+    except ValueError as exc:
+        parser.error(str(exc))
     if any(theorems.requires_seventh(i) for i in ids) and not args.inv_theta7:
         parser.error("the requested statements need --inv-theta7")
     inv = f2series.read_f2s(args.inv_theta)
@@ -251,6 +254,9 @@ def main(argv=None) -> int:
     except (OSError, BitmapFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print("error: out of memory" + (f" ({exc})" if str(exc) else ""), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,8 +9,14 @@ arbitrary negative discriminants by reduced-form enumeration.
 
 Both per-query representation counts are sums over one enumerator of the
 nonnegative solutions, which walks the grid of leading coordinates in
-fixed-size blocks (memory O(sqrt n), n < 2^63). Counting conventions are
-fixed once and never converted implicitly:
+fixed-size blocks (memory O(sqrt n), n < 2^63). The batch functions compute
+the same quantities for every n of a range at once, and each is tested
+against its per-query oracle: count tables as products of theta series by
+real FFT, primitive signed triple counts by Mobius inversion of the signed
+table, factor counts and ideal counts from a smallest-prime-factor sieve,
+and class numbers by one enumeration of reduced forms for a whole residue
+class of discriminants. Counting conventions are fixed once and never
+converted implicitly:
 
 * `count_square_tuples(n, form)` counts ORDERED tuples (s_1, ..., s_k) of
   nonnegative perfect-square values with sum a_i * s_i = n. Positions are
@@ -36,13 +42,18 @@ __all__ = [
     "count_square_tuples",
     "square_tuple_count_table",
     "count_signed_representations",
+    "theta_product_table",
+    "primitive_signed_r3_table",
     "jacobi",
     "is_square",
     "is_prime",
     "factorize",
     "odd_exponent_prime_count",
     "ideal_count",
+    "FactorColumns",
+    "factor_columns",
     "class_number",
+    "class_numbers",
 ]
 
 
@@ -163,6 +174,76 @@ def count_signed_representations(n: int, form, primitive: bool = False) -> int:
     return total
 
 
+def _fft_size(m: int) -> int:
+    # smallest 2^i or 3 * 2^i that is >= m, lengths numpy's FFT runs fast
+    return min(1 << (m - 1).bit_length(), 3 << ((m - 1) // 3).bit_length())
+
+
+def _rounded(values: np.ndarray) -> np.ndarray:
+    # exact integers behind an FFT result, or a loud failure when the
+    # rounding error leaves no margin
+    ints = np.rint(values)
+    err = float(np.abs(values - ints).max(initial=0.0))
+    if err >= 0.25:
+        raise AssertionError(f"FFT table lost precision: rounding error {err:.3g}")
+    return ints.astype(np.int64)
+
+
+def theta_product_table(form, n_max: int, signed: bool = False) -> np.ndarray:
+    """counts[n] for 0 <= n <= n_max as a product of one theta series per variable.
+
+    Unsigned, variable a_i contributes sum over k >= 0 of x^(a_i k^2) and
+    counts[n] = count_square_tuples(n, form); signed, it contributes
+    1 + 2 * sum over k >= 1 of x^(a_i k^2) and counts[n] =
+    count_signed_representations(n, form). The product is taken by real FFT
+    over a length at which nothing wraps into [0, n_max]. Every build checks
+    its rounding and raises AssertionError when an entry lies 1/4 or more
+    from an integer. square_tuple_count_table is the exact oracle.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    coeffs = _coefficients(form)
+    size = _fft_size(len(coeffs) * n_max + 1)
+    product = spectrum = None
+    for i, a in enumerate(coeffs):
+        if i == 0 or a != coeffs[i - 1]:
+            theta = np.zeros(n_max + 1)
+            k = np.arange(math.isqrt(n_max // a) + 1)
+            theta[a * k * k] = 2.0 if signed else 1.0
+            theta[0] = 1.0
+            spectrum = np.fft.rfft(theta, size)
+            del theta
+        if product is None:
+            product = spectrum.copy()
+        else:
+            product *= spectrum
+    del spectrum
+    return _rounded(np.fft.irfft(product, size)[: n_max + 1])
+
+
+def primitive_signed_r3_table(n_max: int) -> np.ndarray:
+    """counts[N] = count_signed_representations(N, (1, 1, 1), primitive=True).
+
+    For 0 <= N <= n_max. A vector with gcd d and sum of squares N is d times
+    a primitive vector with sum N / d^2, so Mobius inversion over the square
+    divisors of N turns the signed table into the primitive one; N = 0 has
+    no primitive vector and counts 0.
+    """
+    signed = theta_product_table((1, 1, 1), n_max, signed=True)
+    root = math.isqrt(n_max)
+    spf = _smallest_prime_factors(root)
+    mu = np.ones(root + 1, dtype=np.int64)
+    for p in np.flatnonzero(spf == np.arange(root + 1))[2:]:
+        mu[::p] *= -1
+        mu[:: p * p] = 0
+    counts = np.zeros_like(signed)
+    for d in np.flatnonzero(mu[1:]) + 1:
+        step = int(d) * int(d)
+        counts[::step] += mu[d] * signed[: n_max // step + 1]
+    counts[0] = 0
+    return counts
+
+
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a | n) for odd positive n, by binary reciprocity."""
     if n <= 0 or n % 2 == 0:
@@ -246,14 +327,14 @@ class Factorization:
             raise ValueError("pairs do not multiply back to the value")
 
 
-_TRIAL_LIMIT = 1 << 20
+_TRIAL_LIMIT = 1 << 16
 
 
 @functools.lru_cache(maxsize=1 << 16)
 def factorize(n: int) -> Factorization:
     """Deterministic factorization: trial division, then rho splitting.
 
-    Trial division runs to min(sqrt(n), 2^20); whatever survives is either
+    Trial division runs to min(sqrt(n), 2^16); whatever survives is either
     prime (Miller-Rabin, deterministic in this range) or gets split by
     Pollard's rho with fixed seeds.
     """
@@ -321,6 +402,66 @@ def ideal_count(n: int, kind: IdealCountKind) -> int:
     return total
 
 
+def _smallest_prime_factors(n_max: int) -> np.ndarray:
+    # spf[m] is the least prime factor of m for m >= 2; spf[0] = 0, spf[1] = 1
+    spf = np.zeros(n_max + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(n_max) + 1):
+        if spf[p] == 0:
+            multiples = spf[p * p :: p]
+            multiples[multiples == 0] = p
+    return np.where(spf == 0, np.arange(n_max + 1), spf)
+
+
+@dataclass(frozen=True)
+class FactorColumns:
+    """Factor counts of every n in [lo, hi]; index i holds n = lo + i.
+
+    `distinct_primes` and `odd_exponent_primes` count the primes dividing n
+    and those to an odd power (0 at n = 0 and 1); `ideal_counts[kind]` is
+    ideal_count(n, kind) at odd n and 0 at even n.
+    """
+
+    distinct_primes: np.ndarray
+    odd_exponent_primes: np.ndarray
+    ideal_counts: dict
+
+
+def factor_columns(lo: int, hi: int) -> FactorColumns:
+    """Factor counts and ideal counts of every n in [lo, hi] from one sieve.
+
+    A smallest-prime-factor sieve to hi strips one prime at a time from all
+    n at once. A prime's character, like ideal_count's, is jacobi(kind, p),
+    which for kind -1 and -2 depends only on p mod 8.
+    """
+    if not 0 <= lo <= hi:
+        raise ValueError("need 0 <= lo <= hi")
+    n = np.arange(lo, hi + 1, dtype=np.int64)
+    spf = _smallest_prime_factors(hi)
+    distinct = np.zeros_like(n)
+    odd = np.zeros_like(n)
+    ideal = {kind: n % 2 for kind in IdealCountKind}
+    split = {kind: np.array([r % 2 == 1 and jacobi(kind.value, r) == 1
+                             for r in range(8)]) for kind in IdealCountKind}
+    live = np.flatnonzero(n > 1)
+    rem = n[live]
+    while live.size:
+        p = spf[rem]
+        e = np.zeros_like(rem)
+        step = np.arange(rem.size)
+        while step.size:
+            rem[step] //= p[step]
+            e[step] += 1
+            step = step[rem[step] % p[step] == 0]
+        distinct[live] += 1
+        odd[live] += e & 1
+        for kind, table in split.items():
+            # split primes give c + 1; inert ones 1 for even c, 0 for odd c
+            ideal[kind][live] *= np.where(table[p % 8], e + 1, 1 - (e & 1))
+        more = rem > 1
+        live, rem = live[more], rem[more]
+    return FactorColumns(distinct, odd, ideal)
+
+
 def class_number(d: int) -> int:
     """Class number of the order of discriminant d < 0.
 
@@ -344,4 +485,77 @@ def class_number(d: int) -> int:
         ok &= np.gcd(np.gcd(np.abs(bs), a), cs) == 1
         ok &= (bs >= 0) | ((bs != -a) & (cs != a))
         h += int(np.count_nonzero(ok))
+    return h
+
+
+# solutions (a, b, c) that class_numbers collects before one bincount
+_FORM_BLOCK = 1 << 20
+
+
+def class_numbers(scale: int, residue: int, lo: int, hi: int) -> np.ndarray:
+    """h[i] = class_number(-scale * n) at n = lo + i when n = residue mod 8.
+
+    Every other entry is 0. One enumeration of reduced forms (Cohen, A
+    Course in Computational Algebraic Number Theory, 5.3) covers the whole
+    residue class: for each a and each 0 <= b <= a, the c >= a with
+    4ac - b^2 = scale * n for an n of the class form one arithmetic
+    progression, cut to the window. A form with 0 < b < a < c stands for
+    itself and (a, -b, c). Counts are summed per block of at most
+    _FORM_BLOCK forms into an array the size of the class in the window.
+    """
+    if scale < 1 or not 0 <= residue < 8 or (-scale * residue) % 4 not in (0, 1):
+        raise ValueError("-scale * n must be a discriminant for n = residue mod 8")
+    if not 0 <= lo <= hi or scale * hi >= 1 << 60:
+        raise ValueError("need 0 <= lo <= hi and scale * hi < 2^60")
+    h = np.zeros(hi - lo + 1, dtype=np.int64)
+    first = lo + (residue - lo) % 8
+    if first > hi:
+        return h
+    size = (hi - first) // 8 + 1
+    d_lo, d_hi = scale * first, scale * (first + 8 * (size - 1))
+    mod = 8 * scale
+    target = scale * residue % mod
+    counts = np.zeros(size, dtype=np.int64)
+    index: list[np.ndarray] = []
+    weight: list[np.ndarray] = []
+
+    def flush():
+        if index:
+            counts[:] += np.rint(np.bincount(np.concatenate(index), np.concatenate(weight),
+                                             minlength=size)).astype(np.int64)
+            index.clear()
+            weight.clear()
+
+    pending = 0
+    for a in range(1, math.isqrt(d_hi // 3) + 1):
+        # 4ac = b^2 + target (mod 8 * scale) has solutions c iff g divides
+        # the right side, and then they form one class mod `step`
+        g = math.gcd(4 * a, mod)
+        step = mod // g
+        bs = np.arange(a + 1, dtype=np.int64)
+        rhs = (target + bs * bs) % mod
+        bs, rhs = bs[rhs % g == 0], rhs[rhs % g == 0]
+        if not bs.size:
+            continue
+        c0 = rhs // g * pow(4 * a // g, -1, step) % step
+        c_first = np.maximum(a, -(-(d_lo + bs * bs) // (4 * a)))
+        c_first += (c0 - c_first) % step
+        runs = np.maximum(0, ((d_hi + bs * bs) // (4 * a) - c_first) // step + 1)
+        total = int(runs.sum())
+        if not total:
+            continue
+        starts = np.repeat(np.cumsum(runs) - runs, runs)
+        b = np.repeat(bs, runs)
+        c = np.repeat(c_first, runs) + step * (np.arange(total) - starts)
+        gcd_ab = np.repeat(np.gcd(bs, a), runs)
+        primitive = (gcd_ab == 1) | (np.gcd(gcd_ab, c) == 1)
+        twins = (b > 0) & (b < a) & (c > a)
+        index.append((4 * a * c - b * b - d_lo) // mod)
+        weight.append(primitive * (1.0 + twins))
+        pending += total
+        if pending >= _FORM_BLOCK:
+            flush()
+            pending = 0
+    flush()
+    h[first - lo :: 8] = counts
     return h

@@ -2,10 +2,17 @@
 
 Here g is the squares theta series and B the set of exponents with odd
 coefficient in its reciprocal. Each statement pairs an applicability
-predicate (a congruence condition on n) with a verifier that computes both
-sides from independent routes: series membership is read from the 1/g bitmap
-(or the 1/g^7 bitmap), while the arithmetic side comes from quadratic-form
-counts, ideal counts, and class numbers in `quadarith`.
+condition (a congruence on n) with a verifier that computes both sides from
+independent routes: series membership is read from the 1/g bitmap (or the
+1/g^7 bitmap), while the arithmetic side comes from quadratic-form counts,
+ideal counts, and class numbers in `quadarith`.
+
+Every statement has two verifiers. The scalar checker behind `verify` takes
+one n and calls the per-query oracles; it is the reference. The batch
+function behind `run_suite` decides a whole range at once from columns built
+by the batch oracles (FFT count tables, a prime sieve, one reduced-form
+enumeration per class of discriminants), and the scalar checker rebuilds the
+witness of each recorded violation.
 
 One-directional statements report VACUOUS when their number-theoretic
 hypothesis does not bite, so the suite tallies also show how often each
@@ -39,14 +46,18 @@ __all__ = [
     "applicable",
     "verify",
     "run_suite",
+    "check_range",
     "reports_to_csv",
     "description",
     "requires_seventh",
     "ALL_STATEMENTS",
     "MAX_RECORDED_VIOLATIONS",
+    "CLASS_NUMBER_HI_MAX",
 ]
 
 MAX_RECORDED_VIOLATIONS = 32
+# largest hi that run_suite takes for the class-number statements
+CLASS_NUMBER_HI_MAX = 2 * 10**6
 
 
 class StatementId(enum.Enum):
@@ -89,18 +100,16 @@ class Verdict:
 
 
 class SeriesContext:
-    """The series bitmaps plus a transparent cache of count tables.
+    """The series bitmaps that membership statements read.
 
     `inv_theta` is the 1/g bitmap; `inv_theta7` (optional) is the 1/g^7
-    bitmap needed only by L3_5. Count-table lookups fall back to the
-    per-query enumeration and agree with it exactly. run_suite calls
-    warm_tuple_counts before it scans; the scan itself only reads.
+    bitmap needed only by L3_5. The scalar checkers read one coefficient at
+    a time; run_suite reads the window it scans as one column.
     """
 
     def __init__(self, inv_theta: BitSeries, inv_theta7: Optional[BitSeries] = None):
         self.inv_theta = inv_theta
         self.inv_theta7 = inv_theta7
-        self._tables: dict[tuple[int, ...], np.ndarray] = {}
 
     def member(self, n: int) -> bool:
         return bool(self.inv_theta.coefficient(n))
@@ -110,16 +119,68 @@ class SeriesContext:
             raise ValueError("context holds no 1/g^7 bitmap")
         return self.inv_theta7.coefficient(n)
 
-    def tuple_count(self, n: int, form: tuple[int, ...]) -> int:
-        table = self._tables.get(form)
-        if table is not None and n < table.shape[0]:
-            return int(table[n])
-        return quadarith.count_square_tuples(n, form)
 
-    def warm_tuple_counts(self, form: tuple[int, ...], n_max: int) -> None:
-        have = self._tables.get(form)
-        if have is None or have.shape[0] <= n_max:
-            self._tables[form] = quadarith.square_tuple_count_table(form, n_max)
+def _window_bits(series: BitSeries, lo: int, hi: int) -> np.ndarray:
+    # coefficients lo..hi, unpacking only the bytes of the byte view they sit in
+    view = np.frombuffer(series.raw, dtype=np.uint8,
+                         count=(hi >> 3) - (lo >> 3) + 1, offset=lo >> 3)
+    bits = np.unpackbits(view, bitorder="little")[lo & 7:]
+    return bits[: hi - lo + 1].astype(bool)
+
+
+class _Columns:
+    """The quantities of the statements over n in [lo, hi], one array each.
+
+    Index i holds the value at n = lo + i. A column is built the first time
+    a statement asks for it and is shared by the other statements of the
+    same run_suite call, so only what the requested statements use is built.
+    """
+
+    def __init__(self, lo: int, hi: int, ctx: SeriesContext):
+        self.lo, self.hi, self.ctx = lo, hi, ctx
+        self.n = np.arange(lo, hi + 1, dtype=np.int64)
+        self._built: dict = {}
+
+    def _column(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def member(self) -> np.ndarray:
+        return self._column("member", lambda: _window_bits(
+            self.ctx.inv_theta, self.lo, self.hi))
+
+    def seventh(self) -> np.ndarray:
+        return self._column("seventh", lambda: _window_bits(
+            self.ctx.inv_theta7, self.lo, self.hi))
+
+    def square_roots(self, divisor: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """(root, is perfect square) of n // divisor."""
+        return self._column(("roots", divisor), lambda: quadarith._exact_sqrt(
+            self.n // divisor))
+
+    def _table(self, key, build_table, scale: int) -> np.ndarray:
+        # a table from 0 to scale * hi, kept only at the entries scale * n
+        return self._column(key, lambda: build_table(
+            scale * self.hi)[scale * self.lo :: scale].copy())
+
+    def tuples(self, form: tuple[int, ...], scale: int = 1) -> np.ndarray:
+        """count_square_tuples(scale * n, form)."""
+        return self._table(("tuples", form, scale), functools.partial(
+            quadarith.theta_product_table, form), scale)
+
+    def primitive_r3(self, scale: int) -> np.ndarray:
+        """count_signed_representations(scale * n, (1, 1, 1), primitive=True)."""
+        return self._table(("primitive_r3", scale),
+                           quadarith.primitive_signed_r3_table, scale)
+
+    def factors(self) -> quadarith.FactorColumns:
+        return self._column("factors", lambda: quadarith.factor_columns(self.lo, self.hi))
+
+    def class_numbers(self, scale: int, residue: int) -> np.ndarray:
+        """class_number(-scale * n) where n = residue mod 8, else 0."""
+        return self._column(("class_numbers", scale, residue), lambda: (
+            quadarith.class_numbers(scale, residue, self.lo, self.hi)))
 
 
 def _verdict(ok: bool, **witness) -> Verdict:
@@ -130,6 +191,10 @@ def _vacuous(**witness) -> Verdict:
     return Verdict(Status.VACUOUS, witness)
 
 
+# Each statement has a scalar checker, the oracle, and a batch function that
+# returns (ok, vacuous) boolean arrays over the window of a _Columns; the
+# tallies count ok and vacuous only where the statement applies.
+
 def _check_t1_1(n: int, ctx: SeriesContext) -> Verdict:
     member = ctx.member(n)
     half_square = quadarith.is_square(n // 2)
@@ -137,28 +202,48 @@ def _check_t1_1(n: int, ctx: SeriesContext) -> Verdict:
                     half_square=half_square)
 
 
+def _batch_t1_1(c: _Columns, app: np.ndarray):
+    return c.member() == c.square_roots(2)[1], False
+
+
 def _check_parity(form: tuple[int, ...], n: int, ctx: SeriesContext) -> Verdict:
     # membership matches the parity of the square-tuple count of the form
     member = ctx.member(n)
-    c = ctx.tuple_count(n, form)
-    return _verdict(member == (c % 2 == 1), member=member,
-                    **{"count_" + "_".join(map(str, form)): c})
+    count = quadarith.count_square_tuples(n, form)
+    return _verdict(member == (count % 2 == 1), member=member,
+                    **{"count_" + "_".join(map(str, form)): count})
+
+
+def _batch_parity(form: tuple[int, ...], c: _Columns, app: np.ndarray):
+    return c.member() == (c.tuples(form) % 2 == 1), False
 
 
 def _check_l2_1_identity(n: int, ctx: SeriesContext) -> Verdict:
-    r1 = ctx.tuple_count(n, (1, 1, 1))
-    r2 = ctx.tuple_count(n, (1, 2))
-    t = ctx.tuple_count(n, (1, 2, 8))
+    r1 = quadarith.count_square_tuples(n, (1, 1, 1))
+    r2 = quadarith.count_square_tuples(n, (1, 2))
+    t = quadarith.count_square_tuples(n, (1, 2, 8))
     return _verdict(r1 + r2 == 2 * t, r1=r1, r2=r2, count_1_2_8=t)
 
 
+def _batch_l2_1_identity(c: _Columns, app: np.ndarray):
+    return c.tuples((1, 1, 1)) + c.tuples((1, 2)) == 2 * c.tuples((1, 2, 8)), False
+
+
 def _check_l2_1_sufficiency(n: int, ctx: SeriesContext) -> Verdict:
-    r1 = ctx.tuple_count(n, (1, 1, 1))
-    r2 = ctx.tuple_count(n, (1, 2))
+    r1 = quadarith.count_square_tuples(n, (1, 1, 1))
+    r2 = quadarith.count_square_tuples(n, (1, 2))
     if r1 % 4 or r2 % 4:
         return _vacuous(r1=r1, r2=r2)
     member = ctx.member(n)
     return _verdict(not member, r1=r1, r2=r2, member=member)
+
+
+def _batch_l2_1_sufficiency(c: _Columns, app: np.ndarray):
+    vacuous = (c.tuples((1, 1, 1)) % 4 != 0) | (c.tuples((1, 2)) % 4 != 0)
+    return ~c.member(), vacuous
+
+
+_ZERO_COORDINATE = "unexpected zero coordinate in primitive triple, n={}"
 
 
 def _check_primitive_triples(scale: int, n: int, ctx: SeriesContext) -> Verdict:
@@ -171,11 +256,19 @@ def _check_primitive_triples(scale: int, n: int, ctx: SeriesContext) -> Verdict:
     signed = quadarith.count_signed_representations(scale * n, (1, 1, 1),
                                                     primitive=True)
     if signed % 8:
-        raise AssertionError(
-            f"unexpected zero coordinate in primitive triple, n={scale * n}")
+        raise AssertionError(_ZERO_COORDINATE.format(scale * n))
     triples = signed // 8
     return _verdict(triples % 4 == 0, distinct_primes=m,
                     primitive_triples=triples, signed_primitive=signed)
+
+
+def _batch_primitive_triples(scale: int, c: _Columns, app: np.ndarray):
+    vacuous = c.factors().distinct_primes < 3
+    signed = c.primitive_r3(scale)
+    odd = np.flatnonzero(app & ~vacuous & (signed % 8 != 0))
+    if odd.size:
+        raise AssertionError(_ZERO_COORDINATE.format(scale * int(c.n[odd[0]])))
+    return signed // 8 % 4 == 0, vacuous
 
 
 def _check_three_odd_primes(n: int, ctx: SeriesContext) -> Verdict:
@@ -184,6 +277,10 @@ def _check_three_odd_primes(n: int, ctx: SeriesContext) -> Verdict:
         return _vacuous(odd_exponent_primes=odd)
     member = ctx.member(n)
     return _verdict(not member, odd_exponent_primes=odd, member=member)
+
+
+def _batch_three_odd_primes(c: _Columns, app: np.ndarray):
+    return ~c.member(), c.factors().odd_exponent_primes < 3
 
 
 def _check_l3_1(n: int, ctx: SeriesContext) -> Verdict:
@@ -198,14 +295,30 @@ def _check_l3_1(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(ok, u=u, v=v, exceptional=exceptional)
 
 
+def _batch_l3_1(c: _Columns, app: np.ndarray):
+    ideal = c.factors().ideal_counts
+    u, v = ideal[IdealCountKind.MINUS_TWO], ideal[IdealCountKind.GAUSSIAN]
+    root, square = c.square_roots()
+    exceptional = square & ((root % 8 == 3) | (root % 8 == 5))
+    return np.where(exceptional, u * v % 4 == 3, (u - v) % 4 == 0), False
+
+
 def _check_l3_3(n: int, ctx: SeriesContext) -> Verdict:
     u = quadarith.ideal_count(n, IdealCountKind.MINUS_TWO)
     v = quadarith.ideal_count(n, IdealCountKind.GAUSSIAN)
-    u1 = ctx.tuple_count(n, (1, 2))
-    v1 = ctx.tuple_count(n, (1, 4))
+    u1 = quadarith.count_square_tuples(n, (1, 2))
+    v1 = quadarith.count_square_tuples(n, (1, 4))
     sq = 1 if quadarith.is_square(n) else 0
     ok = u == 2 * u1 - sq and v == 2 * v1 - sq
     return _verdict(ok, u=u, v=v, count_1_2=u1, count_1_4=v1, square=bool(sq))
+
+
+def _batch_l3_3(c: _Columns, app: np.ndarray):
+    ideal = c.factors().ideal_counts
+    sq = c.square_roots()[1].astype(np.int64)
+    ok = ((ideal[IdealCountKind.MINUS_TWO] == 2 * c.tuples((1, 2)) - sq)
+          & (ideal[IdealCountKind.GAUSSIAN] == 2 * c.tuples((1, 4)) - sq))
+    return ok, False
 
 
 def _check_l3_5(n: int, ctx: SeriesContext) -> Verdict:
@@ -214,24 +327,40 @@ def _check_l3_5(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict((coeff == 1) == square, coefficient=coeff, square=square)
 
 
+def _batch_l3_5(c: _Columns, app: np.ndarray):
+    return c.seventh() == c.square_roots()[1], False
+
+
 def _check_l3_7_identity(n: int, ctx: SeriesContext) -> Verdict:
-    r3 = ctx.tuple_count(2 * n, (1, 1, 1))
-    t = ctx.tuple_count(n, (1, 2, 4))
+    r3 = quadarith.count_square_tuples(2 * n, (1, 1, 1))
+    t = quadarith.count_square_tuples(n, (1, 2, 4))
     return _verdict(r3 == 6 * t, r3=r3, count_1_2_4=t)
+
+
+def _batch_l3_7_identity(c: _Columns, app: np.ndarray):
+    return c.tuples((1, 1, 1), 2) == 6 * c.tuples((1, 2, 4)), False
 
 
 def _check_t3_8(n: int, ctx: SeriesContext) -> Verdict:
     member = ctx.member(n)
-    r3 = ctx.tuple_count(2 * n, (1, 1, 1))
+    r3 = quadarith.count_square_tuples(2 * n, (1, 1, 1))
     return _verdict(member == (r3 % 4 == 2), member=member, r3=r3)
+
+
+def _batch_t3_8(c: _Columns, app: np.ndarray):
+    return c.member() == (c.tuples((1, 1, 1), 2) % 4 == 2), False
 
 
 def _check_c3_10(n: int, ctx: SeriesContext) -> Verdict:
     odd = quadarith.odd_exponent_prime_count(quadarith.factorize(n))
     if odd < 3:
         return _vacuous(odd_exponent_primes=odd)
-    r3 = ctx.tuple_count(2 * n, (1, 1, 1))
+    r3 = quadarith.count_square_tuples(2 * n, (1, 1, 1))
     return _verdict(r3 % 4 == 0, odd_exponent_primes=odd, r3=r3)
+
+
+def _batch_c3_10(c: _Columns, app: np.ndarray):
+    return c.tuples((1, 1, 1), 2) % 4 == 0, c.factors().odd_exponent_primes < 3
 
 
 def _check_gauss_24h(n: int, ctx: SeriesContext) -> Verdict:
@@ -240,135 +369,127 @@ def _check_gauss_24h(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(signed == 24 * h, signed_primitive=signed, class_number=h)
 
 
+def _batch_gauss_24h(c: _Columns, app: np.ndarray):
+    return c.primitive_r3(1) == 24 * c.class_numbers(1, 3), False
+
+
 def _check_gauss_12h(n: int, ctx: SeriesContext) -> Verdict:
     signed = quadarith.count_signed_representations(2 * n, (1, 1, 1), primitive=True)
     h = quadarith.class_number(-8 * n)
     return _verdict(signed == 12 * h, signed_primitive=signed, class_number=h)
 
 
+def _batch_gauss_12h(c: _Columns, app: np.ndarray):
+    return c.primitive_r3(2) == 12 * c.class_numbers(8, 7), False
+
+
 @dataclass(frozen=True)
 class _Statement:
-    predicate: Callable[[int], bool]
+    # the statement applies to n >= minimum with n = residue mod modulus
+    modulus: int
+    residue: int
     verifier: Callable[[int, SeriesContext], Verdict]
+    batch: Callable[[_Columns, np.ndarray], tuple]
     description: str
+    minimum: int = 0
     needs_membership: bool = False
     needs_seventh: bool = False
-    # (form, multiplier): counting n up to hi needs the table to multiplier*hi
-    warm_forms: tuple[tuple[tuple[int, ...], int], ...] = ()
+    needs_class_numbers: bool = False
+
+
+def _pair(check, batch, *args):
+    # the scalar checker and the batch function of one shared helper
+    return functools.partial(check, *args), functools.partial(batch, *args)
 
 
 _REGISTRY: dict[StatementId, _Statement] = {
     StatementId.T1_1: _Statement(
-        lambda n: n % 2 == 0,
-        _check_t1_1,
+        2, 0, _check_t1_1, _batch_t1_1,
         "even n is in B iff n/2 is a perfect square",
         needs_membership=True,
     ),
     StatementId.T1_2: _Statement(
-        lambda n: n % 4 == 1,
-        functools.partial(_check_parity, (1, 4)),
+        4, 1, *_pair(_check_parity, _batch_parity, (1, 4)),
         "n = 1 mod 4: membership matches the parity of the (1,4) square-tuple count",
         needs_membership=True,
-        warm_forms=(((1, 4), 1),),
     ),
     StatementId.T1_4: _Statement(
-        lambda n: n % 8 == 3,
-        functools.partial(_check_parity, (1, 2, 8)),
+        8, 3, *_pair(_check_parity, _batch_parity, (1, 2, 8)),
         "n = 3 mod 8: membership matches the parity of the (1,2,8) square-tuple count",
         needs_membership=True,
-        warm_forms=(((1, 2, 8), 1),),
     ),
     StatementId.L2_1_IDENTITY: _Statement(
-        lambda n: n % 8 == 3,
-        _check_l2_1_identity,
+        8, 3, _check_l2_1_identity, _batch_l2_1_identity,
         "n = 3 mod 8: (1,1,1) count plus (1,2) count equals twice the (1,2,8) count",
-        warm_forms=(((1, 1, 1), 1), ((1, 2), 1), ((1, 2, 8), 1)),
     ),
     StatementId.L2_1_SUFFICIENCY: _Statement(
-        lambda n: n % 8 == 3,
-        _check_l2_1_sufficiency,
+        8, 3, _check_l2_1_sufficiency, _batch_l2_1_sufficiency,
         "n = 3 mod 8: if both counts are divisible by 4, n is not in B",
         needs_membership=True,
-        warm_forms=(((1, 1, 1), 1), ((1, 2), 1)),
     ),
     StatementId.L2_2: _Statement(
-        lambda n: n % 8 == 3,
-        functools.partial(_check_primitive_triples, 1),
+        8, 3, *_pair(_check_primitive_triples, _batch_primitive_triples, 1),
         "n = 3 mod 8 with >= 3 distinct primes: primitive triple count is divisible by 4",
     ),
     StatementId.T2_3: _Statement(
-        lambda n: n % 8 == 3,
-        _check_three_odd_primes,
+        8, 3, _check_three_odd_primes, _batch_three_odd_primes,
         "n = 3 mod 8 with >= 3 odd-exponent primes is not in B",
         needs_membership=True,
     ),
     StatementId.L3_1: _Statement(
-        lambda n: n % 8 == 1,
-        _check_l3_1,
+        8, 1, _check_l3_1, _batch_l3_1,
         "n = 1 mod 8: the two ideal counts agree mod 4, except n = (8k+/-3)^2 "
         "where their product is 3 mod 4",
     ),
     StatementId.L3_3: _Statement(
-        lambda n: n % 2 == 1,
-        _check_l3_3,
+        2, 1, _check_l3_3, _batch_l3_3,
         "odd n: ideal counts equal twice the (1,2) and (1,4) square-tuple counts, "
         "each less one when n is a square (V-side count read as the (1,4) form; "
         "as interpreted)",
-        warm_forms=(((1, 2), 1), ((1, 4), 1)),
     ),
     StatementId.L3_5: _Statement(
-        lambda n: n % 16 == 1,
-        _check_l3_5,
+        16, 1, _check_l3_5, _batch_l3_5,
         "n = 1 mod 16: the 1/g^7 coefficient is 1 iff n is a perfect square",
         needs_seventh=True,
     ),
     StatementId.T3_6: _Statement(
-        lambda n: n % 16 == 7,
-        functools.partial(_check_parity, (1, 2, 4)),
+        16, 7, *_pair(_check_parity, _batch_parity, (1, 2, 4)),
         "n = 7 mod 16: membership matches the parity of the (1,2,4) square-tuple count",
         needs_membership=True,
-        warm_forms=(((1, 2, 4), 1),),
     ),
     StatementId.L3_7_IDENTITY: _Statement(
-        lambda n: n % 8 == 7,
-        _check_l3_7_identity,
+        8, 7, _check_l3_7_identity, _batch_l3_7_identity,
         "n = 7 mod 8: the (1,1,1) count at 2n equals six times the (1,2,4) count at n",
-        warm_forms=(((1, 1, 1), 2), ((1, 2, 4), 1)),
     ),
     StatementId.T3_8: _Statement(
-        lambda n: n % 16 == 7,
-        _check_t3_8,
+        16, 7, _check_t3_8, _batch_t3_8,
         "n = 7 mod 16: membership matches the (1,1,1) count at 2n being 2 mod 4",
         needs_membership=True,
-        warm_forms=(((1, 1, 1), 2),),
     ),
     StatementId.L3_9: _Statement(
-        lambda n: n % 8 == 7,
-        functools.partial(_check_primitive_triples, 2),
+        8, 7, *_pair(_check_primitive_triples, _batch_primitive_triples, 2),
         "n = 7 mod 8 with >= 3 distinct primes: primitive triple count at 2n is "
         "divisible by 4",
     ),
     StatementId.C3_10: _Statement(
-        lambda n: n % 8 == 7,
-        _check_c3_10,
+        8, 7, _check_c3_10, _batch_c3_10,
         "n = 7 mod 8 with >= 3 odd-exponent primes: (1,1,1) count at 2n is divisible by 4",
-        warm_forms=(((1, 1, 1), 2),),
     ),
     StatementId.T3_11: _Statement(
-        lambda n: n % 16 == 7,
-        _check_three_odd_primes,
+        16, 7, _check_three_odd_primes, _batch_three_odd_primes,
         "n = 7 mod 16 with >= 3 odd-exponent primes is not in B",
         needs_membership=True,
     ),
     StatementId.GAUSS_24H: _Statement(
-        lambda n: n % 8 == 3 and n != 3,
-        _check_gauss_24h,
+        8, 3, _check_gauss_24h, _batch_gauss_24h,
         "n = 3 mod 8, n > 3: primitive signed triple count equals 24 h(-n)",
+        minimum=4,
+        needs_class_numbers=True,
     ),
     StatementId.GAUSS_12H: _Statement(
-        lambda n: n % 8 == 7,
-        _check_gauss_12h,
+        8, 7, _check_gauss_12h, _batch_gauss_12h,
         "n = 7 mod 8: primitive signed triple count at 2n equals 12 h(-8n)",
+        needs_class_numbers=True,
     ),
 }
 
@@ -387,7 +508,8 @@ def requires_seventh(sid: StatementId) -> bool:
 
 def applicable(sid: StatementId, n: int) -> bool:
     """True when the statement's congruence/side condition covers n."""
-    return n >= 0 and _REGISTRY[sid].predicate(n)
+    stmt = _REGISTRY[sid]
+    return n >= stmt.minimum and n % stmt.modulus == stmt.residue
 
 
 def verify(sid: StatementId, n: int, ctx: SeriesContext) -> Verdict:
@@ -421,41 +543,53 @@ class TheoremReport:
         return self.violations[0][0] if self.violations else None
 
 
-def _scan(sid: StatementId, lo: int, hi: int, ctx: SeriesContext):
+def _scan(sid: StatementId, lo: int, hi: int, ctx: SeriesContext, columns: _Columns):
     stmt = _REGISTRY[sid]
-    holds = vacuous = violated = inapplicable = 0
-    kept: list[tuple[int, dict]] = []
-    dropped = 0
-    pred = stmt.predicate
-    check = stmt.verifier
-    for n in range(lo, hi + 1):
-        if not pred(n):
-            inapplicable += 1
-            continue
-        verdict = check(n, ctx)
-        if verdict.status is Status.HOLDS:
-            holds += 1
-        elif verdict.status is Status.VACUOUS:
-            vacuous += 1
-        else:
-            violated += 1
-            if len(kept) < MAX_RECORDED_VIOLATIONS:
-                kept.append((n, verdict.witness))
-            else:
-                dropped += 1
-    return holds, vacuous, violated, inapplicable, kept, dropped
+    n = columns.n
+    app = (n % stmt.modulus == stmt.residue) & (n >= stmt.minimum)
+    ok, vacuous = stmt.batch(columns, app)
+    vacuous = app & vacuous
+    bad = np.flatnonzero(app & ~vacuous & ~ok)
+    # witnesses come from the scalar oracle, which must agree that they fail
+    kept = []
+    for i in bad[:MAX_RECORDED_VIOLATIONS]:
+        verdict = verify(sid, lo + int(i), ctx)
+        if verdict.status is not Status.VIOLATED:
+            raise AssertionError(f"{sid.name} at n={lo + int(i)}: batch verdict "
+                                 f"VIOLATED, scalar verdict {verdict.status.name}")
+        kept.append((lo + int(i), verdict.witness))
+    applicable_n = int(np.count_nonzero(app))
+    vacuous_n = int(np.count_nonzero(vacuous))
+    return (applicable_n - vacuous_n - bad.size, vacuous_n, bad.size,
+            n.size - applicable_n, kept, bad.size - len(kept))
+
+
+def check_range(ids: Iterable[StatementId], lo: int, hi: int) -> None:
+    """Raise ValueError unless run_suite supports [lo, hi] for these statements.
+
+    The class-number statements stop at CLASS_NUMBER_HI_MAX: their form
+    enumeration grows like hi^1.5.
+    """
+    if lo < 0 or hi < lo:
+        raise ValueError("need 0 <= lo <= hi")
+    if hi > CLASS_NUMBER_HI_MAX and any(_REGISTRY[i].needs_class_numbers for i in ids):
+        names = ",".join(i.name for i in ids if _REGISTRY[i].needs_class_numbers)
+        raise ValueError(f"{names}: class-number statements take hi <= "
+                         f"{CLASS_NUMBER_HI_MAX}")
 
 
 def run_suite(ids: Iterable[StatementId], lo: int, hi: int,
               ctx: SeriesContext) -> list[TheoremReport]:
     """One report per statement over every applicable n in [lo, hi].
 
-    Each statement is scanned once, in increasing n, so its report keeps the
-    first MAX_RECORDED_VIOLATIONS witnesses and counts the rest as dropped.
+    Each quantity the requested statements use is computed once as a column
+    over [lo, hi], and each statement's verdicts come out as one array. The
+    report keeps the first MAX_RECORDED_VIOLATIONS violations, in increasing
+    n, with witnesses from the scalar `verify`, and counts the rest as
+    dropped. The scalar checkers stay the oracle of the columns.
     """
-    if lo < 0 or hi < lo:
-        raise ValueError("need 0 <= lo <= hi")
     ids = list(ids)
+    check_range(ids, lo, hi)
     if any(_REGISTRY[i].needs_membership for i in ids):
         if ctx.inv_theta.length <= hi:
             raise InsufficientBitmapError(hi + 1, ctx.inv_theta.length, "1/g bitmap")
@@ -464,13 +598,12 @@ def run_suite(ids: Iterable[StatementId], lo: int, hi: int,
             raise ValueError("requested statements need a 1/g^7 bitmap")
         if ctx.inv_theta7.length <= hi:
             raise InsufficientBitmapError(hi + 1, ctx.inv_theta7.length, "1/g^7 bitmap")
-    for i in ids:
-        for form, mult in _REGISTRY[i].warm_forms:
-            ctx.warm_tuple_counts(form, mult * hi)
 
+    columns = _Columns(lo, hi, ctx)
     reports = []
     for sid in ids:
-        holds, vacuous, violated, inapplicable, kept, dropped = _scan(sid, lo, hi, ctx)
+        holds, vacuous, violated, inapplicable, kept, dropped = _scan(
+            sid, lo, hi, ctx, columns)
         reports.append(TheoremReport(sid, lo, hi, holds, vacuous, violated,
                                      inapplicable, tuple(kept), dropped))
     return reports

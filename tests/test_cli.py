@@ -146,6 +146,27 @@ def test_verify_usage_errors(tmp_path):
     assert exc.value.code == 2
 
 
+def test_verify_class_number_ceiling(tmp_path, capsys):
+    # past the ceiling verify stops before it reads a bitmap or builds a column
+    top = tp.theorems.CLASS_NUMBER_HI_MAX
+    for ids in ("GAUSS_24H", "T1_1,GAUSS_12H", "all"):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", ids, "0", str(top + 1),
+                 "--inv-theta", str(tmp_path / "missing.f2s")])
+        assert exc.value.code == 2
+        assert f"hi <= {top}" in capsys.readouterr().err
+
+
+def test_memory_error_is_exit_two(monkeypatch, capsys):
+    def too_big(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(tp.quadarith, "count_signed_representations", too_big)
+    assert run(["repcount", "--n", "10^11", "--form", "1,1,1", "--signed"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and "745" in err
+
+
 def test_verify_rejects_damaged_bitmap_file(tmp_path, capsys):
     bad = tmp_path / "bad.f2s"
     bad.write_bytes(b"not a bitmap at all")

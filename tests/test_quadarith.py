@@ -106,6 +106,93 @@ def test_count_table_matches_per_query():
             assert table[n] == qa.count_square_tuples(n, coeffs), (coeffs, n)
 
 
+FFT_FORMS = [(1, 1, 1), (1, 2, 8), (1, 2, 4), (1, 2), (1, 4), (3,), (2, 5)]
+
+
+def test_theta_product_table_matches_shift_add_table():
+    for coeffs in FFT_FORMS:
+        for n_max in (0, 1, 2, 7, 64, 3001):
+            table = qa.theta_product_table(coeffs, n_max)
+            assert table.dtype == np.int64 and table.shape == (n_max + 1,)
+            assert (table == qa.square_tuple_count_table(coeffs, n_max)).all(), \
+                (coeffs, n_max)
+
+
+def test_signed_theta_product_table_matches_per_query():
+    for coeffs in FFT_FORMS:
+        table = qa.theta_product_table(coeffs, 300, signed=True)
+        for n in range(301):
+            assert table[n] == qa.count_signed_representations(n, coeffs), (coeffs, n)
+
+
+def test_theta_product_table_precision_check(monkeypatch):
+    # an inverse transform that is off by 0.3 somewhere must not round quietly
+    irfft = np.fft.irfft
+
+    def perturbed(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        out[5] += 0.3
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", perturbed)
+    with pytest.raises(AssertionError, match="precision"):
+        qa.theta_product_table((1, 1, 1), 100)
+    with pytest.raises(AssertionError, match="precision"):
+        qa.primitive_signed_r3_table(100)
+    monkeypatch.setattr(np.fft, "irfft", irfft)
+    assert qa.theta_product_table((1, 1, 1), 100)[5] == 6  # 4 + 1 + 0, ordered
+
+
+def test_primitive_signed_r3_table_matches_per_query():
+    table = qa.primitive_signed_r3_table(3000)
+    assert table[0] == 0 == qa.count_signed_representations(0, (1, 1, 1), primitive=True)
+    for n in range(3001):
+        assert table[n] == qa.count_signed_representations(
+            n, (1, 1, 1), primitive=True), n
+    for n_max in (0, 1, 3, 4):
+        assert (qa.primitive_signed_r3_table(n_max) == table[: n_max + 1]).all()
+
+
+def test_factor_columns_match_factorize():
+    for lo, hi in ((0, 3000), (0, 0), (1, 1), (777, 1500), (2**16 - 5, 2**16 + 40)):
+        cols = qa.factor_columns(lo, hi)
+        for i, n in enumerate(range(lo, hi + 1)):
+            pairs = qa.factorize(n).pairs if n else ()
+            assert cols.distinct_primes[i] == len(pairs), n
+            assert cols.odd_exponent_primes[i] == sum(c % 2 for _, c in pairs), n
+            for kind in IdealCountKind:
+                want = qa.ideal_count(n, kind) if n % 2 else 0
+                assert cols.ideal_counts[kind][i] == want, (n, kind)
+    with pytest.raises(ValueError):
+        qa.factor_columns(5, 4)
+
+
+def test_class_numbers_match_class_number():
+    # every discriminant the suite asks for up to hi = 2000, and windows
+    for scale, residue in ((1, 3), (8, 7)):
+        for lo, hi in ((0, 2000), (0, 0), (3, 3), (1001, 1700), (5, 9), (8, 14)):
+            h = qa.class_numbers(scale, residue, lo, hi)
+            assert h.shape == (hi - lo + 1,)
+            for i, n in enumerate(range(lo, hi + 1)):
+                want = qa.class_number(-scale * n) if n % 8 == residue else 0
+                assert h[i] == want, (scale, n)
+    for bad in ((1, 1, 0, 10), (8, 7, 10, 9), (0, 3, 0, 10), (1, 3, -1, 10)):
+        with pytest.raises(ValueError):
+            qa.class_numbers(*bad)
+
+
+def test_class_numbers_vs_sympy():
+    # a third route: h(-n) for prime n = 3 mod 4, n > 3, is the sum of the
+    # Legendre symbols (k|n) over 0 < k < n/2, divided by 2 - (2|n)
+    # (Dirichlet's class number formula)
+    sympy = pytest.importorskip("sympy")
+    h = qa.class_numbers(1, 3, 0, 1000)
+    for n in sympy.primerange(5, 1001):
+        if n % 8 == 3:
+            s = sum(sympy.legendre_symbol(k, n) for k in range(1, (n + 1) // 2))
+            assert h[n] == s // (2 - sympy.legendre_symbol(2, n)), n
+
+
 def test_signed_representations_known_values():
     assert qa.count_signed_representations(11, (1, 1, 1), primitive=True) == 24
     assert qa.count_signed_representations(14, (1, 1, 1), primitive=True) == 48
@@ -268,6 +355,12 @@ def test_factorize_vs_sympy():
         p = sympy.nextprime(rng.randrange(1 << 20, 1 << 31))
         q = sympy.nextprime(rng.randrange(1 << 20, 1 << 31))
         values.append(p * q)
+    # primes just past the trial-division limit, as powers and products
+    p = sympy.nextprime(qa._TRIAL_LIMIT)
+    q = sympy.nextprime(p)
+    values += [p * p, p ** 3, p * q, p * p * q]
+    # a semiprime near 2^62: rho has to find a factor near 2^31
+    values.append(sympy.prevprime(1 << 31) * sympy.nextprime(1 << 31))
     for n in values:
         assert dict(qa.factorize(n).pairs) == sympy.factorint(n), n
 

@@ -6,6 +6,7 @@ corrupted bitmap checks that the machinery reports violations instead of
 quietly passing.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -157,15 +158,88 @@ def test_verdict_requires_witness_on_violation():
         th.Verdict(Status.VIOLATED, {})
 
 
-def test_warm_and_cold_contexts_agree(ctx20k):
-    cold = tp.SeriesContext(ctx20k.inv_theta, ctx20k.inv_theta7)
-    for sid in (StatementId.T1_4, StatementId.L2_1_IDENTITY, StatementId.T3_8):
-        for n in range(0, 600):
-            if not th.applicable(sid, n):
-                continue
-            a = th.verify(sid, n, ctx20k)
-            b = th.verify(sid, n, cold)
-            assert a == b, (sid, n)
+def _scalar_report(sid, lo, hi, ctx):
+    # the report run_suite must give, from one scalar verify per n
+    tally = {Status.HOLDS: 0, Status.VACUOUS: 0, Status.VIOLATED: 0}
+    violations = []
+    for n in range(lo, hi + 1):
+        if th.applicable(sid, n):
+            verdict = th.verify(sid, n, ctx)
+            tally[verdict.status] += 1
+            if verdict.status is Status.VIOLATED:
+                violations.append((n, verdict.witness))
+    cap = th.MAX_RECORDED_VIOLATIONS
+    return th.TheoremReport(
+        sid, lo, hi, tally[Status.HOLDS], tally[Status.VACUOUS],
+        tally[Status.VIOLATED], hi - lo + 1 - sum(tally.values()),
+        tuple(violations[:cap]), max(0, len(violations) - cap))
+
+
+def _flip(series, rng, lo, hi, fraction):
+    flips = rng.sample(range(lo, hi + 1), int(fraction * (hi - lo + 1)))
+    return BitSeries(series.length, series.bits ^ sum(1 << n for n in flips))
+
+
+def test_run_suite_matches_scalar_verify(ctx20k):
+    # columns and batch verdicts against the scalar oracle, field by field,
+    # on seeded random windows; corrupted bitmaps give violations and, in
+    # the widest window, more than MAX_RECORDED_VIOLATIONS of them
+    rng = random.Random(7)
+    windows = [(0, 40), (19950, 20000)]
+    windows += [(lo, lo + rng.randrange(60, 200))
+                for lo in (rng.randrange(19000) for _ in range(3))]
+    lo = rng.randrange(19000)
+    windows.append((lo, lo + 700))
+    for k, (lo, hi) in enumerate(windows):
+        fraction = (0.0, 0.02, 0.2)[k % 3]
+        ctx = tp.SeriesContext(_flip(ctx20k.inv_theta, rng, lo, hi, fraction),
+                               _flip(ctx20k.inv_theta7, rng, lo, hi, fraction))
+        reports = th.run_suite(th.ALL_STATEMENTS, lo, hi, ctx)
+        for report in reports:
+            assert report == _scalar_report(report.statement, lo, hi, ctx), \
+                (report.statement, lo, hi)
+    assert any(r.violations_dropped for r in reports)
+
+
+def test_run_suite_needs_scalar_agreement(ctx20k, monkeypatch):
+    # a batch verdict of VIOLATED that the scalar oracle does not confirm
+    # is an error, not a counterexample
+    stmt = th._REGISTRY[StatementId.T1_1]
+    wrong = lambda c, app: (c.n != 40, False)
+    monkeypatch.setitem(th._REGISTRY, StatementId.T1_1,
+                        dataclasses.replace(stmt, batch=wrong))
+    with pytest.raises(AssertionError, match="n=40"):
+        th.run_suite([StatementId.T1_1], 0, 100, ctx20k)
+
+
+def test_batch_primitive_triples_keep_the_sign_check(ctx20k, monkeypatch):
+    # both paths insist that primitive triples have no zero coordinate
+    table = qa.primitive_signed_r3_table
+    monkeypatch.setattr(qa, "primitive_signed_r3_table", lambda m: table(m) + 4)
+    with pytest.raises(AssertionError, match="zero coordinate"):
+        th.run_suite([StatementId.L2_2], 0, 400, ctx20k)
+    monkeypatch.setattr(qa, "count_signed_representations",
+                        lambda *args, **kwargs: 12)
+    with pytest.raises(AssertionError, match="zero coordinate"):
+        th.verify(StatementId.L2_2, 195, ctx20k)
+
+
+def test_window_bits_match_coefficients(ctx20k):
+    b = ctx20k.inv_theta
+    for lo, hi in ((0, 0), (0, 7), (1, 8), (7, 9), (13, 130), (19990, 20000)):
+        got = th._window_bits(b, lo, hi)
+        assert got.tolist() == [bool(b.coefficient(n)) for n in range(lo, hi + 1)]
+
+
+def test_run_suite_class_number_ceiling(ctx20k):
+    top = th.CLASS_NUMBER_HI_MAX
+    for sid in (StatementId.GAUSS_24H, StatementId.GAUSS_12H):
+        with pytest.raises(ValueError, match=str(top)):
+            th.run_suite([StatementId.T1_2, sid], top - 10, top + 1, ctx20k)
+    with pytest.raises(ValueError):
+        th.check_range([StatementId.T1_1], 5, 4)
+    th.check_range(th.ALL_STATEMENTS, 0, top)
+    th.check_range([StatementId.T1_1], 0, top + 1)
 
 
 def test_run_suite_t1_1_range(ctx20k):
