@@ -51,7 +51,6 @@ from .quadarith import (
     is_square,
     jacobi,
     odd_exponent_prime_count,
-    square_tuple_count_table,
 )
 from .theorems import (
     ALL_STATEMENTS,

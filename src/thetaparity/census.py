@@ -10,9 +10,11 @@ every count is a sum over it.
 beta(x) counts members of B that are congruent to 15 mod 16 and smaller than
 16x. Among the 16x - 1 positive integers below 16x, exactly x lie in that
 residue class, and membership there appears to hit about half of them;
-alpha(x) = (beta(x) - x/2) / sqrt(x) measures the deviation. Comparisons of
-alpha against decimal bounds and between sweep rows are done in exact integer
-arithmetic, so boundary verdicts cannot hinge on float rounding.
+alpha(x) = (beta(x) - x/2) / sqrt(x) measures the deviation. With
+d = 2 beta - x, alpha has the sign of d and the square d^2 / 4x, so alpha
+values are ordered by d |d| / x. Every alpha comparison, between sweep rows
+and against the bounds -1.1 and 0.58, is that order on pairs (d, x), decided
+by integer cross-multiplication, so no verdict hinges on float rounding.
 """
 
 from __future__ import annotations
@@ -94,39 +96,16 @@ class SweepRow(NamedTuple):
     alpha: float
 
 
-def _cmp_alpha_to(beta: int, x: int, num: int, den: int) -> int:
-    """Sign of alpha(x) - num/den, exact. alpha = (2 beta - x) / (2 sqrt(x))."""
-    if den <= 0:
-        raise ValueError("den must be positive")
-    a = (2 * beta - x) * den  # versus 2 * num * sqrt(x)
-    a_sign = (a > 0) - (a < 0)
-    b_sign = (num > 0) - (num < 0)
-    if a_sign != b_sign:
-        return 1 if a_sign > b_sign else -1
-    if a_sign == 0:
-        return 0
-    aa = a * a
-    bb = 4 * num * num * x
-    if aa == bb:
-        return 0
-    return a_sign if aa > bb else -a_sign
+# (d, x) pairs of the bounds: alpha = num / den is the pair (2 num, den^2)
+_ALPHA_LOW = (-22, 100)     # -1.1
+_ALPHA_HIGH = (58, 2500)    # 0.58
 
 
-def _cmp_rows(r1: SweepRow, r2: SweepRow) -> int:
-    """Sign of alpha(r1) - alpha(r2), exact (cross-multiplied square compare)."""
-    d1 = 2 * r1.beta - r1.x
-    d2 = 2 * r2.beta - r2.x
-    s1 = (d1 > 0) - (d1 < 0)
-    s2 = (d2 > 0) - (d2 < 0)
-    if s1 != s2:
-        return 1 if s1 > s2 else -1
-    if s1 == 0:
-        return 0
-    lhs = d1 * d1 * r2.x
-    rhs = d2 * d2 * r1.x
-    if lhs == rhs:
-        return 0
-    return s1 if lhs > rhs else -s1
+def _alpha_order(p: tuple[int, int], q: tuple[int, int]) -> int:
+    """Sign of alpha(p) - alpha(q) for pairs (d, x), d = 2 beta - x; exact."""
+    lhs = p[0] * abs(p[0]) * q[1]
+    rhs = q[0] * abs(q[0]) * p[1]
+    return (lhs > rhs) - (lhs < rhs)
 
 
 @dataclass(frozen=True)
@@ -140,17 +119,11 @@ class AlphaSweep:
     argmin: SweepRow
     argmax: SweepRow
 
-    def all_within(self, low: tuple[int, int] = (-11, 10),
-                   high: tuple[int, int] = (29, 50)) -> bool:
-        """Strictly low < alpha < high on every row, in exact arithmetic.
-
-        Bounds are fractions (num, den); the defaults are -1.1 and 0.58.
-        """
-        return all(
-            _cmp_alpha_to(r.beta, r.x, *low) > 0
-            and _cmp_alpha_to(r.beta, r.x, *high) < 0
-            for r in self.rows
-        )
+    def all_within(self) -> bool:
+        """Strictly -1.1 < alpha < 0.58 on every row, in exact arithmetic."""
+        pairs = ((2 * r.beta - r.x, r.x) for r in self.rows)
+        return all(_alpha_order(_ALPHA_LOW, p) < 0 and _alpha_order(p, _ALPHA_HIGH) < 0
+                   for p in pairs)
 
 
 def alpha_sweep(b: BitSeries, max_x: int, step: int) -> AlphaSweep:
@@ -161,16 +134,17 @@ def alpha_sweep(b: BitSeries, max_x: int, step: int) -> AlphaSweep:
         raise InsufficientBitmapError(16 * max_x, b.length)
     steps = max_x // step
     per_step = _residue(b, 15)[:steps * step].reshape(steps, step).sum(axis=1)
-    rows = [SweepRow(x, beta, (beta - x / 2) / math.sqrt(x))
-            for x, beta in zip(range(step, max_x + 1, step),
-                               np.cumsum(per_step).tolist())]
-    lo = hi = rows[0]
-    for r in rows[1:]:
-        if _cmp_rows(r, lo) < 0:
-            lo = r
-        if _cmp_rows(r, hi) > 0:
-            hi = r
-    return AlphaSweep(tuple(rows), lo, hi)
+    xs = range(step, max_x + 1, step)
+    betas = np.cumsum(per_step).tolist()
+    rows = [SweepRow(x, beta, (beta - x / 2) / math.sqrt(x)) for x, beta in zip(xs, betas)]
+    pairs = [(2 * beta - x, x) for x, beta in zip(xs, betas)]
+    lo = hi = 0
+    for i, p in enumerate(pairs):
+        if _alpha_order(p, pairs[lo]) < 0:
+            lo = i
+        if _alpha_order(p, pairs[hi]) > 0:
+            hi = i
+    return AlphaSweep(tuple(rows), rows[lo], rows[hi])
 
 
 def residue_class_counts(b: BitSeries, limit: int) -> np.ndarray:
@@ -185,9 +159,5 @@ def residue_class_counts(b: BitSeries, limit: int) -> np.ndarray:
 
 def non15_count(b: BitSeries, n_max: int) -> int:
     """Members n <= n_max with n not congruent to 15 mod 16."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    if n_max + 1 > b.length:
-        raise InsufficientBitmapError(n_max + 1, b.length)
-    return (b.truncate(n_max + 1).popcount()
-            - int(_residue(b, 15)[:(n_max + 1) // 16].sum()))
+    counts = residue_class_counts(b, n_max + 1)
+    return int(counts.sum() - counts[15])

@@ -181,14 +181,6 @@ class BitSeries:
                              bitorder="little")
         return np.nonzero(flat)[0]
 
-    def truncate(self, limit: int) -> BitSeries:
-        """Prefix holding the first `limit` coefficients."""
-        if not 1 <= limit <= self.length:
-            raise ValueError("truncation must stay within the existing length")
-        if limit == self.length:
-            return self
-        return BitSeries(limit, self.bits & _mask(limit))
-
 
 def squares(limit: int) -> SparseExponents:
     """Exponents k^2 < limit, the support of the squares theta series."""

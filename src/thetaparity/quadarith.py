@@ -40,7 +40,6 @@ __all__ = [
     "Factorization",
     "IdealCountKind",
     "count_square_tuples",
-    "square_tuple_count_table",
     "count_signed_representations",
     "theta_product_table",
     "primitive_signed_r3_table",
@@ -132,31 +131,11 @@ def _solutions(n: int, coeffs: tuple[int, ...]):
 def count_square_tuples(n: int, form) -> int:
     """Ordered tuples of square values (s_1, ..., s_k) with sum a_i s_i = n.
 
-    The number of nonnegative solutions from the block enumerator; the table
-    builder below is the fast path and is checked against this one.
+    The number of nonnegative solutions from the block enumerator;
+    theta_product_table below is the fast path and is checked against it.
     """
     blocks = _solutions(_check_n(n), _coefficients(form))
     return sum(block.shape[1] for block in blocks)
-
-
-def square_tuple_count_table(form, n_max: int) -> np.ndarray:
-    """counts[n] = count_square_tuples(n, form) for all 0 <= n <= n_max.
-
-    Built as an iterated convolution with the square-value indicator, one
-    shifted vector add per square value per variable.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    coeffs = _coefficients(form)
-    counts = np.zeros(n_max + 1, dtype=np.int64)
-    counts[0] = 1
-    for a in coeffs:
-        nxt = np.zeros(n_max + 1, dtype=np.int64)
-        for r in range(math.isqrt(n_max // a) + 1):
-            s = a * r * r
-            nxt[s:] += counts[: n_max + 1 - s]
-        counts = nxt
-    return counts
 
 
 def count_signed_representations(n: int, form, primitive: bool = False) -> int:
@@ -198,7 +177,8 @@ def theta_product_table(form, n_max: int, signed: bool = False) -> np.ndarray:
     count_signed_representations(n, form). The product is taken by real FFT
     over a length at which nothing wraps into [0, n_max]. Every build checks
     its rounding and raises AssertionError when an entry lies 1/4 or more
-    from an integer. square_tuple_count_table is the exact oracle.
+    from an integer. count_square_tuples and count_signed_representations
+    are the exact per-query oracles.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")

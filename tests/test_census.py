@@ -2,17 +2,19 @@
 
 Every scan of the byte view is recounted here from the bits integer, a route
 that shares no code with the view. Each recount also runs on a bitmap whose
-length is not a multiple of 8. The exact comparators get boundary cases
-where a float comparison would be undecidable.
+length is not a multiple of 8. The exact alpha order on (d, x) pairs gets
+boundary cases where a float comparison would be undecidable, and a seeded
+property test against 60-digit decimal arithmetic.
 """
 
+import decimal
 import math
 import random
 
 import pytest
 
 import thetaparity as tp
-from thetaparity.census import SweepRow, _cmp_alpha_to, _cmp_rows
+from thetaparity.census import _ALPHA_HIGH, _ALPHA_LOW, SweepRow, _alpha_order
 from thetaparity.f2series import BitSeries, InsufficientBitmapError
 
 
@@ -116,28 +118,69 @@ def test_alpha_extremes_tie_break_earliest():
     assert sweep.argmax.x == 2
 
 
+def pair(x, beta):
+    """The (d, x) pair of a sweep row: alpha = d / (2 sqrt(x)), d = 2 beta - x."""
+    return (2 * beta - x, x)
+
+
 def test_exact_alpha_comparator_boundaries():
-    # alpha = (beta - x/2)/sqrt(x); at x = 2500, beta = 1279 it is exactly 0.58
-    assert _cmp_alpha_to(1279, 2500, 29, 50) == 0
-    assert _cmp_alpha_to(1278, 2500, 29, 50) < 0
-    assert _cmp_alpha_to(1280, 2500, 29, 50) > 0
+    # at x = 2500, beta = 1279 alpha is exactly 0.58
+    assert _alpha_order(pair(2500, 1279), _ALPHA_HIGH) == 0
+    assert _alpha_order(pair(2500, 1278), _ALPHA_HIGH) < 0
+    assert _alpha_order(pair(2500, 1280), _ALPHA_HIGH) > 0
     # at x = 12100, beta = 5929 it is exactly -1.1
-    assert _cmp_alpha_to(5929, 12100, -11, 10) == 0
-    assert _cmp_alpha_to(5930, 12100, -11, 10) > 0
-    assert _cmp_alpha_to(5928, 12100, -11, 10) < 0
-    # zero against zero bound
-    assert _cmp_alpha_to(50, 100, 0, 1) == 0
-    with pytest.raises(ValueError):
-        _cmp_alpha_to(1, 1, 1, 0)
+    assert _alpha_order(pair(12100, 5929), _ALPHA_LOW) == 0
+    assert _alpha_order(pair(12100, 5930), _ALPHA_LOW) > 0
+    assert _alpha_order(pair(12100, 5928), _ALPHA_LOW) < 0
+    # alpha = 0 at x = 100, beta = 50, and against zero at another x
+    assert _alpha_order(pair(100, 50), (0, 1)) == 0
+    assert _alpha_order(_ALPHA_LOW, _ALPHA_HIGH) < 0
 
 
 def test_exact_row_comparator():
-    # alpha = (2 beta - x) / (2 sqrt(x)) throughout
-    assert _cmp_rows(SweepRow(1, 0, -0.5), SweepRow(4, 1, -0.5)) == 0
-    assert _cmp_rows(SweepRow(9, 6, 0.5), SweepRow(4, 3, 0.5)) == 0
-    assert _cmp_rows(SweepRow(1, 0, -0.5), SweepRow(1, 1, 0.5)) < 0
-    assert _cmp_rows(SweepRow(4, 3, 0.5), SweepRow(9, 7, 0.833)) < 0
-    assert _cmp_rows(SweepRow(4, 1, -0.5), SweepRow(9, 3, -0.5)) == 0
+    # equal alpha at different x
+    assert _alpha_order(pair(1, 0), pair(4, 1)) == 0
+    assert _alpha_order(pair(9, 6), pair(4, 3)) == 0
+    assert _alpha_order(pair(4, 1), pair(9, 3)) == 0
+    # opposite signs, then the same sign
+    assert _alpha_order(pair(1, 0), pair(1, 1)) < 0
+    assert _alpha_order(pair(1, 1), pair(1, 0)) > 0
+    assert _alpha_order(pair(4, 3), pair(9, 7)) < 0
+
+
+def decimal_alpha(p):
+    d, x = p
+    return decimal.Decimal(d) / (2 * decimal.Decimal(x).sqrt())
+
+
+def test_alpha_order_matches_decimal():
+    # 60 digits resolve any two distinct alphas of these sizes by far more
+    # than the tie threshold, and put equal alphas well inside it
+    tie = decimal.Decimal("1e-45")
+    rng = random.Random(8)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        assert decimal_alpha(_ALPHA_LOW) == decimal.Decimal("-1.1")
+        assert decimal_alpha(_ALPHA_HIGH) == decimal.Decimal("0.58")
+        seen = [_ALPHA_LOW, _ALPHA_HIGH]
+        for _ in range(300):
+            x = rng.randrange(1, 10 ** rng.randrange(1, 13))
+            # beta near a bound, near x / 2, or anywhere in [0, x]
+            alpha = rng.choice((-1.1, 0.58, 0.0, None))
+            if alpha is None:
+                beta = rng.randrange(x + 1)
+            else:
+                beta = round(x / 2 + alpha * math.sqrt(x)) + rng.randrange(-2, 3)
+                beta = min(x, max(0, beta))
+            p = pair(x, beta)
+            k = rng.randrange(2, 50)
+            same = (k * p[0], k * k * p[1])  # the same alpha at k^2 x
+            for q in (same, rng.choice(seen), _ALPHA_LOW, _ALPHA_HIGH):
+                diff = decimal_alpha(p) - decimal_alpha(q)
+                expect = 0 if abs(diff) < tie else (diff > 0) - (diff < 0)
+                assert _alpha_order(p, q) == expect, (p, q)
+                assert _alpha_order(q, p) == -expect, (p, q)
+            seen.append(p)
 
 
 def test_all_within_strictness():
@@ -189,3 +232,5 @@ def test_non15_count(b_small, b_ragged):
             assert tp.non15_count(b, n_max) == expect
         with pytest.raises(InsufficientBitmapError):
             tp.non15_count(b, b.length)
+        with pytest.raises(ValueError):
+            tp.non15_count(b, -1)

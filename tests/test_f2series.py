@@ -141,16 +141,6 @@ def test_coefficient_bounds():
             s.coefficient(-1)
 
 
-def test_truncate():
-    s = BitSeries(8, 0b10010011)
-    assert s.truncate(8) is s
-    assert s.truncate(5) == BitSeries(5, 0b10011)
-    with pytest.raises(ValueError):
-        s.truncate(0)
-    with pytest.raises(ValueError):
-        s.truncate(9)
-
-
 def test_support_and_popcount():
     s = f2.from_exponents(f2.squares(10), 10)
     assert s.bits == (1 << 0) | (1 << 1) | (1 << 4) | (1 << 9)

@@ -97,25 +97,24 @@ def test_count_square_tuples_vs_brute(monkeypatch):
                     brute_square_tuples(n, coeffs), (block, coeffs, n)
 
 
-def test_count_table_matches_per_query():
-    n_max = 400
-    for coeffs in [(1, 2), (1, 4), (1, 1, 1), (1, 2, 8), (1, 2, 4)]:
-        table = qa.square_tuple_count_table(coeffs, n_max)
-        assert table.shape == (n_max + 1,)
-        for n in range(n_max + 1):
-            assert table[n] == qa.count_square_tuples(n, coeffs), (coeffs, n)
-
-
 FFT_FORMS = [(1, 1, 1), (1, 2, 8), (1, 2, 4), (1, 2), (1, 4), (3,), (2, 5)]
 
 
-def test_theta_product_table_matches_shift_add_table():
+def tuple_bincount(coeffs, n_max):
+    """count_square_tuples for every n <= n_max: one bincount over all tuples."""
+    sums = np.zeros(1, dtype=np.int64)
+    for a in coeffs:
+        values = a * np.arange(math.isqrt(n_max // a) + 1, dtype=np.int64) ** 2
+        sums = np.add.outer(sums, values).ravel()
+    return np.bincount(sums[sums <= n_max], minlength=n_max + 1)
+
+
+def test_theta_product_table_matches_tuple_bincount():
     for coeffs in FFT_FORMS:
         for n_max in (0, 1, 2, 7, 64, 3001):
             table = qa.theta_product_table(coeffs, n_max)
             assert table.dtype == np.int64 and table.shape == (n_max + 1,)
-            assert (table == qa.square_tuple_count_table(coeffs, n_max)).all(), \
-                (coeffs, n_max)
+            assert (table == tuple_bincount(coeffs, n_max)).all(), (coeffs, n_max)
 
 
 def test_signed_theta_product_table_matches_per_query():
