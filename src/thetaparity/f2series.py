@@ -23,8 +23,15 @@ every shifted copy at once would cost 64 source-sized buffers.
 Reciprocals come from precision doubling: over GF(2) the Newton step for
 h -> 1/g collapses to h <- g*h^2, because g*h^2 - 1/g = g*(h - 1/g)^2
 doubles the error valuation. Squaring itself is the Frobenius map,
-coefficient n moves to 2n, implemented by spreading bits through a
-256-entry table.
+h^2 = h(x^2), so the step never squares a dense series. Splitting g by
+exponent parity, g = A(x^2) + x*B(x^2), gives
+g*h(x^2) = (A*h)(x^2) + x*(B*h)(x^2): the kernel runs on two products of
+half the length, and interleaving their bits (a 256-entry spread table)
+assembles the step. The precisions are chosen from the top, limit,
+ceil(limit/2), ..., 1, so each step exactly doubles what is known and no
+pass is spent on a last odd coefficient. The same split applied three times
+gives 1/g^7 = g*h(x^8) from products of an eighth of the length, one per
+class of exponents mod 8.
 
 A quadratic-time sequential recurrence (`invert_recurrence`) and the
 big-int carryless product `mul_dense` are kept alongside as independent
@@ -215,20 +222,30 @@ def from_exponents(e: SparseExponents, limit: int) -> BitSeries:
     return BitSeries(limit, _bits_from_positions(e.exponents, limit))
 
 
-def _square_bits(bits: int, limit: int) -> int:
-    # Frobenius map: source bits at n >= ceil(limit/2) cannot land below limit.
-    n_src = (limit + 1) // 2
-    src = bits & _mask(n_src)
-    raw = src.to_bytes((n_src + 7) // 8, "little")
-    spread = _SPREAD16[np.frombuffer(raw, dtype=np.uint8)]
-    return int.from_bytes(spread.astype("<u2").tobytes(), "little") & _mask(limit)
+def _interleave(even: int, odd: int, nbits: int) -> int:
+    """Bit i of `even` to position 2i and of `odd` to 2i + 1, below nbits.
+
+    With odd = 0 this is the Frobenius map (squaring). Source bits that would
+    land at or past nbits are dropped before the spread.
+    """
+    nbytes = ((nbits + 1) // 2 + 7) // 8
+
+    def spread(bits: int, n: int) -> np.ndarray:
+        # the low n bits, bit i moved to bit 2i, as 16-bit words
+        raw = (bits & _mask(n)).to_bytes(nbytes, "little")
+        return _SPREAD16[np.frombuffer(raw, dtype=np.uint8)]
+
+    out = spread(even, (nbits + 1) // 2)
+    if odd:
+        out |= spread(odd, nbits // 2) << 1
+    return int.from_bytes(out.astype("<u2", copy=False), "little")
 
 
 def square(s: BitSeries, limit: int) -> BitSeries:
     """Square of the series, truncated: coefficient n moves to 2n."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    return BitSeries(limit, _square_bits(s.bits, limit))
+    return BitSeries(limit, _interleave(s.bits, 0, limit))
 
 
 def _xor_shifted(bits: int, exponents, nbits: int) -> int:
@@ -291,24 +308,49 @@ def _require_complete(e: SparseExponents, limit: int) -> None:
         )
 
 
+def _mul_frobenius(h: int, exponents, s: int, nbits: int) -> int:
+    """g * h(x^(2^s)) truncated to nbits, g the sparse series of `exponents`.
+
+    Splits g by exponent parity, g = A(x^2) + x*B(x^2), so that
+    g*h(x^2) = (A*h)(x^2) + x*(B*h)(x^2): the even coefficients come from
+    A*h on ceil(nbits/2) coefficients and the odd ones from B*h on
+    floor(nbits/2), and the Frobenius spread interleaves the two. Recursing
+    s times puts the word kernel on 2^s products of length nbits/2^s.
+    """
+    exps = [k for k in exponents if k < nbits]
+    if not exps:
+        return 0
+    if s == 0:
+        return _xor_shifted(h, exps, nbits)
+    a = _mul_frobenius(h, [k >> 1 for k in exps if not k & 1], s - 1, (nbits + 1) // 2)
+    b = _mul_frobenius(h, [k >> 1 for k in exps if k & 1], s - 1, nbits // 2)
+    return _interleave(a, b, nbits)
+
+
 def invert_newton(e: SparseExponents, limit: int) -> BitSeries:
     """Reciprocal of the sparse series g by precision doubling.
 
-    Starts from h = 1, exact to one coefficient since the constant term is 1,
-    and repeats h <- g*h^2 at doubled truncation. Each pass squares the error
-    term, so the number of correct coefficients doubles.
+    Over GF(2) the Newton step is h <- g*h^2 = g*h(x^2), since
+    g*h^2 - 1/g = g*(h - 1/g)^2 doubles the number of correct coefficients.
+    The precisions are built from the top: limit, ceil(limit/2),
+    ceil(limit/4), ..., 1, run in reverse from h = 1, so every step exactly
+    doubles a known prefix and the last one lands on `limit`. Each step
+    splits g by parity (see `_mul_frobenius`), so the word kernel only runs
+    on half-length products.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     _require_complete(e, limit)
     if not e.exponents or e.exponents[0] != 0:
         raise NotInvertibleError("constant term is 0, no reciprocal exists")
-    exps = e.exponents
+    ladder = []
+    prec = limit
+    while prec > 1:
+        ladder.append(prec)
+        prec = (prec + 1) // 2
     h = 1
-    prec = 1
-    while prec < limit:
-        prec = min(2 * prec, limit)
-        h = _xor_shifted(_square_bits(h, prec), exps, prec)
+    for prec in reversed(ladder):
+        h = _mul_frobenius(h, e.exponents, 1, prec)
     return BitSeries(limit, h)
 
 
@@ -350,16 +392,17 @@ def invert_recurrence(e: SparseExponents, limit: int) -> BitSeries:
 def inverse_seventh_power(limit: int) -> BitSeries:
     """Reciprocal of the 7th power of the squares theta series g.
 
-    Uses 1/g^7 = g * (1/g)^8: invert once, apply the Frobenius squaring three
-    times, then one sparse multiply by g.
+    Uses 1/g^7 = g * (1/g)^8 = g * h(x^8) with h = 1/g, which only needs h
+    to ceil(limit/8) coefficients. Three parity splits of g (see
+    `_mul_frobenius`) turn the product into word-kernel products of length
+    about limit/8, one per class of exponents mod 8 (squares fall in the
+    classes 0, 1 and 4).
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     e = squares(limit)
-    h = invert_newton(e, limit).bits
-    for _ in range(3):
-        h = _square_bits(h, limit)
-    return BitSeries(limit, _xor_shifted(h, e.exponents, limit))
+    h = invert_newton(e, (limit + 7) // 8).bits
+    return BitSeries(limit, _mul_frobenius(h, e.exponents, 3, limit))
 
 
 def write_f2s(s: BitSeries, path) -> None:

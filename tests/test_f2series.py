@@ -81,7 +81,34 @@ def every_residue_exponents(rng: random.Random, limit: int) -> tuple:
     return tuple(sorted({0, *per_residue, *extras}))
 
 
-KERNEL_LENGTHS = (1, 63, 64, 65, 127, 128, 129, 4097)
+def every_class_residue_exponents(rng: random.Random, limit: int, s: int) -> tuple:
+    # 0 and, for each class c mod 2^s, exponents k = c + 2^s * j below limit
+    # whose leaf exponents j = k >> s hit every residue mod 64 that fits in
+    # the class, plus random extras below 2*limit that must be ignored
+    m = 1 << s
+    exps = {0}
+    for c in range(min(m, limit)):
+        top = (limit - 1 - c) // m
+        for r in range(min(64, top + 1)):
+            exps.add(c + m * (r + 64 * rng.randrange((top - r) // 64 + 1)))
+    exps.update(rng.sample(range(2 * limit), k=min(2 * limit, 24)))
+    return tuple(sorted(exps))
+
+
+def leaf_residues(exps, limit: int, s: int) -> dict:
+    m = 1 << s
+    return {c: {(k >> s) % 64 for k in exps if k < limit and k % m == c}
+            for c in range(min(m, limit))}
+
+
+def frobenius_product_bits(bits: int, exps, s: int, limit: int) -> int:
+    # g * h(x^(2^s)) from the plain references: s squarings, one product
+    for _ in range(s):
+        bits = square_bits(bits, limit)
+    return shift_xor_bits(bits, exps, limit)
+
+
+KERNEL_LENGTHS = (1, 2, 3, 63, 64, 65, 127, 128, 129, 4097)
 
 
 def test_squares_generator():
@@ -200,13 +227,77 @@ def test_word_kernel_routes_match_big_int_reference(limit):
     assert f2.inverse_seventh_power(limit).bits == shift_xor_bits(h8, sq, limit)
 
 
+@pytest.mark.parametrize("limit", KERNEL_LENGTHS)
+def test_parity_split_matches_big_int_reference(limit):
+    # g * h(x^(2^s)) for s = 0..3 with exponent lists whose leaf exponents
+    # hit every residue mod 64 in each class mod 2^s, and for g with no odd
+    # exponent or with no even exponent but 0
+    rng = random.Random(1000 + limit)
+    covering = [every_class_residue_exponents(rng, limit, s) for s in range(4)]
+    for s, exps in enumerate(covering):
+        m = 1 << s
+        for c, residues in leaf_residues(exps, limit, s).items():
+            assert residues == set(range(min(64, (limit - 1 - c) // m + 1)))
+    evens = tuple(range(0, 2 * limit, 2))
+    odds = (0, *range(1, 2 * limit, 2))
+    for exps in (*covering, evens, odds):
+        e = SparseExponents(exps, 2 * limit)
+        assert f2.invert_newton(e, limit).bits == newton_bits(exps, limit)
+        for s in range(4):
+            # sources exactly as long as the leaves, and longer
+            for length in (-(-limit >> s), limit):
+                h = random_series(rng, length).bits
+                assert f2._mul_frobenius(h, exps, s, limit) == frobenius_product_bits(
+                    h, exps, s, limit)
+
+
+def record_kernel_lengths(monkeypatch) -> list:
+    lengths = []
+    kernel = f2._xor_shifted
+
+    def recording(bits, exponents, nbits):
+        lengths.append(nbits)
+        return kernel(bits, exponents, nbits)
+
+    monkeypatch.setattr(f2, "_xor_shifted", recording)
+    return lengths
+
+
+@pytest.mark.parametrize("k", (4, 9, 13))
+def test_newton_ladder_runs_half_length_products(monkeypatch, k):
+    # top-down ladder L, ceil(L/2), ..., 2 with each step split by parity:
+    # leaves of at most ceil(L/2) coefficients, and no extra pass at 2^k+1.
+    # The leaf lengths of one step add up to its precision, so they total
+    # L + ceil(L/2) + ... + 2, which is 2L + k - 2 at L = 2^k + 1.
+    lengths = record_kernel_lengths(monkeypatch)
+    for limit in (2**k + 1, 2**k, 2**k - 1):
+        for gen in (f2.squares, f2.generalized_pentagonals):
+            lengths.clear()
+            f2.invert_newton(gen(limit), limit)
+            assert max(lengths) <= (limit + 1) // 2 + 1
+            assert sum(lengths) < 2 * limit + limit.bit_length()
+
+
+@pytest.mark.parametrize("k", (4, 9, 13))
+def test_seventh_power_runs_eighth_length_products(monkeypatch, k):
+    lengths = record_kernel_lengths(monkeypatch)
+    for limit in (2**k + 1, 2**k, 2**k - 1):
+        lengths.clear()
+        f2.inverse_seventh_power(limit)
+        assert max(lengths) <= (limit + 7) // 8 + 1
+        assert sum(lengths) < 2 * limit
+
+
 def test_oracles_do_not_use_word_kernel(monkeypatch):
     def no_kernel(*args):
         raise AssertionError("the oracles must not call the word kernel")
 
     monkeypatch.setattr(f2, "_xor_shifted", no_kernel)
+    monkeypatch.setattr(f2, "_mul_frobenius", no_kernel)
     with pytest.raises(AssertionError):
         f2.mul_sparse(BitSeries(4, 1), f2.squares(4), 4)
+    with pytest.raises(AssertionError):
+        f2.invert_newton(f2.squares(4), 4)
     inv = f2.invert_recurrence(f2.squares(25), 25)
     assert inv.support().tolist() == [0, 1, 2, 3, 5, 7, 8, 9, 13, 17, 18, 23]
     inv_p = f2.invert_recurrence(f2.generalized_pentagonals(13), 13)
