@@ -3,9 +3,10 @@
 Subcommands build and persist bitmaps, run the statement suite over a range,
 emit census tables and alpha sweeps as CSV, and answer one-off arithmetic
 queries. Exit codes: 0 success (and, for verify, zero violations), 1 for
-violations or I/O failure, 2 for usage errors, for ranges past a supported
-ceiling and for queries too large for memory, 3 when a bitmap is too short
-for the requested scan.
+violations or I/O failure, 2 for usage errors, for every argument the
+library rejects with ValueError and for queries too large for memory, 3 when
+a bitmap is too short for the requested scan. `main` is the only place that
+maps an exception to an exit code.
 
 Count-like arguments accept small arithmetic expressions such as 65536,
 2^23+1 or 5*2^10, which keeps reproduction runs copy-pasteable.
@@ -98,21 +99,18 @@ _BUILDERS = {
 }
 
 
-def _cmd_gen(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_gen(args) -> int:
     series = _BUILDERS[args.series](args.limit)
     f2series.write_f2s(series, args.out)
     print(f"{args.out}: {series.length} coefficients, {series.popcount()} set bits")
     return 0
 
 
-def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_verify(args) -> int:
     ids = args.statements
-    try:
-        theorems.check_range(ids, args.lo, args.hi)
-    except ValueError as exc:
-        parser.error(str(exc))
+    theorems.check_range(ids, args.lo, args.hi)
     if any(theorems.requires_seventh(i) for i in ids) and not args.inv_theta7:
-        parser.error("the requested statements need --inv-theta7")
+        raise ValueError("the requested statements need --inv-theta7")
     inv = f2series.read_f2s(args.inv_theta)
     inv7 = f2series.read_f2s(args.inv_theta7) if args.inv_theta7 else None
     reports = theorems.run_suite(ids, args.lo, args.hi, SeriesContext(inv, inv7))
@@ -126,7 +124,7 @@ def _half_delta(count: int, x: int) -> str:
     return str(twice // 2) if twice % 2 == 0 else f"{twice / 2:.1f}"
 
 
-def _cmd_census(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_census(args) -> int:
     b = f2series.read_f2s(args.bitmap)
     table = census.interval_counts(b, args.x, args.intervals)
     lines = ["interval_index,lo,hi,count,count_minus_half_x"]
@@ -138,7 +136,7 @@ def _cmd_census(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_alpha(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_alpha(args) -> int:
     b = f2series.read_f2s(args.bitmap)
     sweep = census.alpha_sweep(b, args.max_x, args.step)
     lines = ["x,beta,alpha"]
@@ -148,36 +146,25 @@ def _cmd_alpha(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_repcount(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_repcount(args) -> int:
     if args.primitive and not args.signed:
-        parser.error("--primitive requires --signed")
-    try:
-        if args.signed:
-            value = quadarith.count_signed_representations(
-                args.n, args.form, primitive=args.primitive)
-        else:
-            value = quadarith.count_square_tuples(args.n, args.form)
-    except ValueError as exc:
-        parser.error(str(exc))
+        raise ValueError("--primitive requires --signed")
+    if args.signed:
+        value = quadarith.count_signed_representations(
+            args.n, args.form, primitive=args.primitive)
+    else:
+        value = quadarith.count_square_tuples(args.n, args.form)
     print(value)
     return 0
 
 
-def _cmd_classnum(args, parser: argparse.ArgumentParser) -> int:
-    try:
-        h = quadarith.class_number(args.disc)
-    except ValueError as exc:
-        parser.error(str(exc))
-    print(h)
+def _cmd_classnum(args) -> int:
+    print(quadarith.class_number(args.disc))
     return 0
 
 
-def _cmd_jacobi(args, parser: argparse.ArgumentParser) -> int:
-    try:
-        value = quadarith.jacobi(args.a, args.n)
-    except ValueError as exc:
-        parser.error(str(exc))
-    print(value)
+def _cmd_jacobi(args) -> int:
+    print(quadarith.jacobi(args.a, args.n))
     return 0
 
 
@@ -247,7 +234,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args, parser)
+        return args.run(args)
     except InsufficientBitmapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -257,6 +244,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print("error: out of memory" + (f" ({exc})" if str(exc) else ""), file=sys.stderr)
         return 2
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -301,11 +301,15 @@ def mul_dense(a: BitSeries, b: BitSeries, limit: int) -> BitSeries:
     return BitSeries(limit, acc & _mask(limit))
 
 
-def _require_complete(e: SparseExponents, limit: int) -> None:
+def _check_invertible(e: SparseExponents, limit: int) -> None:
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
     if e.limit < limit:
         raise ValueError(
             f"exponent list is complete only below {e.limit}, need {limit}"
         )
+    if not e.exponents or e.exponents[0] != 0:
+        raise NotInvertibleError("constant term is 0, no reciprocal exists")
 
 
 def _mul_frobenius(h: int, exponents, s: int, nbits: int) -> int:
@@ -338,11 +342,7 @@ def invert_newton(e: SparseExponents, limit: int) -> BitSeries:
     splits g by parity (see `_mul_frobenius`), so the word kernel only runs
     on half-length products.
     """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    _require_complete(e, limit)
-    if not e.exponents or e.exponents[0] != 0:
-        raise NotInvertibleError("constant term is 0, no reciprocal exists")
+    _check_invertible(e, limit)
     ladder = []
     prec = limit
     while prec > 1:
@@ -365,11 +365,7 @@ def invert_recurrence(e: SparseExponents, limit: int) -> BitSeries:
     XOR of the exponent mask. Same arithmetic, different evaluation order,
     which is what makes it a useful cross-check against the Newton route.
     """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    _require_complete(e, limit)
-    if not e.exponents or e.exponents[0] != 0:
-        raise NotInvertibleError("constant term is 0, no reciprocal exists")
+    _check_invertible(e, limit)
     emask = _bits_from_positions([k for k in e.exponents if k > 0], limit)
     full = _mask(limit)
     low64 = _mask(64)

@@ -110,14 +110,17 @@ def _solutions(n: int, coeffs: tuple[int, ...]):
     Column j of a block is one solution. The leading k - 1 coordinates range
     over a broadcast grid, every axis from 0, cut along its first axis into
     blocks of at most _BLOCK_CELLS cells (one row when a row alone is
-    larger); the last coordinate is the exact root of what remains. Memory
-    is O(sqrt n) for three variables.
+    larger); the last coordinate is the exact root of what remains. Each
+    block builds its own slice of the first axis, so memory is one block for
+    one or two variables and O(sqrt n), one grid row, for three.
     """
     *head, last = coeffs
-    axes = [np.arange(math.isqrt(n // a) + 1, dtype=np.int64) for a in head]
-    rows = max(1, _BLOCK_CELLS // math.prod(map(len, axes[1:])))
-    for lo in range(0, len(axes[0]) if axes else 1, rows):
-        block = [x[lo:lo + rows] for x in axes[:1]] + axes[1:]
+    lens = [math.isqrt(n // a) + 1 for a in head]
+    rest = [np.arange(m, dtype=np.int64) for m in lens[1:]]
+    rows = max(1, _BLOCK_CELLS // math.prod(lens[1:]))
+    for lo in range(0, lens[0] if lens else 1, rows):
+        block = [np.arange(lo, min(lo + rows, m), dtype=np.int64)
+                 for m in lens[:1]] + rest
         grid = np.ix_(*block)
         rem = np.atleast_1d(n - sum(a * x * x for a, x in zip(head, grid)))
         quot = rem // last

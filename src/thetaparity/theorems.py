@@ -543,9 +543,9 @@ class TheoremReport:
         return self.violations[0][0] if self.violations else None
 
 
-def _scan(sid: StatementId, lo: int, hi: int, ctx: SeriesContext, columns: _Columns):
+def _scan(sid: StatementId, columns: _Columns):
     stmt = _REGISTRY[sid]
-    n = columns.n
+    n, lo = columns.n, columns.lo
     app = (n % stmt.modulus == stmt.residue) & (n >= stmt.minimum)
     ok, vacuous = stmt.batch(columns, app)
     vacuous = app & vacuous
@@ -553,7 +553,7 @@ def _scan(sid: StatementId, lo: int, hi: int, ctx: SeriesContext, columns: _Colu
     # witnesses come from the scalar oracle, which must agree that they fail
     kept = []
     for i in bad[:MAX_RECORDED_VIOLATIONS]:
-        verdict = verify(sid, lo + int(i), ctx)
+        verdict = verify(sid, lo + int(i), columns.ctx)
         if verdict.status is not Status.VIOLATED:
             raise AssertionError(f"{sid.name} at n={lo + int(i)}: batch verdict "
                                  f"VIOLATED, scalar verdict {verdict.status.name}")
@@ -561,7 +561,7 @@ def _scan(sid: StatementId, lo: int, hi: int, ctx: SeriesContext, columns: _Colu
     applicable_n = int(np.count_nonzero(app))
     vacuous_n = int(np.count_nonzero(vacuous))
     return (applicable_n - vacuous_n - bad.size, vacuous_n, bad.size,
-            n.size - applicable_n, kept, bad.size - len(kept))
+            n.size - applicable_n, tuple(kept), bad.size - len(kept))
 
 
 def check_range(ids: Iterable[StatementId], lo: int, hi: int) -> None:
@@ -600,13 +600,7 @@ def run_suite(ids: Iterable[StatementId], lo: int, hi: int,
             raise InsufficientBitmapError(hi + 1, ctx.inv_theta7.length, "1/g^7 bitmap")
 
     columns = _Columns(lo, hi, ctx)
-    reports = []
-    for sid in ids:
-        holds, vacuous, violated, inapplicable, kept, dropped = _scan(
-            sid, lo, hi, ctx, columns)
-        reports.append(TheoremReport(sid, lo, hi, holds, vacuous, violated,
-                                     inapplicable, tuple(kept), dropped))
-    return reports
+    return [TheoremReport(sid, lo, hi, *_scan(sid, columns)) for sid in ids]
 
 
 def reports_to_csv(reports: Iterable[TheoremReport]) -> str:

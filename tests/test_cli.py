@@ -221,6 +221,16 @@ def test_alpha_exit_three(tmp_path, capsys):
     assert "32" in capsys.readouterr().err
 
 
+def test_alpha_step_past_max_x_is_usage_error(tmp_path, capsys):
+    bmp = tmp_path / "b.f2s"
+    run(["gen", "inv-theta", "2^8", "--out", str(bmp)])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(["alpha", "--max-x", "2", "--step", "4", "--bitmap", str(bmp)])
+    assert exc.value.code == 2
+    assert "need 1 <= step <= max_x" in capsys.readouterr().err
+
+
 def test_alpha_csv(tmp_path, capsys):
     bmp = tmp_path / "b.f2s"
     run(["gen", "inv-theta", "2^8", "--out", str(bmp)])

@@ -226,6 +226,16 @@ def test_signed_representations_memory_is_blocked():
         tracemalloc.stop()
     assert peak < 16 << 20, peak
     assert signed == 24 * qa.class_number(-n) == 16944
+    # two variables: the first axis alone, 2^22 int64 values, is 32 MiB;
+    # r(n) = 2 * sum over d | n of (-8/d), with n = 17 * 353 * 2931542417
+    tracemalloc.start()
+    try:
+        signed = qa.count_signed_representations((1 << 44) + 1, (1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    assert signed == 16
 
 
 def test_counts_at_the_int64_edge():
