@@ -3,9 +3,9 @@
 B is the support of 1/g for the squares theta series g; B* is the analogue
 for the generalized pentagonal generator, whose reciprocal carries the
 partition parities. Bitmaps are built once through the inversion kernels and
-then scanned read-only through their byte view: members = r mod 16 are bit
-r & 7 of every second byte, so a residue class is one strided numpy slice and
-every count is a sum over it.
+then scanned read-only through the byte view of their words: members = r mod
+16 are bit r & 7 of every second byte, so a residue class is one strided
+numpy slice and every count is a sum over it.
 
 beta(x) counts members of B that are congruent to 15 mod 16 and smaller than
 16x. Among the 16x - 1 positive integers below 16x, exactly x lie in that
@@ -53,7 +53,7 @@ def build_Bstar(limit: int) -> BitSeries:
 
 def _residue(b: BitSeries, r: int) -> np.ndarray:
     # entry i is the coefficient of 16i + r: bit r & 7 of byte 2i + (r >> 3)
-    col = np.frombuffer(b.raw, dtype=np.uint8)[r >> 3::2] >> (r & 7)
+    col = b.words.view(np.uint8)[r >> 3::2] >> (r & 7)
     col &= 1
     return col
 

@@ -8,8 +8,10 @@ library rejects with ValueError and for queries too large for memory, 3 when
 a bitmap is too short for the requested scan. `main` is the only place that
 maps an exception to an exit code.
 
-Count-like arguments accept small arithmetic expressions such as 65536,
-2^23+1 or 5*2^10, which keeps reproduction runs copy-pasteable.
+Integer arguments accept small arithmetic expressions such as 65536,
+2^23+1 or 5*2^10, which keeps reproduction runs copy-pasteable. One leading
+minus negates the whole expression, so -2^2 is -4; counts then reject it as
+out of range.
 """
 
 from __future__ import annotations
@@ -24,23 +26,31 @@ from .theorems import SeriesContext, StatementId
 __all__ = ["main"]
 
 
+def _unsigned(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not an unsigned integer: {text!r}")
+    return int(text)
+
+
 def _parse_count(text: str) -> int:
-    """Integer expression: sums of products of INT or INT^INT."""
+    """Integer expression: an optional leading minus over sums of products
+    of N or N^N, each N a string of decimal digits."""
+    negative = text.startswith("-")
     try:
         total = 0
-        for term in text.split("+"):
+        for term in text.removeprefix("-").split("+"):
             prod = 1
             for factor in term.split("*"):
                 if "^" in factor:
                     base, _, exp = factor.partition("^")
-                    e = int(exp)
-                    if not 0 <= e <= 64:
+                    e = _unsigned(exp)
+                    if e > 64:
                         raise ValueError("exponent out of range")
-                    prod *= int(base) ** e
+                    prod *= _unsigned(base) ** e
                 else:
-                    prod *= int(factor)
+                    prod *= _unsigned(factor)
             total += prod
-        return total
+        return -total if negative else total
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad count expression {text!r}") from exc
 
@@ -219,12 +229,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(run=_cmd_repcount)
 
     p_cls = sub.add_parser("classnum", help="class number of a negative discriminant")
-    p_cls.add_argument("--disc", type=int, required=True)
+    p_cls.add_argument("--disc", type=_parse_count, required=True)
     p_cls.set_defaults(run=_cmd_classnum)
 
     p_jac = sub.add_parser("jacobi", help="Jacobi symbol (a | n)")
-    p_jac.add_argument("--a", type=int, required=True)
-    p_jac.add_argument("--n", type=int, required=True)
+    p_jac.add_argument("--a", type=_parse_count, required=True)
+    p_jac.add_argument("--n", type=_parse_count, required=True)
     p_jac.set_defaults(run=_cmd_jacobi)
 
     return parser

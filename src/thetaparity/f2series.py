@@ -1,24 +1,23 @@
 """Bit-packed arithmetic on truncated power series over GF(2).
 
-A series is a pair (length, bits): `length` is the number of represented
-coefficients (exponents 0 .. length-1) and `bits` packs them into a single
-Python integer, bit n holding the coefficient of x^n. That integer is the
-public face and the form that squaring, the word kernel and .f2s I/O work
-on; a 2^23-coefficient series occupies about one megabyte. Reads go through
-one lazily cached little-endian byte view, `BitSeries.raw`, in which
-coefficient n is bit n & 7 of byte n >> 3: a lookup indexes one byte instead
-of shifting the whole integer, and `support` and the census scans slice it.
+A series is a pair (length, words): `length` coefficients (exponents
+0 .. length-1) packed into a read-only little-endian uint64 array, bit i of
+word w holding the coefficient of x^(64w + i). That array is the only
+stored form: the word kernel, the Frobenius spread and .f2s I/O take and
+return it, and the .f2s payload is the same array on disk. A
+2^23-coefficient series occupies one megabyte; the Python int with bit n
+the coefficient of x^n exists only for the big-int oracles and tests.
 
 The generators of interest here are sparse (perfect squares, generalized
 pentagonal numbers), so multiplication by a generator is an XOR of shifted
 copies, one per exponent below the truncation point. One word kernel,
-`_xor_shifted`, does every such product. It converts the source to uint64
-words, groups the exponents by k mod 64, and for each residue r present
-builds one copy of the source shifted left by r bits. Each exponent of that
-group then XORs the copy into the accumulator in place at word offset
-k >> 6, so no per-exponent shift allocates. The copy buffer is reused for
-the next residue: the pentagonal exponents hit all 64 residues, and holding
-every shifted copy at once would cost 64 source-sized buffers.
+`_xor_shifted`, does every such product. It groups the exponents by k mod
+64, and for each residue r present builds one copy of the source words
+shifted left by r bits. Each exponent of that group then XORs the copy into
+the accumulator in place at word offset k >> 6, so no per-exponent shift
+allocates. The copy buffer is reused for the next residue: the pentagonal
+exponents hit all 64 residues, and holding every shifted copy at once would
+cost 64 source-sized buffers.
 
 Reciprocals come from precision doubling: over GF(2) the Newton step for
 h -> 1/g collapses to h <- g*h^2, because g*h^2 - 1/g = g*(h - 1/g)^2
@@ -46,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -104,10 +102,17 @@ def _build_spread_table() -> np.ndarray:
 
 
 _SPREAD16 = _build_spread_table()
+_POPCOUNT8 = np.array([byte.bit_count() for byte in range(256)], dtype=np.uint8)
 
 
 def _mask(nbits: int) -> int:
     return (1 << nbits) - 1
+
+
+def _clear_padding(words: np.ndarray, nbits: int) -> np.ndarray:
+    if nbits & 63:
+        words[-1] &= _mask(nbits & 63)
+    return words
 
 
 def _bits_from_positions(positions, limit: int) -> int:
@@ -143,25 +148,39 @@ class SparseExponents:
                 raise ValueError("exponents must lie in [0, limit)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BitSeries:
-    """Truncated GF(2) series; bit n of `bits` is the coefficient of x^n.
+    """Truncated GF(2) series: `words` holds ceil(length/64) '<u8' words.
 
-    Every read goes through `raw`, the same bits as bytes, built on first
-    use and kept for the life of the series.
+    Padding bits past `length` are zero. The constructor keeps a read-only
+    view of a given word array, or converts an int whose bit n is x^n.
     """
 
     length: int
-    bits: int
+    words: np.ndarray
 
     def __post_init__(self):
         if self.length < 1:
             raise ValueError("length must be >= 1")
-        if self.bits < 0 or self.bits >> self.length:
-            raise ValueError("set bits beyond the declared length")
+        nwords = (self.length + 63) // 64
+        words = self.words
+        if isinstance(words, int) and 0 <= words and words.bit_length() <= self.length:
+            words = np.frombuffer(words.to_bytes(8 * nwords, "little"), dtype="<u8")
+        if not (isinstance(words, np.ndarray) and words.dtype == "<u8"
+                and words.shape == (nwords,) and words.flags.c_contiguous):
+            raise ValueError(f"{self.length} coefficients need an int below "
+                             f"2^{self.length} or {nwords} contiguous '<u8' words")
+        if self.length & 63 and words[-1] >> (self.length & 63):
+            raise ValueError(f"nonzero padding past coefficient {self.length}")
+        object.__setattr__(self, "words", words.view())
+        self.words.flags.writeable = False
+
+    def __eq__(self, other):
+        return (isinstance(other, BitSeries) and self.length == other.length
+                and np.array_equal(self.words, other.words))
 
     def __repr__(self):
-        # the bits integer can run to millions of digits; keep reprs small
+        # a series can run to millions of coefficients; keep reprs small
         return (f"{type(self).__name__}(length={self.length}, "
                 f"popcount={self.popcount()})")
 
@@ -171,21 +190,20 @@ class BitSeries:
             raise IndexError(
                 f"coefficient {n} outside series of length {self.length}"
             )
-        return self.raw[n >> 3] >> (n & 7) & 1
+        return self.words.item(n >> 6) >> (n & 63) & 1
 
-    @cached_property
-    def raw(self) -> bytes:
-        """`bits` as (length + 7) // 8 little-endian bytes, padding bits zero."""
-        return self.bits.to_bytes((self.length + 7) // 8, "little")
+    @property
+    def bits(self) -> int:
+        """The coefficients as one Python int, bit n being x^n (for oracles)."""
+        return int.from_bytes(self.words.tobytes(), "little")
 
     def popcount(self) -> int:
         """Number of nonzero coefficients."""
-        return self.bits.bit_count()
+        return int(_POPCOUNT8[self.words.view(np.uint8)].sum())
 
     def support(self) -> np.ndarray:
         """Sorted exponents of the nonzero coefficients (int64 array)."""
-        flat = np.unpackbits(np.frombuffer(self.raw, dtype=np.uint8),
-                             bitorder="little")
+        flat = np.unpackbits(self.words.view(np.uint8), bitorder="little")
         return np.nonzero(flat)[0]
 
 
@@ -222,42 +240,39 @@ def from_exponents(e: SparseExponents, limit: int) -> BitSeries:
     return BitSeries(limit, _bits_from_positions(e.exponents, limit))
 
 
-def _interleave(even: int, odd: int, nbits: int) -> int:
+def _interleave(even: np.ndarray, odd: np.ndarray, nbits: int) -> np.ndarray:
     """Bit i of `even` to position 2i and of `odd` to 2i + 1, below nbits.
 
-    With odd = 0 this is the Frobenius map (squaring). Source bits that would
-    land at or past nbits are dropped before the spread.
+    Takes and returns word arrays; with an empty `odd` this is the Frobenius
+    map (squaring). Source bits that land at or past nbits are cleared.
     """
-    nbytes = ((nbits + 1) // 2 + 7) // 8
-
-    def spread(bits: int, n: int) -> np.ndarray:
-        # the low n bits, bit i moved to bit 2i, as 16-bit words
-        raw = (bits & _mask(n)).to_bytes(nbytes, "little")
-        return _SPREAD16[np.frombuffer(raw, dtype=np.uint8)]
-
-    out = spread(even, (nbits + 1) // 2)
-    if odd:
-        out |= spread(odd, nbits // 2) << 1
-    return int.from_bytes(out.astype("<u2", copy=False), "little")
+    out = np.zeros(4 * ((nbits + 63) // 64), dtype="<u2")
+    for src, shift in ((even, 0), (odd, 1)):
+        # indexing by the uint8 bytes keeps one 16-bit temporary per byte;
+        # np.take would first widen the indices to intp
+        src = src.view(np.uint8)[:len(out)]
+        out[:len(src)] |= (_SPREAD16 << shift)[src]
+    return _clear_padding(out.view("<u8"), nbits)
 
 
 def square(s: BitSeries, limit: int) -> BitSeries:
     """Square of the series, truncated: coefficient n moves to 2n."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    return BitSeries(limit, _interleave(s.bits, 0, limit))
+    return BitSeries(limit, _interleave(s.words, s.words[:0], limit))
 
 
-def _xor_shifted(bits: int, exponents, nbits: int) -> int:
-    """XOR of bits << k over the exponents k < nbits, truncated to nbits.
+def _xor_shifted(src: np.ndarray, exponents, nbits: int) -> np.ndarray:
+    """XOR of src << k over the exponents k < nbits, truncated to nbits.
 
-    `exponents` must be increasing. The sum runs on uint64 words: one
-    shifted copy of the source per residue k mod 64, XORed in place at word
-    offset k >> 6 for each exponent of that residue.
+    On word arrays, `exponents` increasing: one shifted copy of the source
+    per residue k mod 64, XORed in place at word offset k >> 6 for each
+    exponent of that residue. Source bits past nbits land in cleared bits.
     """
     nwords = (nbits + 63) // 64
-    src = np.frombuffer((bits & _mask(nbits)).to_bytes(8 * nwords, "little"),
-                        dtype="<u8")
+    src = src[:nwords]
+    if len(src) < nwords:
+        src = np.concatenate((src, np.zeros(nwords - len(src), dtype="<u8")))
     offsets: dict[int, list[int]] = {}
     for k in exponents:
         if k >= nbits:
@@ -273,14 +288,14 @@ def _xor_shifted(bits: int, exponents, nbits: int) -> int:
             shifted[1:] |= carry[1:]
         for q in words:
             acc[q:] ^= shifted[:nwords - q]
-    return int.from_bytes(acc.tobytes(), "little") & _mask(nbits)
+    return _clear_padding(acc, nbits)
 
 
 def mul_sparse(s: BitSeries, e: SparseExponents, limit: int) -> BitSeries:
     """Product with a sparse series: XOR of one shifted copy per exponent."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    return BitSeries(limit, _xor_shifted(s.bits, e.exponents, limit))
+    return BitSeries(limit, _xor_shifted(s.words, e.exponents, limit))
 
 
 def mul_dense(a: BitSeries, b: BitSeries, limit: int) -> BitSeries:
@@ -312,7 +327,7 @@ def _check_invertible(e: SparseExponents, limit: int) -> None:
         raise NotInvertibleError("constant term is 0, no reciprocal exists")
 
 
-def _mul_frobenius(h: int, exponents, s: int, nbits: int) -> int:
+def _mul_frobenius(h: np.ndarray, exponents, s: int, nbits: int) -> np.ndarray:
     """g * h(x^(2^s)) truncated to nbits, g the sparse series of `exponents`.
 
     Splits g by exponent parity, g = A(x^2) + x*B(x^2), so that
@@ -323,7 +338,7 @@ def _mul_frobenius(h: int, exponents, s: int, nbits: int) -> int:
     """
     exps = [k for k in exponents if k < nbits]
     if not exps:
-        return 0
+        return np.zeros((nbits + 63) // 64, dtype="<u8")
     if s == 0:
         return _xor_shifted(h, exps, nbits)
     a = _mul_frobenius(h, [k >> 1 for k in exps if not k & 1], s - 1, (nbits + 1) // 2)
@@ -348,7 +363,7 @@ def invert_newton(e: SparseExponents, limit: int) -> BitSeries:
     while prec > 1:
         ladder.append(prec)
         prec = (prec + 1) // 2
-    h = 1
+    h = np.ones(1, dtype="<u8")
     for prec in reversed(ladder):
         h = _mul_frobenius(h, e.exponents, 1, prec)
     return BitSeries(limit, h)
@@ -397,7 +412,7 @@ def inverse_seventh_power(limit: int) -> BitSeries:
     if limit < 1:
         raise ValueError("limit must be >= 1")
     e = squares(limit)
-    h = invert_newton(e, (limit + 7) // 8).bits
+    h = invert_newton(e, (limit + 7) // 8).words
     return BitSeries(limit, _mul_frobenius(h, e.exponents, 3, limit))
 
 
@@ -407,33 +422,29 @@ def write_f2s(s: BitSeries, path) -> None:
     The payload is ceil(count/64) words; bit i of word w is the coefficient
     of x^(64w + i). Padding bits past the count are zero by construction.
     """
-    nwords = (s.length + 63) // 64
     with open(path, "wb") as fh:
         fh.write(F2S_MAGIC)
         fh.write(s.length.to_bytes(8, "little"))
-        fh.write(s.bits.to_bytes(8 * nwords, "little"))
+        fh.write(s.words)
 
 
 def read_f2s(path) -> BitSeries:
-    """Load a persisted bitmap, verifying framing and clean padding."""
+    """Load a persisted bitmap into its word array, checking framing and padding."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12:
-        raise BitmapFormatError(f"{path}: truncated header")
-    if blob[:4] != F2S_MAGIC:
-        raise BitmapFormatError(f"{path}: bad magic {blob[:4]!r}")
-    count = int.from_bytes(blob[4:12], "little")
-    if count < 1:
-        raise BitmapFormatError(f"{path}: empty series")
-    nwords = (count + 63) // 64
-    body = blob[12:]
-    if len(body) != 8 * nwords:
-        raise BitmapFormatError(
-            f"{path}: expected {8 * nwords} payload bytes, found {len(body)}"
-        )
-    bits = int.from_bytes(body, "little")
-    if bits >> count:
-        raise BitmapFormatError(
-            f"{path}: nonzero padding past coefficient {count}"
-        )
-    return BitSeries(count, bits)
+        head = fh.read(12)
+        if len(head) < 12:
+            raise BitmapFormatError(f"{path}: truncated header")
+        if head[:4] != F2S_MAGIC:
+            raise BitmapFormatError(f"{path}: bad magic {head[:4]!r}")
+        count = int.from_bytes(head[4:12], "little")
+        if count < 1:
+            raise BitmapFormatError(f"{path}: empty series")
+        nwords = (count + 63) // 64
+        if fh.seek(0, 2) != 12 + 8 * nwords:
+            raise BitmapFormatError(f"{path}: payload is not {8 * nwords} bytes")
+        fh.seek(12)
+        words = np.fromfile(fh, dtype="<u8", count=nwords)
+    try:
+        return BitSeries(count, words)
+    except ValueError as exc:
+        raise BitmapFormatError(f"{path}: {exc}") from None

@@ -121,9 +121,8 @@ class SeriesContext:
 
 
 def _window_bits(series: BitSeries, lo: int, hi: int) -> np.ndarray:
-    # coefficients lo..hi, unpacking only the bytes of the byte view they sit in
-    view = np.frombuffer(series.raw, dtype=np.uint8,
-                         count=(hi >> 3) - (lo >> 3) + 1, offset=lo >> 3)
+    # coefficients lo..hi, unpacking only the bytes of the word array they sit in
+    view = series.words.view(np.uint8)[lo >> 3:(hi >> 3) + 1]
     bits = np.unpackbits(view, bitorder="little")[lo & 7:]
     return bits[: hi - lo + 1].astype(bool)
 

@@ -1,7 +1,7 @@
 """Census scans: interval counts, alpha sweeps, residue tables.
 
-Every scan of the byte view is recounted here from the bits integer, a route
-that shares no code with the view. Each recount also runs on a bitmap whose
+Every scan of the word array's byte view is recounted here from the bits
+integer, a route that shares no code with the view. Each recount also runs on a bitmap whose
 length is not a multiple of 8. The exact alpha order on (d, x) pairs gets
 boundary cases where a float comparison would be undecidable, and a seeded
 property test against 60-digit decimal arithmetic.
@@ -10,6 +10,7 @@ property test against 60-digit decimal arithmetic.
 import decimal
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -26,6 +27,26 @@ def support_set(b):
 def b_ragged():
     """Membership bitmap of B whose last byte is partly padding."""
     return tp.build_B(4093)
+
+
+def test_load_and_scans_hold_one_copy(tmp_path):
+    # the file's payload is the series' word array: loading it allocates one
+    # copy, and the scans keep nothing of the bitmap's size
+    path = tmp_path / "b.f2s"
+    tp.write_f2s(tp.build_B((1 << 23) + 1), path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        b = tp.read_f2s(path)
+        load_peak = tracemalloc.get_traced_memory()[1] - base
+        assert len(tp.interval_counts(b, 1 << 16, 8).counts) == 8
+        assert len(tp.alpha_sweep(b, 1 << 19, 1 << 10).rows) == 512
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert load_peak <= 1.1 * size
+    assert retained <= 1.1 * size
 
 
 def test_build_b_first_terms():

@@ -289,6 +289,36 @@ def test_negative_counts_are_usage_errors(argv, capsys):
     assert "must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["census", "--x=-2^2", "--intervals", "3"],
+    ["census", "--x", "4", "--intervals=-3*-1"],
+    ["repcount", "--n=-2^2", "--form", "1,1"],
+])
+def test_sign_inside_count_expression_is_usage_error(argv, tmp_path):
+    # the minus covers the whole expression, so no even power or product of
+    # negative factors turns these into valid counts
+    bmp = tmp_path / "b.f2s"
+    assert run(["gen", "inv-theta", "2^8", "--out", str(bmp)]) == 0
+    if argv[0] == "census":
+        argv = [*argv, "--bitmap", str(bmp)]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+
+
+def test_signed_expression_arguments(capsys):
+    assert run(["classnum", "--disc=-8*10^5"]) == 0
+    assert capsys.readouterr().out.strip() == str(tp.quadarith.class_number(-800000))
+    assert run(["classnum", "--disc", "-47"]) == 0
+    assert capsys.readouterr().out.strip() == "5"
+    assert run(["jacobi", "--a=-2^3", "--n", "7"]) == 0
+    assert capsys.readouterr().out.strip() == "-1"
+    for argv in (["classnum", "--disc=--47"], ["jacobi", "--a=2^-1", "--n", "7"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
+
 def test_classnum_outputs(capsys):
     assert run(["classnum", "--disc", "-56"]) == 0
     assert capsys.readouterr().out.strip() == "4"

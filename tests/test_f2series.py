@@ -9,8 +9,10 @@ argument everything else leans on.
 
 import random
 
+import numpy as np
 import pytest
 
+import thetaparity as tp
 from thetaparity import f2series as f2
 from thetaparity.f2series import (
     BitmapFormatError,
@@ -155,7 +157,7 @@ def test_coefficient_bounds():
         s.coefficient(4)
     with pytest.raises(IndexError):
         s.coefficient(-1)
-    # the byte view around byte and word boundaries agrees with the int
+    # single-word reads around byte and word boundaries agree with the int
     rng = random.Random(8)
     for length in (1, 7, 8, 9, 63, 64, 65):
         bits = rng.getrandbits(length) | 1 << (length - 1)
@@ -166,6 +168,63 @@ def test_coefficient_bounds():
             s.coefficient(length)
         with pytest.raises(IndexError):
             s.coefficient(-1)
+
+
+def int_words(bits: int, length: int) -> np.ndarray:
+    # the int cut into 64-bit words by shifts, not through the constructor
+    return np.array([bits >> 64 * w & (1 << 64) - 1 for w in range(-(-length // 64))],
+                    dtype="<u8")
+
+
+def test_word_constructor():
+    rng = random.Random(12)
+    for length in (1, 63, 64, 65, 200):
+        bits = rng.getrandbits(length) | 1 << (length - 1)
+        s = BitSeries(length, int_words(bits, length))
+        assert s == BitSeries(length, bits)
+        assert s.bits == bits
+        with pytest.raises(ValueError):
+            s.words[0] = 0
+        # one word too few and one too many
+        for nwords in (len(s.words) - 1, len(s.words) + 1):
+            with pytest.raises(ValueError):
+                BitSeries(length, np.zeros(nwords, dtype="<u8"))
+        # a set padding bit, where the last word has any (64 has none)
+        if length % 64:
+            with pytest.raises(ValueError):
+                BitSeries(length, int_words(bits | 1 << length, length))
+    for words in (np.zeros(2, dtype=">u8"), np.zeros(2, dtype=np.int64),
+                  np.zeros(4, dtype=np.uint32), np.zeros((2, 1), dtype="<u8"),
+                  np.zeros(4, dtype="<u8")[::2], [0, 0]):
+        with pytest.raises(ValueError):
+            BitSeries(128, words)
+    # the int 1 is the identity that g * (1/g) computes on words
+    for limit in (1, 63, 64, 65, 4097):
+        e = f2.squares(limit)
+        assert f2.mul_sparse(f2.invert_newton(e, limit), e, limit) == BitSeries(limit, 1)
+
+
+def test_kernels_scans_and_io_never_build_the_int(monkeypatch, tmp_path):
+    def no_int(self):
+        raise AssertionError("the word form must not be converted to an int")
+
+    monkeypatch.setattr(BitSeries, "bits", property(no_int))
+    limit = 4097
+    b = tp.build_B(limit)
+    tp.build_Bstar(limit)
+    inv7 = f2.inverse_seventh_power(limit)
+    assert f2.mul_sparse(b, f2.squares(limit), limit) == BitSeries(limit, 1)
+    f2.square(b, limit)
+    f2.write_f2s(b, tmp_path / "b.f2s")
+    assert f2.read_f2s(tmp_path / "b.f2s") == b
+    tp.interval_counts(b, 16, 16)
+    tp.alpha_sweep(b, 256, 16)
+    tp.residue_class_counts(b, limit)
+    tp.non15_count(b, limit - 1)
+    members = [tp.StatementId[name] for name in
+               ("T1_1", "T1_2", "T1_4", "T3_6", "T3_8", "L3_1", "L3_3", "L3_5")]
+    reports = tp.run_suite(members, 0, 2000, tp.SeriesContext(b, inv7))
+    assert all(r.violated == 0 for r in reports)
 
 
 def test_support_and_popcount():
@@ -246,18 +305,18 @@ def test_parity_split_matches_big_int_reference(limit):
         for s in range(4):
             # sources exactly as long as the leaves, and longer
             for length in (-(-limit >> s), limit):
-                h = random_series(rng, length).bits
-                assert f2._mul_frobenius(h, exps, s, limit) == frobenius_product_bits(
-                    h, exps, s, limit)
+                h = random_series(rng, length)
+                got = BitSeries(limit, f2._mul_frobenius(h.words, exps, s, limit))
+                assert got.bits == frobenius_product_bits(h.bits, exps, s, limit)
 
 
 def record_kernel_lengths(monkeypatch) -> list:
     lengths = []
     kernel = f2._xor_shifted
 
-    def recording(bits, exponents, nbits):
+    def recording(words, exponents, nbits):
         lengths.append(nbits)
-        return kernel(bits, exponents, nbits)
+        return kernel(words, exponents, nbits)
 
     monkeypatch.setattr(f2, "_xor_shifted", recording)
     return lengths
