@@ -10,60 +10,29 @@ coin. The pentagonal-number analogue B*, whose bitmap carries the partition
 parities, rides along on the same kernels.
 """
 
-from .census import (
-    AlphaSweep,
-    CensusTable,
-    SweepRow,
-    alpha_sweep,
-    build_B,
-    build_Bstar,
-    interval_counts,
-    non15_count,
-    residue_class_counts,
-)
-from .f2series import (
-    BitmapFormatError,
-    BitSeries,
-    InsufficientBitmapError,
-    NotInvertibleError,
-    SparseExponents,
-    from_exponents,
-    generalized_pentagonals,
-    inverse_seventh_power,
-    invert_newton,
-    invert_recurrence,
-    mul_dense,
-    mul_sparse,
-    read_f2s,
-    square,
-    squares,
-    write_f2s,
-)
-from .quadarith import (
-    DiagonalForm,
-    Factorization,
-    IdealCountKind,
-    class_number,
-    count_signed_representations,
-    count_square_tuples,
-    factorize,
-    ideal_count,
-    is_square,
-    jacobi,
-    odd_exponent_prime_count,
-)
-from .theorems import (
-    ALL_STATEMENTS,
-    SeriesContext,
-    StatementId,
-    Status,
-    TheoremReport,
-    Verdict,
-    applicable,
-    description,
-    reports_to_csv,
-    run_suite,
-    verify,
-)
+import importlib
 
+# public name -> defining module; each module is imported on first use, so
+# a process compiles only the layers it touches
+_EXPORTS = {name: module for module, names in {
+    "census": "AlphaSweep CensusTable SweepRow alpha_sweep build_B build_Bstar "
+              "interval_counts non15_count residue_class_counts",
+    "f2series": "BitmapFormatError BitSeries InsufficientBitmapError NotInvertibleError "
+                "SparseExponents from_exponents generalized_pentagonals "
+                "inverse_seventh_power invert_newton invert_recurrence mul_dense "
+                "mul_sparse read_f2s square squares write_f2s",
+    "quadarith": "DiagonalForm Factorization IdealCountKind class_number "
+                 "count_signed_representations count_square_tuples factorize "
+                 "ideal_count is_square jacobi odd_exponent_prime_count",
+    "theorems": "ALL_STATEMENTS SeriesContext StatementId Status TheoremReport Verdict "
+                "applicable description reports_to_csv run_suite verify",
+}.items() for name in names.split()}
+
+__all__ = list(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)

@@ -51,9 +51,10 @@ def build_Bstar(limit: int) -> BitSeries:
     return f2series.invert_newton(f2series.generalized_pentagonals(limit), limit)
 
 
-def _residue(b: BitSeries, r: int) -> np.ndarray:
-    # entry i is the coefficient of 16i + r: bit r & 7 of byte 2i + (r >> 3)
-    col = b.words.view(np.uint8)[r >> 3::2] >> (r & 7)
+def _residue(b: BitSeries, r: int, count: int) -> np.ndarray:
+    # entry i < count is the coefficient of 16i + r: bit r & 7 of byte
+    # 2i + (r >> 3); slicing first keeps the temporary to `count` bytes
+    col = b.words.view(np.uint8)[r >> 3::2][:count] >> (r & 7)
     col &= 1
     return col
 
@@ -86,7 +87,7 @@ def interval_counts(b: BitSeries, x: int, intervals: int) -> CensusTable:
     needed = width * intervals
     if b.length < needed:
         raise InsufficientBitmapError(needed, b.length)
-    counts = _residue(b, 15)[:x * intervals].reshape(intervals, x).sum(axis=1)
+    counts = _residue(b, 15, x * intervals).reshape(intervals, x).sum(axis=1)
     return CensusTable(16, 15, x, width, tuple(counts.tolist()))
 
 
@@ -133,7 +134,7 @@ def alpha_sweep(b: BitSeries, max_x: int, step: int) -> AlphaSweep:
     if b.length < 16 * max_x:
         raise InsufficientBitmapError(16 * max_x, b.length)
     steps = max_x // step
-    per_step = _residue(b, 15)[:steps * step].reshape(steps, step).sum(axis=1)
+    per_step = _residue(b, 15, steps * step).reshape(steps, step).sum(axis=1)
     xs = range(step, max_x + 1, step)
     betas = np.cumsum(per_step).tolist()
     rows = [SweepRow(x, beta, (beta - x / 2) / math.sqrt(x)) for x, beta in zip(xs, betas)]
@@ -153,7 +154,7 @@ def residue_class_counts(b: BitSeries, limit: int) -> np.ndarray:
         raise ValueError("limit must be >= 1")
     if limit > b.length:
         raise InsufficientBitmapError(limit, b.length)
-    return np.array([_residue(b, r)[:(limit - r + 15) // 16].sum()
+    return np.array([_residue(b, r, (limit - r + 15) // 16).sum()
                      for r in range(16)], dtype=np.int64)
 
 

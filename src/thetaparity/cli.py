@@ -6,7 +6,8 @@ queries. Exit codes: 0 success (and, for verify, zero violations), 1 for
 violations or I/O failure, 2 for usage errors, for every argument the
 library rejects with ValueError and for queries too large for memory, 3 when
 a bitmap is too short for the requested scan. `main` is the only place that
-maps an exception to an exit code.
+maps an exception to an exit code. Each handler and argument type imports
+the layers it uses, so `gen` loads only the series kernel.
 
 Integer arguments accept small arithmetic expressions such as 65536,
 2^23+1 or 5*2^10, which keeps reproduction runs copy-pasteable. One leading
@@ -19,9 +20,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import census, f2series, quadarith, theorems
+from . import f2series
 from .f2series import BitmapFormatError, InsufficientBitmapError
-from .theorems import SeriesContext, StatementId
 
 __all__ = ["main"]
 
@@ -70,6 +70,8 @@ def _nonnegative_count(text: str) -> int:
 
 
 def _form(text: str) -> tuple[int, ...]:
+    from . import quadarith
+
     try:
         coeffs = tuple(int(part) for part in text.split(","))
         quadarith.DiagonalForm(coeffs)
@@ -78,14 +80,16 @@ def _form(text: str) -> tuple[int, ...]:
     return coeffs
 
 
-def _statement_ids(text: str) -> list[StatementId]:
+def _statement_ids(text: str) -> list:
+    from . import theorems
+
     if text.strip().lower() == "all":
         return list(theorems.ALL_STATEMENTS)
     ids = []
     for token in text.split(","):
         name = token.strip().upper()
         try:
-            ids.append(StatementId[name])
+            ids.append(theorems.StatementId[name])
         except KeyError:
             raise argparse.ArgumentTypeError(f"unknown statement id {token!r}")
     return ids
@@ -103,8 +107,9 @@ _BUILDERS = {
     "theta": lambda limit: f2series.from_exponents(f2series.squares(limit), limit),
     "pentagonal": lambda limit: f2series.from_exponents(
         f2series.generalized_pentagonals(limit), limit),
-    "inv-theta": census.build_B,
-    "inv-pentagonal": census.build_Bstar,
+    "inv-theta": lambda limit: f2series.invert_newton(f2series.squares(limit), limit),
+    "inv-pentagonal": lambda limit: f2series.invert_newton(
+        f2series.generalized_pentagonals(limit), limit),
     "inv-theta7": f2series.inverse_seventh_power,
 }
 
@@ -117,13 +122,15 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import theorems
+
     ids = args.statements
     theorems.check_range(ids, args.lo, args.hi)
     if any(theorems.requires_seventh(i) for i in ids) and not args.inv_theta7:
         raise ValueError("the requested statements need --inv-theta7")
     inv = f2series.read_f2s(args.inv_theta)
     inv7 = f2series.read_f2s(args.inv_theta7) if args.inv_theta7 else None
-    reports = theorems.run_suite(ids, args.lo, args.hi, SeriesContext(inv, inv7))
+    reports = theorems.run_suite(ids, args.lo, args.hi, theorems.SeriesContext(inv, inv7))
     _write_text(theorems.reports_to_csv(reports), args.out)
     return 0 if all(r.violated == 0 for r in reports) else 1
 
@@ -135,6 +142,8 @@ def _half_delta(count: int, x: int) -> str:
 
 
 def _cmd_census(args) -> int:
+    from . import census
+
     b = f2series.read_f2s(args.bitmap)
     table = census.interval_counts(b, args.x, args.intervals)
     lines = ["interval_index,lo,hi,count,count_minus_half_x"]
@@ -147,6 +156,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_alpha(args) -> int:
+    from . import census
+
     b = f2series.read_f2s(args.bitmap)
     sweep = census.alpha_sweep(b, args.max_x, args.step)
     lines = ["x,beta,alpha"]
@@ -157,6 +168,8 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_repcount(args) -> int:
+    from . import quadarith
+
     if args.primitive and not args.signed:
         raise ValueError("--primitive requires --signed")
     if args.signed:
@@ -169,11 +182,15 @@ def _cmd_repcount(args) -> int:
 
 
 def _cmd_classnum(args) -> int:
+    from . import quadarith
+
     print(quadarith.class_number(args.disc))
     return 0
 
 
 def _cmd_jacobi(args) -> int:
+    from . import quadarith
+
     print(quadarith.jacobi(args.a, args.n))
     return 0
 

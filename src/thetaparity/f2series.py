@@ -17,20 +17,25 @@ shifted left by r bits. Each exponent of that group then XORs the copy into
 the accumulator in place at word offset k >> 6, so no per-exponent shift
 allocates. The copy buffer is reused for the next residue: the pentagonal
 exponents hit all 64 residues, and holding every shifted copy at once would
-cost 64 source-sized buffers.
+cost 64 source-sized buffers. The kernel can also return only a window, the
+product's words from some lo on, when the words below are already known.
 
 Reciprocals come from precision doubling: over GF(2) the Newton step for
 h -> 1/g collapses to h <- g*h^2, because g*h^2 - 1/g = g*(h - 1/g)^2
 doubles the error valuation. Squaring itself is the Frobenius map,
 h^2 = h(x^2), so the step never squares a dense series. Splitting g by
 exponent parity, g = A(x^2) + x*B(x^2), gives
-g*h(x^2) = (A*h)(x^2) + x*(B*h)(x^2): the kernel runs on two products of
-half the length, and interleaving their bits (a 256-entry spread table)
-assembles the step. The precisions are chosen from the top, limit,
-ceil(limit/2), ..., 1, so each step exactly doubles what is known and no
-pass is spent on a last odd coefficient. The same split applied three times
-gives 1/g^7 = g*h(x^8) from products of an eighth of the length, one per
-class of exponents mod 8.
+g*h(x^2) = (A*h)(x^2) + x*(B*h)(x^2): the kernel runs on two leaves of half
+the length, and a 256-entry table spreads each leaf's bits to every second
+output bit. The precisions are chosen from the top, limit, ceil(limit/2),
+..., 1, so each step exactly doubles what is known and no pass is spent on
+a last odd coefficient. The output is allocated once at full length and h
+is its prefix: a step from p known coefficients needs the leaves only from
+coefficient floor(p/2) on (a middle product), and their spreads OR the new
+bits in place. The same split by class mod 8 gives 1/g^7 = g*h(x^8) from
+leaves of an eighth of the length, each spread by 8 straight into the
+output. So a build holds the output, one leaf window and one shifted copy
+of that leaf's source, and the spread and carry run in fixed-size chunks.
 
 A quadratic-time sequential recurrence (`invert_recurrence`) and the
 big-int carryless product `mul_dense` are kept alongside as independent
@@ -43,6 +48,7 @@ reading a coefficient at or past `length` raises instead of returning zero.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -90,19 +96,12 @@ class InsufficientBitmapError(ValueError):
         self.have = have
 
 
-def _build_spread_table() -> np.ndarray:
-    # byte -> 16-bit word with bit i moved to bit 2i
-    table = np.zeros(256, dtype=np.uint16)
-    for byte in range(256):
-        spread = 0
-        for i in range(8):
-            spread |= (byte >> i & 1) << (2 * i)
-        table[byte] = spread
-    return table
-
-
-_SPREAD16 = _build_spread_table()
-_POPCOUNT8 = np.array([byte.bit_count() for byte in range(256)], dtype=np.uint8)
+# byte -> one word of 2^s bytes holding its bit i at bit 2^s * i, for s = 0..3
+_SPREAD = [sum((np.arange(256) >> i & 1) << (i << s) for i in range(8))
+           .astype(f"<u{1 << s}") for s in range(4)]
+# source bytes per step of the spread and words per step of a carry: fixed,
+# so neither allocates more than a small temporary however long the series
+_CHUNK = 1 << 13
 
 
 def _mask(nbits: int) -> int:
@@ -199,7 +198,7 @@ class BitSeries:
 
     def popcount(self) -> int:
         """Number of nonzero coefficients."""
-        return int(_POPCOUNT8[self.words.view(np.uint8)].sum())
+        return int(np.bitwise_count(self.words).sum())
 
     def support(self) -> np.ndarray:
         """Sorted exponents of the nonzero coefficients (int64 array)."""
@@ -240,34 +239,20 @@ def from_exponents(e: SparseExponents, limit: int) -> BitSeries:
     return BitSeries(limit, _bits_from_positions(e.exponents, limit))
 
 
-def _interleave(even: np.ndarray, odd: np.ndarray, nbits: int) -> np.ndarray:
-    """Bit i of `even` to position 2i and of `odd` to 2i + 1, below nbits.
-
-    Takes and returns word arrays; with an empty `odd` this is the Frobenius
-    map (squaring). Source bits that land at or past nbits are cleared.
-    """
-    out = np.zeros(4 * ((nbits + 63) // 64), dtype="<u2")
-    for src, shift in ((even, 0), (odd, 1)):
-        # indexing by the uint8 bytes keeps one 16-bit temporary per byte;
-        # np.take would first widen the indices to intp
-        src = src.view(np.uint8)[:len(out)]
-        out[:len(src)] |= (_SPREAD16 << shift)[src]
-    return _clear_padding(out.view("<u8"), nbits)
-
-
 def square(s: BitSeries, limit: int) -> BitSeries:
     """Square of the series, truncated: coefficient n moves to 2n."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    return BitSeries(limit, _interleave(s.words, s.words[:0], limit))
+    return BitSeries(limit, _mul_frobenius(s.words, (0,), 1, limit))
 
 
-def _xor_shifted(src: np.ndarray, exponents, nbits: int) -> np.ndarray:
-    """XOR of src << k over the exponents k < nbits, truncated to nbits.
+def _xor_shifted(src: np.ndarray, exponents, nbits: int, lo: int = 0) -> np.ndarray:
+    """Words lo.. of the XOR of src << k over the exponents k < nbits.
 
-    On word arrays, `exponents` increasing: one shifted copy of the source
-    per residue k mod 64, XORed in place at word offset k >> 6 for each
-    exponent of that residue. Source bits past nbits land in cleared bits.
+    On word arrays, `exponents` increasing, the product truncated to nbits:
+    one shifted copy of the source per residue k mod 64, XORed in place at
+    word offset k >> 6 for each exponent of that residue, only into the
+    window of words from lo on. Source bits past nbits land in cleared bits.
     """
     nwords = (nbits + 63) // 64
     src = src[:nwords]
@@ -278,16 +263,18 @@ def _xor_shifted(src: np.ndarray, exponents, nbits: int) -> np.ndarray:
         if k >= nbits:
             break
         offsets.setdefault(k & 63, []).append(k >> 6)
-    acc = np.zeros(nwords, dtype="<u8")
-    shifted = np.empty_like(acc)
-    carry = np.empty_like(acc)
+    acc = np.zeros(nwords - lo, dtype="<u8")
+    shifted = np.empty_like(src)
     for r, words in offsets.items():
         np.left_shift(src, r, out=shifted)
         if r:
-            np.right_shift(src[:-1], 64 - r, out=carry[1:])
-            shifted[1:] |= carry[1:]
+            # OR in the bits carried out of the word below, a chunk at a time
+            for i in range(1, nwords, _CHUNK):
+                j = min(i + _CHUNK, nwords)
+                shifted[i:j] |= src[i - 1:j - 1] >> (64 - r)
         for q in words:
-            acc[q:] ^= shifted[:nwords - q]
+            start = max(q, lo)
+            acc[start - lo:] ^= shifted[start - q:nwords - q]
     return _clear_padding(acc, nbits)
 
 
@@ -327,35 +314,52 @@ def _check_invertible(e: SparseExponents, limit: int) -> None:
         raise NotInvertibleError("constant term is 0, no reciprocal exists")
 
 
-def _mul_frobenius(h: np.ndarray, exponents, s: int, nbits: int) -> np.ndarray:
-    """g * h(x^(2^s)) truncated to nbits, g the sparse series of `exponents`.
+def _mul_frobenius(h: np.ndarray, exponents, s: int, nbits: int,
+                   out: np.ndarray | None = None, lo: int = 0) -> np.ndarray:
+    """OR g * h(x^(2^s)), truncated to nbits, into out; g has `exponents`.
 
-    Splits g by exponent parity, g = A(x^2) + x*B(x^2), so that
-    g*h(x^2) = (A*h)(x^2) + x*(B*h)(x^2): the even coefficients come from
-    A*h on ceil(nbits/2) coefficients and the odd ones from B*h on
-    floor(nbits/2), and the Frobenius spread interleaves the two. Recursing
-    s times puts the word kernel on 2^s products of length nbits/2^s.
+    Splits g by exponent class mod 2^s, g = sum over c of x^c G_c(x^(2^s)),
+    so that g*h(x^(2^s)) = sum over c of x^c (G_c*h)(x^(2^s)). Each class
+    present is one leaf, the word kernel's G_c*h on ceil((nbits - c)/2^s)
+    coefficients, and the leaf's bit i is spread to bit 2^s*i + c of `out`
+    (a fresh zero array when None) through a 256-entry table, a few
+    thousand bytes at a time. Only leaf words from lo on are computed and
+    spread, into the output words from 2^s*lo on. Spreading ORs, so output
+    bits that are already right stay right, and `h` may be a prefix of
+    `out` as long as each leaf reads none of the bits the spreads change.
     """
-    exps = [k for k in exponents if k < nbits]
-    if not exps:
-        return np.zeros((nbits + 63) // 64, dtype="<u8")
-    if s == 0:
-        return _xor_shifted(h, exps, nbits)
-    a = _mul_frobenius(h, [k >> 1 for k in exps if not k & 1], s - 1, (nbits + 1) // 2)
-    b = _mul_frobenius(h, [k >> 1 for k in exps if k & 1], s - 1, nbits // 2)
-    return _interleave(a, b, nbits)
+    if out is None:
+        out = np.zeros((nbits + 63) // 64, dtype="<u8")
+    m = 1 << s
+    exponents = exponents[:bisect.bisect_left(exponents, nbits)]
+    for c in range(min(m, nbits)):
+        exps = [k >> s for k in exponents if k & (m - 1) == c]
+        if not exps:
+            continue
+        table = _SPREAD[s] << c
+        dst = out.view(table.dtype)[8 * lo:]
+        leaf = _xor_shifted(h, exps, (nbits - c + m - 1) >> s, lo).view(np.uint8)
+        leaf = leaf[:len(dst)]
+        dst = dst[:len(leaf)]
+        for i in range(0, len(leaf), _CHUNK):
+            dst[i:i + _CHUNK] |= table[leaf[i:i + _CHUNK]]
+        del leaf  # one leaf alive at a time
+    return out
 
 
 def invert_newton(e: SparseExponents, limit: int) -> BitSeries:
-    """Reciprocal of the sparse series g by precision doubling.
+    """Reciprocal of the sparse series g by precision doubling, in place.
 
     Over GF(2) the Newton step is h <- g*h^2 = g*h(x^2), since
     g*h^2 - 1/g = g*(h - 1/g)^2 doubles the number of correct coefficients.
     The precisions are built from the top: limit, ceil(limit/2),
     ceil(limit/4), ..., 1, run in reverse from h = 1, so every step exactly
-    doubles a known prefix and the last one lands on `limit`. Each step
-    splits g by parity (see `_mul_frobenius`), so the word kernel only runs
-    on half-length products.
+    doubles a known prefix and the last one lands on `limit`. The output of
+    `limit` coefficients is allocated once and h is its prefix. A step from
+    p known coefficients to P splits g by parity (see `_mul_frobenius`) and
+    needs the two half-length leaves only from coefficient floor(p/2) on:
+    below it both reproduce h. So each leaf computes the words from
+    floor(floor(p/2)/64) on, and its spread ORs them into the output.
     """
     _check_invertible(e, limit)
     ladder = []
@@ -363,9 +367,11 @@ def invert_newton(e: SparseExponents, limit: int) -> BitSeries:
     while prec > 1:
         ladder.append(prec)
         prec = (prec + 1) // 2
-    h = np.ones(1, dtype="<u8")
+    h = np.zeros((limit + 63) // 64, dtype="<u8")
+    h[0] = 1
     for prec in reversed(ladder):
-        h = _mul_frobenius(h, e.exponents, 1, prec)
+        # p = ceil(prec/2) is known, and floor(p/2) = floor((prec + 1)/4)
+        _mul_frobenius(h, e.exponents, 1, prec, h, (prec + 1) // 4 // 64)
     return BitSeries(limit, h)
 
 
@@ -404,10 +410,11 @@ def inverse_seventh_power(limit: int) -> BitSeries:
     """Reciprocal of the 7th power of the squares theta series g.
 
     Uses 1/g^7 = g * (1/g)^8 = g * h(x^8) with h = 1/g, which only needs h
-    to ceil(limit/8) coefficients. Three parity splits of g (see
-    `_mul_frobenius`) turn the product into word-kernel products of length
-    about limit/8, one per class of exponents mod 8 (squares fall in the
-    classes 0, 1 and 4).
+    to ceil(limit/8) coefficients. Splitting g by exponent class mod 8 (see
+    `_mul_frobenius`) turns the product into word-kernel leaves of length
+    about limit/8, one per class present: squares fall in the classes 0, 1
+    and 4, and each of the three leaves is spread by 8 straight into the
+    output.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")

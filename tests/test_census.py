@@ -49,6 +49,25 @@ def test_load_and_scans_hold_one_copy(tmp_path):
     assert retained <= 1.1 * size
 
 
+def test_small_scans_allocate_only_what_they_read():
+    # a scan of 4096 entries of the 15 mod 16 column (or of each residue
+    # column) allocates about that many bytes, not half the bitmap
+    b = tp.build_B((1 << 23) + 1)
+    scans = [lambda: tp.interval_counts(b, 512, 8),
+             lambda: tp.alpha_sweep(b, 4096, 64),
+             lambda: tp.residue_class_counts(b, 16 * 4096),
+             lambda: tp.non15_count(b, 16 * 4096 - 1)]
+    for scan in scans:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            scan()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 << 10
+
+
 def test_build_b_first_terms():
     assert tp.build_B(14).support().tolist() == [0, 1, 2, 3, 5, 7, 8, 9, 13]
 

@@ -363,3 +363,23 @@ def test_subprocess_end_to_end(tmp_path):
         capture_output=True, text=True)
     assert ver.returncode == 0
     assert ver.stdout.splitlines()[1].startswith("T1_1,0,1000,")
+
+
+def test_subcommands_import_only_their_layers(tmp_path):
+    # a fresh process compiles every module it imports, so gen, census and
+    # alpha must not pull in the statement registry or the arithmetic oracles
+    probe = ("import sys\n"
+             "from thetaparity.cli import main\n"
+             "main(sys.argv[1:])\n"
+             "print(sorted(m for m in sys.modules if m.startswith('thetaparity.')))\n")
+    bmp = str(tmp_path / "b.f2s")
+    for argv, layers in (
+            (["gen", "inv-theta", "2^12", "--out", bmp], ["cli", "f2series"]),
+            (["gen", "inv-theta7", "2^12", "--out", bmp], ["cli", "f2series"]),
+            (["census", "--bitmap", bmp, "--x", "2^4", "--intervals", "4"],
+             ["census", "cli", "f2series"]),
+            (["alpha", "--bitmap", bmp, "--max-x", "2^6", "--step", "2^2"],
+             ["census", "cli", "f2series"])):
+        out = subprocess.run([sys.executable, "-c", probe, *argv],
+                             capture_output=True, text=True, check=True).stdout
+        assert out.splitlines()[-1] == str([f"thetaparity.{m}" for m in layers]), argv

@@ -8,6 +8,7 @@ argument everything else leans on.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,16 +311,76 @@ def test_parity_split_matches_big_int_reference(limit):
                 assert got.bits == frobenius_product_bits(h.bits, exps, s, limit)
 
 
-def record_kernel_lengths(monkeypatch) -> list:
-    lengths = []
+@pytest.mark.parametrize("limit", KERNEL_LENGTHS)
+def test_kernel_window_is_a_suffix_of_the_product(limit):
+    # words lo.. of the product, for windows that start at 0, 1, half way and
+    # at the last word, exponents below and above 64*lo and every residue
+    rng = random.Random(2000 + limit)
+    nwords = -(-limit // 64)
+    for lo in sorted({0, 1, nwords // 2, nwords - 1} & set(range(nwords))):
+        # the last exponent below the window's first bit, the one on it and
+        # the largest one below limit
+        edges = {max(0, 64 * lo - 1), 64 * lo, limit - 1}
+        for exps in (tuple(sorted({*every_residue_exponents(rng, limit), *edges})),
+                     f2.generalized_pentagonals(2 * limit).exponents):
+            for length in (max(1, limit // 2), limit, 2 * limit):
+                s = random_series(rng, length)
+                full = int_words(shift_xor_bits(s.bits, exps, limit), limit)
+                got = f2._xor_shifted(s.words, exps, limit, lo)
+                assert np.array_equal(got, full[lo:])
+
+
+def test_chunk_boundaries_do_not_change_results(monkeypatch):
+    # the carry and the spread run in chunks of _CHUNK words or bytes; with
+    # chunks of 3 every build crosses many chunk boundaries
+    limit = 4097
+    s = random_series(random.Random(77), limit)
+    pent = f2.generalized_pentagonals(limit)
+    builds = [lambda: f2.invert_newton(f2.squares(limit), limit),
+              lambda: f2.invert_newton(pent, limit),
+              lambda: f2.inverse_seventh_power(limit),
+              lambda: f2.mul_sparse(s, pent, limit),
+              lambda: f2.square(s, limit)]
+    expect = [build() for build in builds]
+    monkeypatch.setattr(f2, "_CHUNK", 3)
+    assert [build() for build in builds] == expect
+
+
+def traced_peak(fn):
+    # (result, peak bytes traced while fn ran, bytes traced before it)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1], base
+    finally:
+        tracemalloc.stop()
+
+
+def test_builds_hold_one_output_and_one_leaf():
+    # peak traced bytes per byte of the result's words at 2^23+1, where the
+    # fixed-size spread and carry chunks and the exponent lists are small:
+    # the output, one leaf window and one shifted copy of the source
+    limit = (1 << 23) + 1
+    for build, bound in ((tp.build_B, 2.75), (tp.build_Bstar, 2.75),
+                         (f2.inverse_seventh_power, 2.0)):
+        result, peak, _ = traced_peak(lambda: build(limit))
+        assert peak <= bound * result.words.nbytes, build.__name__
+    _, peak, base = traced_peak(result.popcount)
+    assert peak - base <= 0.25 * result.words.nbytes
+
+
+def record_kernel_calls(monkeypatch) -> list:
+    # (nbits, lo) of every word-kernel call, which still runs
+    calls = []
     kernel = f2._xor_shifted
 
-    def recording(words, exponents, nbits):
-        lengths.append(nbits)
-        return kernel(words, exponents, nbits)
+    def recording(words, exponents, nbits, lo=0):
+        calls.append((nbits, lo))
+        return kernel(words, exponents, nbits, lo)
 
     monkeypatch.setattr(f2, "_xor_shifted", recording)
-    return lengths
+    return calls
 
 
 @pytest.mark.parametrize("k", (4, 9, 13))
@@ -328,21 +389,44 @@ def test_newton_ladder_runs_half_length_products(monkeypatch, k):
     # leaves of at most ceil(L/2) coefficients, and no extra pass at 2^k+1.
     # The leaf lengths of one step add up to its precision, so they total
     # L + ceil(L/2) + ... + 2, which is 2L + k - 2 at L = 2^k + 1.
-    lengths = record_kernel_lengths(monkeypatch)
+    calls = record_kernel_calls(monkeypatch)
     for limit in (2**k + 1, 2**k, 2**k - 1):
         for gen in (f2.squares, f2.generalized_pentagonals):
-            lengths.clear()
+            calls.clear()
             f2.invert_newton(gen(limit), limit)
+            lengths = [nbits for nbits, _ in calls]
             assert max(lengths) <= (limit + 1) // 2 + 1
             assert sum(lengths) < 2 * limit + limit.bit_length()
 
 
 @pytest.mark.parametrize("k", (4, 9, 13))
-def test_seventh_power_runs_eighth_length_products(monkeypatch, k):
-    lengths = record_kernel_lengths(monkeypatch)
+def test_newton_leaves_skip_known_prefix(monkeypatch, k):
+    # a step from p known coefficients to P runs the even leaf on ceil(P/2)
+    # and the odd one on floor(P/2) coefficients, and both start at word
+    # floor(floor(p/2)/64): below coefficient floor(p/2) they reproduce h
+    calls = record_kernel_calls(monkeypatch)
     for limit in (2**k + 1, 2**k, 2**k - 1):
-        lengths.clear()
+        for gen in (f2.squares, f2.generalized_pentagonals):
+            ladder = [limit]
+            while ladder[-1] > 2:
+                ladder.append((ladder[-1] + 1) // 2)
+            expect = []
+            for prec in reversed(ladder):
+                lo = (prec + 1) // 2 // 2 // 64
+                expect += [((prec + 1) // 2, lo), (prec // 2, lo)]
+            calls.clear()
+            f2.invert_newton(gen(limit), limit)
+            assert calls == expect
+            assert any(lo for _, lo in calls) == (k > 4)
+
+
+@pytest.mark.parametrize("k", (4, 9, 13))
+def test_seventh_power_runs_eighth_length_products(monkeypatch, k):
+    calls = record_kernel_calls(monkeypatch)
+    for limit in (2**k + 1, 2**k, 2**k - 1):
+        calls.clear()
         f2.inverse_seventh_power(limit)
+        lengths = [nbits for nbits, _ in calls]
         assert max(lengths) <= (limit + 7) // 8 + 1
         assert sum(lengths) < 2 * limit
 
