@@ -278,10 +278,18 @@ def _xor_shifted(src: np.ndarray, exponents, nbits: int, lo: int = 0) -> np.ndar
     return _clear_padding(acc, nbits)
 
 
-def mul_sparse(s: BitSeries, e: SparseExponents, limit: int) -> BitSeries:
-    """Product with a sparse series: XOR of one shifted copy per exponent."""
+def _check_complete(e: SparseExponents, limit: int) -> None:
     if limit < 1:
         raise ValueError("limit must be >= 1")
+    if e.limit < limit:
+        raise ValueError(
+            f"exponent list is complete only below {e.limit}, need {limit}"
+        )
+
+
+def mul_sparse(s: BitSeries, e: SparseExponents, limit: int) -> BitSeries:
+    """Product with a sparse series: XOR of one shifted copy per exponent."""
+    _check_complete(e, limit)
     return BitSeries(limit, _xor_shifted(s.words, e.exponents, limit))
 
 
@@ -304,12 +312,7 @@ def mul_dense(a: BitSeries, b: BitSeries, limit: int) -> BitSeries:
 
 
 def _check_invertible(e: SparseExponents, limit: int) -> None:
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    if e.limit < limit:
-        raise ValueError(
-            f"exponent list is complete only below {e.limit}, need {limit}"
-        )
+    _check_complete(e, limit)
     if not e.exponents or e.exponents[0] != 0:
         raise NotInvertibleError("constant term is 0, no reciprocal exists")
 

@@ -471,10 +471,6 @@ def class_number(d: int) -> int:
     return h
 
 
-# solutions (a, b, c) that class_numbers collects before one bincount
-_FORM_BLOCK = 1 << 20
-
-
 def class_numbers(scale: int, residue: int, lo: int, hi: int) -> np.ndarray:
     """h[i] = class_number(-scale * n) at n = lo + i when n = residue mod 8.
 
@@ -483,8 +479,8 @@ def class_numbers(scale: int, residue: int, lo: int, hi: int) -> np.ndarray:
     residue class: for each a and each 0 <= b <= a, the c >= a with
     4ac - b^2 = scale * n for an n of the class form one arithmetic
     progression, cut to the window. A form with 0 < b < a < c stands for
-    itself and (a, -b, c). Counts are summed per block of at most
-    _FORM_BLOCK forms into an array the size of the class in the window.
+    itself and (a, -b, c). Each a adds its forms' exact counts in place to
+    the window's entries of the class.
     """
     if scale < 1 or not 0 <= residue < 8 or (-scale * residue) % 4 not in (0, 1):
         raise ValueError("-scale * n must be a discriminant for n = residue mod 8")
@@ -499,17 +495,6 @@ def class_numbers(scale: int, residue: int, lo: int, hi: int) -> np.ndarray:
     mod = 8 * scale
     target = scale * residue % mod
     counts = np.zeros(size, dtype=np.int64)
-    index: list[np.ndarray] = []
-    weight: list[np.ndarray] = []
-
-    def flush():
-        if index:
-            counts[:] += np.rint(np.bincount(np.concatenate(index), np.concatenate(weight),
-                                             minlength=size)).astype(np.int64)
-            index.clear()
-            weight.clear()
-
-    pending = 0
     for a in range(1, math.isqrt(d_hi // 3) + 1):
         # 4ac = b^2 + target (mod 8 * scale) has solutions c iff g divides
         # the right side, and then they form one class mod `step`
@@ -533,12 +518,6 @@ def class_numbers(scale: int, residue: int, lo: int, hi: int) -> np.ndarray:
         gcd_ab = np.repeat(np.gcd(bs, a), runs)
         primitive = (gcd_ab == 1) | (np.gcd(gcd_ab, c) == 1)
         twins = (b > 0) & (b < a) & (c > a)
-        index.append((4 * a * c - b * b - d_lo) // mod)
-        weight.append(primitive * (1.0 + twins))
-        pending += total
-        if pending >= _FORM_BLOCK:
-            flush()
-            pending = 0
-    flush()
+        np.add.at(counts, (4 * a * c - b * b - d_lo) // mod, primitive * (1 + twins))
     h[first - lo :: 8] = counts
     return h

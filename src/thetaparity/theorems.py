@@ -505,10 +505,10 @@ def requires_seventh(sid: StatementId) -> bool:
     return _REGISTRY[sid].needs_seventh
 
 
-def applicable(sid: StatementId, n: int) -> bool:
-    """True when the statement's congruence/side condition covers n."""
+def applicable(sid: StatementId, n: int | np.ndarray) -> bool | np.ndarray:
+    """True when the statement's condition covers n; a mask for an array n."""
     stmt = _REGISTRY[sid]
-    return n >= stmt.minimum and n % stmt.modulus == stmt.residue
+    return (n >= stmt.minimum) & (n % stmt.modulus == stmt.residue)
 
 
 def verify(sid: StatementId, n: int, ctx: SeriesContext) -> Verdict:
@@ -543,10 +543,9 @@ class TheoremReport:
 
 
 def _scan(sid: StatementId, columns: _Columns):
-    stmt = _REGISTRY[sid]
     n, lo = columns.n, columns.lo
-    app = (n % stmt.modulus == stmt.residue) & (n >= stmt.minimum)
-    ok, vacuous = stmt.batch(columns, app)
+    app = applicable(sid, n)
+    ok, vacuous = _REGISTRY[sid].batch(columns, app)
     vacuous = app & vacuous
     bad = np.flatnonzero(app & ~vacuous & ~ok)
     # witnesses come from the scalar oracle, which must agree that they fail
@@ -566,8 +565,8 @@ def _scan(sid: StatementId, columns: _Columns):
 def check_range(ids: Iterable[StatementId], lo: int, hi: int) -> None:
     """Raise ValueError unless run_suite supports [lo, hi] for these statements.
 
-    The class-number statements stop at CLASS_NUMBER_HI_MAX: their form
-    enumeration grows like hi^1.5.
+    The class-number statements stop at CLASS_NUMBER_HI_MAX, for memory: the
+    FFT tables of their r3 columns need about 100 bytes per entry.
     """
     if lo < 0 or hi < lo:
         raise ValueError("need 0 <= lo <= hi")

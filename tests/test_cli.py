@@ -4,8 +4,10 @@ Most cases drive main() in process; one end-to-end case goes through a real
 subprocess to check interpreter-level exit codes.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,11 @@ from thetaparity.cli import main
 
 def run(args):
     return main(args)
+
+
+# child processes import the package from where this process found it
+_CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+    str(Path(tp.__file__).parents[1]), os.environ.get("PYTHONPATH"))))}
 
 
 def test_gen_writes_loadable_bitmap(tmp_path, capsys):
@@ -116,6 +123,12 @@ def test_verify_exit_three_on_short_bitmap(tmp_path, capsys):
     assert run(["verify", "T1_1", "0", "100", "--inv-theta", str(bmp)]) == 3
     err = capsys.readouterr().err
     assert "101" in err
+    bmp7 = tmp_path / "b7.f2s"
+    run(["gen", "inv-theta7", "16", "--out", str(bmp7)])
+    capsys.readouterr()
+    assert run(["verify", "L3_5", "0", "100", "--inv-theta", str(bmp),
+                "--inv-theta7", str(bmp7)]) == 3
+    assert "1/g^7 bitmap holds 16 coefficients" in capsys.readouterr().err
 
 
 def test_verify_exit_one_on_violation(tmp_path, capsys):
@@ -354,13 +367,13 @@ def test_subprocess_end_to_end(tmp_path):
     gen = subprocess.run(
         [sys.executable, "-m", "thetaparity", "gen", "inv-theta", "2^10",
          "--out", str(bmp)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_CHILD_ENV)
     assert gen.returncode == 0
     assert "set bits" in gen.stdout
     ver = subprocess.run(
         [sys.executable, "-m", "thetaparity", "verify", "T1_1,T1_2", "0", "1000",
          "--inv-theta", str(bmp)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_CHILD_ENV)
     assert ver.returncode == 0
     assert ver.stdout.splitlines()[1].startswith("T1_1,0,1000,")
 
@@ -381,5 +394,6 @@ def test_subcommands_import_only_their_layers(tmp_path):
             (["alpha", "--bitmap", bmp, "--max-x", "2^6", "--step", "2^2"],
              ["census", "cli", "f2series"])):
         out = subprocess.run([sys.executable, "-c", probe, *argv],
-                             capture_output=True, text=True, check=True).stdout
+                             capture_output=True, text=True, check=True,
+                             env=_CHILD_ENV).stdout
         assert out.splitlines()[-1] == str([f"thetaparity.{m}" for m in layers]), argv

@@ -484,6 +484,30 @@ def test_invert_requires_complete_exponents():
         f2.invert_recurrence(e, 11)
 
 
+def test_mul_sparse_requires_complete_exponents():
+    # squares(100) says nothing about g at 100 and above, so a product to
+    # 1000 would be the product by a truncated g
+    with pytest.raises(ValueError, match="complete only below 100, need 1000"):
+        f2.mul_sparse(tp.build_B(1000), f2.squares(100), 1000)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("squares", ()),
+    ("generalized_pentagonals", ()),
+    ("from_exponents", (SparseExponents((0,), 8),)),
+    ("square", (BitSeries(8, 1),)),
+    ("mul_sparse", (BitSeries(8, 1), SparseExponents((0,), 8))),
+    ("mul_dense", (BitSeries(8, 1), BitSeries(8, 1))),
+    ("invert_newton", (SparseExponents((0,), 8),)),
+    ("invert_recurrence", (SparseExponents((0,), 8),)),
+    ("inverse_seventh_power", ()),
+])
+def test_public_functions_reject_limit_below_one(name, args):
+    for limit in (0, -1):
+        with pytest.raises(ValueError, match="limit must be >= 1"):
+            getattr(f2, name)(*args, limit)
+
+
 def test_inverse_theta_first_terms():
     # worked by hand from the recurrence b_n = sum b_{n-k^2}
     inv = f2.invert_newton(f2.squares(14), 14)

@@ -142,6 +142,11 @@ def test_theta_product_table_precision_check(monkeypatch):
     assert qa.theta_product_table((1, 1, 1), 100)[5] == 6  # 4 + 1 + 0, ordered
 
 
+def test_theta_product_table_rejects_negative_length():
+    with pytest.raises(ValueError, match="nonnegative"):
+        qa.theta_product_table((1, 1, 1), -1)
+
+
 def test_primitive_signed_r3_table_matches_per_query():
     table = qa.primitive_signed_r3_table(3000)
     assert table[0] == 0 == qa.count_signed_representations(0, (1, 1, 1), primitive=True)
@@ -167,9 +172,11 @@ def test_factor_columns_match_factorize():
 
 
 def test_class_numbers_match_class_number():
-    # every discriminant the suite asks for up to hi = 2000, and windows
+    # every discriminant the suite asks for up to hi = 2000, and windows, the
+    # last at the top of a 10^6 run, where each n sums many leading a
     for scale, residue in ((1, 3), (8, 7)):
-        for lo, hi in ((0, 2000), (0, 0), (3, 3), (1001, 1700), (5, 9), (8, 14)):
+        for lo, hi in ((0, 2000), (0, 0), (3, 3), (1001, 1700), (5, 9), (8, 14),
+                       (10**6 - 64, 10**6)):
             h = qa.class_numbers(scale, residue, lo, hi)
             assert h.shape == (hi - lo + 1,)
             for i, n in enumerate(range(lo, hi + 1)):
@@ -338,6 +345,15 @@ def test_factorize_roundtrip():
         assert prod == n
     assert qa.factorize(1).pairs == ()
     assert qa.factorize(360).pairs == ((2, 3), (3, 2), (5, 1))
+
+
+def test_factorization_rejects_inconsistent_pairs():
+    with pytest.raises(ValueError, match="increasing primes"):
+        qa.Factorization(15, ((5, 1), (3, 1)))
+    with pytest.raises(ValueError, match="9 is not prime"):
+        qa.Factorization(18, ((2, 1), (9, 1)))
+    with pytest.raises(ValueError, match="multiply back"):
+        qa.Factorization(16, ((2, 3),))
 
 
 def test_factorize_beyond_trial_division():

@@ -282,9 +282,19 @@ def test_run_suite_coverage_errors(ctx20k):
     assert exc.value.needed == 101
     with pytest.raises(ValueError):
         th.run_suite([StatementId.L3_5], 0, 33, short)
+    short7 = tp.SeriesContext(ctx20k.inv_theta, tp.inverse_seventh_power(64))
+    with pytest.raises(InsufficientBitmapError) as exc:
+        th.run_suite([StatementId.L3_5], 0, 100, short7)
+    assert exc.value.needed == 101
     # counting-only statements never touch the bitmap, so a short one is fine
     reports = th.run_suite([StatementId.GAUSS_24H], 0, 500, short)
     assert reports[0].violated == 0
+
+
+def test_report_tallies_must_sum_to_the_range():
+    with pytest.raises(ValueError, match="sum to the range"):
+        th.TheoremReport(StatementId.T1_1, 0, 10, 5, 0, 0, 5, (), 0)
+    assert th.TheoremReport(StatementId.T1_1, 0, 10, 5, 0, 0, 6, (), 0).holds == 5
 
 
 def test_run_suite_reports_violations_with_witness(ctx20k):
