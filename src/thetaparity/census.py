@@ -3,9 +3,12 @@
 B is the support of 1/g for the squares theta series g; B* is the analogue
 for the generalized pentagonal generator, whose reciprocal carries the
 partition parities. Bitmaps are built once through the inversion kernels and
-then scanned read-only through the byte view of their words: members = r mod
-16 are bit r & 7 of every second byte, so a residue class is one strided
-numpy slice and every count is a sum over it.
+then scanned read-only through the byte view of their words, with the
+standard library alone. A range of coefficients that starts at a multiple
+of 16 is read as Python ints of at most one fixed block of bytes; members
+= r mod 16 are bit r of every 16-bit group of such an int, so every count
+is the popcount of the int under a mask with period 16, and a scan holds a
+few blocks whatever its length.
 
 beta(x) counts members of B that are congruent to 15 mod 16 and smaller than
 16x. Among the 16x - 1 positive integers below 16x, exactly x lie in that
@@ -20,13 +23,10 @@ by integer cross-multiplication, so no verdict hinges on float rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import accumulate
+from typing import Iterator, NamedTuple
 
-import numpy as np
-
-from . import f2series
-from .f2series import BitSeries, InsufficientBitmapError
+from .bitseries import _BLOCK, BitSeries, InsufficientBitmapError
 
 __all__ = [
     "CensusTable",
@@ -43,24 +43,50 @@ __all__ = [
 
 def build_B(limit: int) -> BitSeries:
     """Membership bitmap of B: reciprocal of the squares theta series."""
+    from . import f2series
+
     return f2series.invert_newton(f2series.squares(limit), limit)
 
 
 def build_Bstar(limit: int) -> BitSeries:
     """Membership bitmap of B*: reciprocal of the pentagonal-number series."""
+    from . import f2series
+
     return f2series.invert_newton(f2series.generalized_pentagonals(limit), limit)
 
 
-def _residue(b: BitSeries, r: int, count: int) -> np.ndarray:
-    # entry i < count is the coefficient of 16i + r: bit r & 7 of byte
-    # 2i + (r >> 3); slicing first keeps the temporary to `count` bytes
-    col = b.words.view(np.uint8)[r >> 3::2][:count] >> (r & 7)
-    col &= 1
-    return col
+def _popcounts(b: BitSeries, residue: int | None, width: int, stop: int) -> Iterator[int]:
+    """Members = residue mod 16 (every member for None) of b in
+    [lo, min(lo + width, stop)), for lo = 0, width, 2 * width, ... below stop.
+
+    Either width is a multiple of 16 that divides stop, or width >= stop. A
+    group of at most a block is one read; a longer group is read a block at
+    a time. The mask selects bit `residue` of every 16-bit group and is as
+    long as the longest read.
+    """
+    data = b.data
+    mask = -1 if residue is None else int.from_bytes(
+        b"\x01\x00" * ((min(width, stop, 8 * _BLOCK) + 15) // 16), "little") << residue
+    if width < stop and width <= 8 * _BLOCK:
+        # the block loop below gives the same counts; per short group it
+        # costs a quarter more (alpha steps of 2^10 entries on 2^28 bits)
+        step = width >> 3
+        for i in range(0, stop >> 3, step):
+            yield (int.from_bytes(data[i:i + step], "little") & mask).bit_count()
+        return
+    for lo in range(0, stop, width):
+        hi = min(lo + width, stop)
+        count = 0
+        for i in range(lo, hi, 8 * _BLOCK):
+            j = min(i + 8 * _BLOCK, hi)
+            v = int.from_bytes(data[i >> 3:(j + 7) >> 3], "little") & mask
+            if j & 7:
+                v &= (1 << (j - i)) - 1
+            count += v.bit_count()
+        yield count
 
 
-@dataclass(frozen=True)
-class CensusTable:
+class CensusTable(NamedTuple):
     """Counts of members = `residue` mod `modulus` per index interval.
 
     Interval j covers [j * interval_width, (j+1) * interval_width); members
@@ -87,8 +113,8 @@ def interval_counts(b: BitSeries, x: int, intervals: int) -> CensusTable:
     needed = width * intervals
     if b.length < needed:
         raise InsufficientBitmapError(needed, b.length)
-    counts = _residue(b, 15, x * intervals).reshape(intervals, x).sum(axis=1)
-    return CensusTable(16, 15, x, width, tuple(counts.tolist()))
+    counts = _popcounts(b, 15, width, needed)
+    return CensusTable(16, 15, x, width, tuple(counts))
 
 
 class SweepRow(NamedTuple):
@@ -102,6 +128,11 @@ _ALPHA_LOW = (-22, 100)     # -1.1
 _ALPHA_HIGH = (58, 2500)    # 0.58
 
 
+def _pair(row: SweepRow) -> tuple[int, int]:
+    """The (d, x) pair of a sweep row, d = 2 beta - x."""
+    return (2 * row.beta - row.x, row.x)
+
+
 def _alpha_order(p: tuple[int, int], q: tuple[int, int]) -> int:
     """Sign of alpha(p) - alpha(q) for pairs (d, x), d = 2 beta - x; exact."""
     lhs = p[0] * abs(p[0]) * q[1]
@@ -109,8 +140,7 @@ def _alpha_order(p: tuple[int, int], q: tuple[int, int]) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-@dataclass(frozen=True)
-class AlphaSweep:
+class AlphaSweep(NamedTuple):
     """beta and alpha at every multiple of `step` up to `max_x`.
 
     argmin/argmax break ties toward the smaller x, decided exactly.
@@ -122,7 +152,7 @@ class AlphaSweep:
 
     def all_within(self) -> bool:
         """Strictly -1.1 < alpha < 0.58 on every row, in exact arithmetic."""
-        pairs = ((2 * r.beta - r.x, r.x) for r in self.rows)
+        pairs = map(_pair, self.rows)
         return all(_alpha_order(_ALPHA_LOW, p) < 0 and _alpha_order(p, _ALPHA_HIGH) < 0
                    for p in pairs)
 
@@ -133,32 +163,39 @@ def alpha_sweep(b: BitSeries, max_x: int, step: int) -> AlphaSweep:
         raise ValueError("need 1 <= step <= max_x")
     if b.length < 16 * max_x:
         raise InsufficientBitmapError(16 * max_x, b.length)
-    steps = max_x // step
-    per_step = _residue(b, 15, steps * step).reshape(steps, step).sum(axis=1)
     xs = range(step, max_x + 1, step)
-    betas = np.cumsum(per_step).tolist()
-    rows = [SweepRow(x, beta, (beta - x / 2) / math.sqrt(x)) for x, beta in zip(xs, betas)]
-    pairs = [(2 * beta - x, x) for x, beta in zip(xs, betas)]
-    lo = hi = 0
-    for i, p in enumerate(pairs):
-        if _alpha_order(p, pairs[lo]) < 0:
-            lo = i
-        if _alpha_order(p, pairs[hi]) > 0:
-            hi = i
-    return AlphaSweep(tuple(rows), rows[lo], rows[hi])
+    betas = accumulate(_popcounts(b, 15, 16 * step, 16 * xs[-1]))
+    rows = tuple(SweepRow(x, beta, (beta - x / 2) / math.sqrt(x))
+                 for x, beta in zip(xs, betas))
+    lo = hi = rows[0]
+    lo_pair = hi_pair = _pair(lo)
+    for row in rows:
+        p = _pair(row)
+        if _alpha_order(p, lo_pair) < 0:
+            lo, lo_pair = row, p
+        if _alpha_order(p, hi_pair) > 0:
+            hi, hi_pair = row, p
+    return AlphaSweep(rows, lo, hi)
 
 
-def residue_class_counts(b: BitSeries, limit: int) -> np.ndarray:
-    """Members below `limit` in each residue class mod 16 (16-entry array)."""
+def _check_limit(b: BitSeries, limit: int) -> None:
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if limit > b.length:
         raise InsufficientBitmapError(limit, b.length)
-    return np.array([_residue(b, r, (limit - r + 15) // 16).sum()
-                     for r in range(16)], dtype=np.int64)
+
+
+def residue_class_counts(b: BitSeries, limit: int):
+    """Members below `limit` in each residue class mod 16 (16-entry int64 array)."""
+    import numpy as np
+
+    _check_limit(b, limit)
+    return np.array([sum(_popcounts(b, r, limit, limit)) for r in range(16)],
+                    dtype=np.int64)
 
 
 def non15_count(b: BitSeries, n_max: int) -> int:
     """Members n <= n_max with n not congruent to 15 mod 16."""
-    counts = residue_class_counts(b, n_max + 1)
-    return int(counts.sum() - counts[15])
+    limit = n_max + 1
+    _check_limit(b, limit)
+    return sum(_popcounts(b, None, limit, limit)) - sum(_popcounts(b, 15, limit, limit))

@@ -7,7 +7,8 @@ violations or I/O failure, 2 for usage errors, for every argument the
 library rejects with ValueError and for queries too large for memory, 3 when
 a bitmap is too short for the requested scan. `main` is the only place that
 maps an exception to an exit code. Each handler and argument type imports
-the layers it uses, so `gen` loads only the series kernel.
+the layers it uses: only `gen` loads the series kernel, and `census` and
+`alpha` read and scan bitmaps without numpy.
 
 Integer arguments accept small arithmetic expressions such as 65536,
 2^23+1 or 5*2^10, which keeps reproduction runs copy-pasteable. One leading
@@ -20,8 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import f2series
-from .f2series import BitmapFormatError, InsufficientBitmapError
+from .bitseries import BitmapFormatError, InsufficientBitmapError, read_f2s, write_f2s
 
 __all__ = ["main"]
 
@@ -103,20 +103,21 @@ def _write_text(text: str, path: str | None) -> None:
         fh.write(text)
 
 
-_BUILDERS = {
-    "theta": lambda limit: f2series.from_exponents(f2series.squares(limit), limit),
-    "pentagonal": lambda limit: f2series.from_exponents(
-        f2series.generalized_pentagonals(limit), limit),
-    "inv-theta": lambda limit: f2series.invert_newton(f2series.squares(limit), limit),
-    "inv-pentagonal": lambda limit: f2series.invert_newton(
-        f2series.generalized_pentagonals(limit), limit),
-    "inv-theta7": f2series.inverse_seventh_power,
-}
+_SERIES = ("inv-pentagonal", "inv-theta", "inv-theta7", "pentagonal", "theta")
 
 
 def _cmd_gen(args) -> int:
-    series = _BUILDERS[args.series](args.limit)
-    f2series.write_f2s(series, args.out)
+    from . import f2series as f2
+
+    builders = {
+        "theta": lambda n: f2.from_exponents(f2.squares(n), n),
+        "pentagonal": lambda n: f2.from_exponents(f2.generalized_pentagonals(n), n),
+        "inv-theta": lambda n: f2.invert_newton(f2.squares(n), n),
+        "inv-pentagonal": lambda n: f2.invert_newton(f2.generalized_pentagonals(n), n),
+        "inv-theta7": f2.inverse_seventh_power,
+    }
+    series = builders[args.series](args.limit)
+    write_f2s(series, args.out)
     print(f"{args.out}: {series.length} coefficients, {series.popcount()} set bits")
     return 0
 
@@ -128,8 +129,8 @@ def _cmd_verify(args) -> int:
     theorems.check_range(ids, args.lo, args.hi)
     if any(theorems.requires_seventh(i) for i in ids) and not args.inv_theta7:
         raise ValueError("the requested statements need --inv-theta7")
-    inv = f2series.read_f2s(args.inv_theta)
-    inv7 = f2series.read_f2s(args.inv_theta7) if args.inv_theta7 else None
+    inv = read_f2s(args.inv_theta)
+    inv7 = read_f2s(args.inv_theta7) if args.inv_theta7 else None
     reports = theorems.run_suite(ids, args.lo, args.hi, theorems.SeriesContext(inv, inv7))
     _write_text(theorems.reports_to_csv(reports), args.out)
     return 0 if all(r.violated == 0 for r in reports) else 1
@@ -144,8 +145,7 @@ def _half_delta(count: int, x: int) -> str:
 def _cmd_census(args) -> int:
     from . import census
 
-    b = f2series.read_f2s(args.bitmap)
-    table = census.interval_counts(b, args.x, args.intervals)
+    table = census.interval_counts(read_f2s(args.bitmap), args.x, args.intervals)
     lines = ["interval_index,lo,hi,count,count_minus_half_x"]
     for j, count in enumerate(table.counts):
         lo = j * table.interval_width
@@ -158,8 +158,8 @@ def _cmd_census(args) -> int:
 def _cmd_alpha(args) -> int:
     from . import census
 
-    b = f2series.read_f2s(args.bitmap)
-    sweep = census.alpha_sweep(b, args.max_x, args.step)
+    # the bitmap is freed before the rows are formatted
+    sweep = census.alpha_sweep(read_f2s(args.bitmap), args.max_x, args.step)
     lines = ["x,beta,alpha"]
     for row in sweep.rows:
         lines.append(f"{row.x},{row.beta},{row.alpha:.6f}")
@@ -204,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="build a bitmap and write it as .f2s")
-    p_gen.add_argument("series", choices=sorted(_BUILDERS))
+    p_gen.add_argument("series", choices=_SERIES)
     p_gen.add_argument("limit", type=_positive_count,
                        help="coefficient count, e.g. 2^23+1")
     p_gen.add_argument("--out", required=True)

@@ -1,12 +1,14 @@
 """Bit-packed arithmetic on truncated power series over GF(2).
 
 A series is a pair (length, words): `length` coefficients (exponents
-0 .. length-1) packed into a read-only little-endian uint64 array, bit i of
-word w holding the coefficient of x^(64w + i). That array is the only
-stored form: the word kernel, the Frobenius spread and .f2s I/O take and
-return it, and the .f2s payload is the same array on disk. A
-2^23-coefficient series occupies one megabyte; the Python int with bit n
-the coefficient of x^n exists only for the big-int oracles and tests.
+0 .. length-1) packed into little-endian uint64 words, bit i of word w
+holding the coefficient of x^(64w + i). `bitseries.BitSeries` stores one
+read-only buffer of those words' bytes, which is also the .f2s payload on
+disk; the word kernel and the Frobenius spread here read it as numpy's
+zero-copy '<u8' view `words` and return fresh word arrays, which the
+series then keeps without copying. A 2^23-coefficient series occupies one
+megabyte; the Python int with bit n the coefficient of x^n exists only for
+the big-int oracles and tests.
 
 The generators of interest here are sparse (perfect squares, generalized
 pentagonal numbers), so multiplication by a generator is an XOR of shifted
@@ -54,6 +56,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bitseries import (F2S_MAGIC, BitmapFormatError, BitSeries,
+                        InsufficientBitmapError, read_f2s, write_f2s)
+
 __all__ = [
     "BitSeries",
     "SparseExponents",
@@ -74,26 +79,9 @@ __all__ = [
     "read_f2s",
 ]
 
-F2S_MAGIC = b"F2S1"
-
 
 class NotInvertibleError(ValueError):
     """The series has constant term 0, so it has no reciprocal."""
-
-
-class BitmapFormatError(ValueError):
-    """A .f2s file is malformed: bad magic, wrong size, or dirty padding."""
-
-
-class InsufficientBitmapError(ValueError):
-    """A scan or check needs more coefficients than the bitmap holds."""
-
-    def __init__(self, needed: int, have: int, what: str = "bitmap"):
-        super().__init__(
-            f"{what} holds {have} coefficients, need at least {needed}"
-        )
-        self.needed = needed
-        self.have = have
 
 
 # byte -> one word of 2^s bytes holding its bit i at bit 2^s * i, for s = 0..3
@@ -145,65 +133,6 @@ class SparseExponents:
         if self.exponents:
             if self.exponents[0] < 0 or self.exponents[-1] >= self.limit:
                 raise ValueError("exponents must lie in [0, limit)")
-
-
-@dataclass(frozen=True, eq=False)
-class BitSeries:
-    """Truncated GF(2) series: `words` holds ceil(length/64) '<u8' words.
-
-    Padding bits past `length` are zero. The constructor keeps a read-only
-    view of a given word array, or converts an int whose bit n is x^n.
-    """
-
-    length: int
-    words: np.ndarray
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("length must be >= 1")
-        nwords = (self.length + 63) // 64
-        words = self.words
-        if isinstance(words, int) and 0 <= words and words.bit_length() <= self.length:
-            words = np.frombuffer(words.to_bytes(8 * nwords, "little"), dtype="<u8")
-        if not (isinstance(words, np.ndarray) and words.dtype == "<u8"
-                and words.shape == (nwords,) and words.flags.c_contiguous):
-            raise ValueError(f"{self.length} coefficients need an int below "
-                             f"2^{self.length} or {nwords} contiguous '<u8' words")
-        if self.length & 63 and words[-1] >> (self.length & 63):
-            raise ValueError(f"nonzero padding past coefficient {self.length}")
-        object.__setattr__(self, "words", words.view())
-        self.words.flags.writeable = False
-
-    def __eq__(self, other):
-        return (isinstance(other, BitSeries) and self.length == other.length
-                and np.array_equal(self.words, other.words))
-
-    def __repr__(self):
-        # a series can run to millions of coefficients; keep reprs small
-        return (f"{type(self).__name__}(length={self.length}, "
-                f"popcount={self.popcount()})")
-
-    def coefficient(self, n: int) -> int:
-        """Coefficient of x^n. Out-of-range n raises, never reads as zero."""
-        if not 0 <= n < self.length:
-            raise IndexError(
-                f"coefficient {n} outside series of length {self.length}"
-            )
-        return self.words.item(n >> 6) >> (n & 63) & 1
-
-    @property
-    def bits(self) -> int:
-        """The coefficients as one Python int, bit n being x^n (for oracles)."""
-        return int.from_bytes(self.words.tobytes(), "little")
-
-    def popcount(self) -> int:
-        """Number of nonzero coefficients."""
-        return int(np.bitwise_count(self.words).sum())
-
-    def support(self) -> np.ndarray:
-        """Sorted exponents of the nonzero coefficients (int64 array)."""
-        flat = np.unpackbits(self.words.view(np.uint8), bitorder="little")
-        return np.nonzero(flat)[0]
 
 
 def squares(limit: int) -> SparseExponents:
@@ -424,37 +353,3 @@ def inverse_seventh_power(limit: int) -> BitSeries:
     e = squares(limit)
     h = invert_newton(e, (limit + 7) // 8).words
     return BitSeries(limit, _mul_frobenius(h, e.exponents, 3, limit))
-
-
-def write_f2s(s: BitSeries, path) -> None:
-    """Persist a bitmap: magic, u64 LE coefficient count, 64-bit LE words.
-
-    The payload is ceil(count/64) words; bit i of word w is the coefficient
-    of x^(64w + i). Padding bits past the count are zero by construction.
-    """
-    with open(path, "wb") as fh:
-        fh.write(F2S_MAGIC)
-        fh.write(s.length.to_bytes(8, "little"))
-        fh.write(s.words)
-
-
-def read_f2s(path) -> BitSeries:
-    """Load a persisted bitmap into its word array, checking framing and padding."""
-    with open(path, "rb") as fh:
-        head = fh.read(12)
-        if len(head) < 12:
-            raise BitmapFormatError(f"{path}: truncated header")
-        if head[:4] != F2S_MAGIC:
-            raise BitmapFormatError(f"{path}: bad magic {head[:4]!r}")
-        count = int.from_bytes(head[4:12], "little")
-        if count < 1:
-            raise BitmapFormatError(f"{path}: empty series")
-        nwords = (count + 63) // 64
-        if fh.seek(0, 2) != 12 + 8 * nwords:
-            raise BitmapFormatError(f"{path}: payload is not {8 * nwords} bytes")
-        fh.seek(12)
-        words = np.fromfile(fh, dtype="<u8", count=nwords)
-    try:
-        return BitSeries(count, words)
-    except ValueError as exc:
-        raise BitmapFormatError(f"{path}: {exc}") from None

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import quadarith
-from .f2series import BitSeries, InsufficientBitmapError
+from .bitseries import BitSeries, InsufficientBitmapError
 from .quadarith import IdealCountKind
 
 __all__ = [

@@ -1,10 +1,12 @@
 """Census scans: interval counts, alpha sweeps, residue tables.
 
-Every scan of the word array's byte view is recounted here from the bits
-integer, a route that shares no code with the view. Each recount also runs on a bitmap whose
-length is not a multiple of 8. The exact alpha order on (d, x) pairs gets
-boundary cases where a float comparison would be undecidable, and a seeded
-property test against 60-digit decimal arithmetic.
+Every scan of the series' byte view is recounted here from the bits
+integer, a route that shares no code with the view. Each recount also runs
+on a bitmap whose length is not a multiple of 8, and on seeded random
+bitmaps whose groups start, end and straddle the scans' block boundaries.
+The exact alpha order on (d, x) pairs gets boundary cases where a float
+comparison would be undecidable, and a seeded property test against
+60-digit decimal arithmetic.
 """
 
 import decimal
@@ -15,7 +17,8 @@ import tracemalloc
 import pytest
 
 import thetaparity as tp
-from thetaparity.census import _ALPHA_HIGH, _ALPHA_LOW, SweepRow, _alpha_order
+from thetaparity.bitseries import _BLOCK
+from thetaparity.census import _ALPHA_HIGH, _ALPHA_LOW, SweepRow, _alpha_order, _popcounts
 from thetaparity.f2series import BitSeries, InsufficientBitmapError
 
 
@@ -66,6 +69,63 @@ def test_small_scans_allocate_only_what_they_read():
         finally:
             tracemalloc.stop()
         assert peak <= 64 << 10
+
+
+def test_full_length_scans_allocate_a_few_blocks():
+    # a scan reads one block of the byte view at a time, so however long the
+    # range it holds a few block-sized ints and no column of the bitmap (a
+    # tenth of the 2^23 + 1 bitmap's 1 MiB bounds the column of either)
+    b = tp.build_B((1 << 23) + 1)
+    scans = [lambda: tp.interval_counts(b, 1 << 19, 1),
+             lambda: tp.interval_counts(b, 1 << 16, 8),
+             lambda: tp.alpha_sweep(b, 1 << 19, 1 << 15),
+             lambda: tp.residue_class_counts(b, b.length),
+             lambda: tp.non15_count(b, b.length - 1)]
+    for scan in scans:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            scan()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * _BLOCK
+
+
+def column_count(text: str, r: int, lo: int, hi: int) -> int:
+    # members = r mod 16 in [lo, hi), lo a multiple of 16, from the bits
+    # written out as a string, coefficient n at index n
+    return text[lo + r:hi:16].count("1")
+
+
+def test_scans_across_block_boundaries():
+    # seeded random bitmaps of about three blocks with ragged lengths;
+    # groups of one entry and of one block -1, 0 and +1 entries, so group
+    # ends fall just before, on and just after block boundaries
+    rng = random.Random(15)
+    block = 8 * _BLOCK  # coefficients per block, 16 * 2^15 entries
+    for length in (3 * block - 5, 3 * block + 13, 2 * block + 8 * 16 + 1):
+        b = BitSeries(length, rng.getrandbits(length))
+        text = format(b.bits, "b").zfill(length)[::-1]
+        for width in (16, block - 16, block, block + 16):
+            groups = min(length // width, 40)
+            for r in range(16):
+                got = list(_popcounts(b, r, width, width * groups))
+                assert got == [column_count(text, r, j * width, (j + 1) * width)
+                               for j in range(groups)], (length, width, r)
+        for limit in (block - 1, block, block + 1, length - 1, length):
+            counts = tp.residue_class_counts(b, limit)
+            assert counts.tolist() == [column_count(text[:limit], r, 0, limit)
+                                       for r in range(16)], (length, limit)
+            assert tp.non15_count(b, limit - 1) == (
+                text[:limit].count("1") - column_count(text[:limit], 15, 0, limit))
+        x = block // 16 + 1  # intervals one entry longer than a block
+        table = tp.interval_counts(b, x, 2)
+        assert table.counts == tuple(column_count(text, 15, j * 16 * x, (j + 1) * 16 * x)
+                                     for j in range(2))
+        sweep = tp.alpha_sweep(b, length // 16, block // 16 - 1)
+        assert [r.beta for r in sweep.rows] == [column_count(text, 15, 0, 16 * r.x)
+                                                for r in sweep.rows]
 
 
 def test_build_b_first_terms():

@@ -380,20 +380,24 @@ def test_subprocess_end_to_end(tmp_path):
 
 def test_subcommands_import_only_their_layers(tmp_path):
     # a fresh process compiles every module it imports, so gen, census and
-    # alpha must not pull in the statement registry or the arithmetic oracles
+    # alpha must not pull in the statement registry or the arithmetic
+    # oracles, and census and alpha, which only load and count bits, must
+    # not import numpy or dataclasses either
     probe = ("import sys\n"
              "from thetaparity.cli import main\n"
              "main(sys.argv[1:])\n"
-             "print(sorted(m for m in sys.modules if m.startswith('thetaparity.')))\n")
+             "print(sorted(m for m in sys.modules if m.startswith('thetaparity.')))\n"
+             "print(sorted(m for m in ('numpy', 'dataclasses') if m in sys.modules))\n")
     bmp = str(tmp_path / "b.f2s")
-    for argv, layers in (
-            (["gen", "inv-theta", "2^12", "--out", bmp], ["cli", "f2series"]),
-            (["gen", "inv-theta7", "2^12", "--out", bmp], ["cli", "f2series"]),
-            (["census", "--bitmap", bmp, "--x", "2^4", "--intervals", "4"],
-             ["census", "cli", "f2series"]),
-            (["alpha", "--bitmap", bmp, "--max-x", "2^6", "--step", "2^2"],
-             ["census", "cli", "f2series"])):
+    gen = ["bitseries", "cli", "f2series"], ["dataclasses", "numpy"]
+    scan = ["bitseries", "census", "cli"], []
+    for argv, (layers, libraries) in (
+            (["gen", "inv-theta", "2^12", "--out", bmp], gen),
+            (["gen", "inv-theta7", "2^12", "--out", bmp], gen),
+            (["census", "--bitmap", bmp, "--x", "2^4", "--intervals", "4"], scan),
+            (["alpha", "--bitmap", bmp, "--max-x", "2^6", "--step", "2^2"], scan)):
         out = subprocess.run([sys.executable, "-c", probe, *argv],
                              capture_output=True, text=True, check=True,
                              env=_CHILD_ENV).stdout
-        assert out.splitlines()[-1] == str([f"thetaparity.{m}" for m in layers]), argv
+        assert out.splitlines()[-2:] == [
+            str([f"thetaparity.{m}" for m in layers]), str(libraries)], argv

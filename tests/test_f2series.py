@@ -151,6 +151,27 @@ def test_bitseries_validation():
         BitSeries(3, -1)
 
 
+def test_bytes_constructor():
+    rng = random.Random(14)
+    for length in (1, 63, 64, 65, 200):
+        bits = rng.getrandbits(length) | 1 << (length - 1)
+        raw = bits.to_bytes(8 * -(-length // 64), "little")
+        for buf in (raw, bytearray(raw), memoryview(raw)):
+            s = BitSeries(length, buf)
+            assert s == BitSeries(length, bits)
+            assert s.bits == bits
+            assert s.data.readonly
+        # one byte too few, one too many, one word too many
+        for wrong in (raw[:-1], raw + b"\0", raw + bytes(8)):
+            with pytest.raises(ValueError):
+                BitSeries(length, wrong)
+        # the lowest and the highest padding bit, where the last word has any
+        if length % 64:
+            for k in (length, 8 * len(raw) - 1):
+                with pytest.raises(ValueError):
+                    BitSeries(length, (bits | 1 << k).to_bytes(len(raw), "little"))
+
+
 def test_coefficient_bounds():
     s = BitSeries(4, 0b1011)
     assert [s.coefficient(n) for n in range(4)] == [1, 1, 0, 1]
@@ -585,6 +606,28 @@ def test_f2s_roundtrip(tmp_path):
     s = f2.invert_newton(f2.squares(100), 100)
     f2.write_f2s(s, path)
     assert f2.read_f2s(path) == s
+
+
+def test_f2s_load_is_one_read_only_buffer(tmp_path):
+    # the loaded payload is the series' one buffer: `words` is numpy's
+    # read-only view of the same memory, built without a copy
+    path = tmp_path / "b.f2s"
+    f2.write_f2s(f2.invert_newton(f2.squares(4097), 4097), path)
+    s = f2.read_f2s(path)
+    payload = s.data.obj
+    assert isinstance(payload, bytes) and len(payload) == 8 * 65
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        words = s.words
+        assert tracemalloc.get_traced_memory()[1] - base < 1024
+    finally:
+        tracemalloc.stop()
+    assert words is s.words
+    assert not words.flags.writeable
+    with pytest.raises(ValueError):
+        words[0] = 0
+    assert np.shares_memory(words, np.frombuffer(payload, dtype=np.uint8))
 
 
 def test_f2s_exact_layout(tmp_path):
