@@ -103,20 +103,46 @@ def _write_text(text: str, path: str | None) -> None:
         fh.write(text)
 
 
-_SERIES = ("inv-pentagonal", "inv-theta", "inv-theta7", "pentagonal", "theta")
+# series name -> the f2series constructor, and the exponent set it inverts
+# or expands; the constructor alone when it takes the limit itself
+_SERIES = {
+    "theta": ("from_exponents", "squares"),
+    "pentagonal": ("from_exponents", "generalized_pentagonals"),
+    "inv-theta": ("invert_newton", "squares"),
+    "inv-pentagonal": ("invert_newton", "generalized_pentagonals"),
+    "inv-theta7": ("inverse_seventh_power",),
+}
+
+
+def _builders() -> dict:
+    """Series name -> function of the limit, as the module's `_BUILDERS`.
+
+    Made on first use, so that only `gen` imports the numpy kernel.
+    """
+    global _BUILDERS
+    try:
+        return _BUILDERS
+    except NameError:
+        pass
+    from . import f2series as f2
+
+    def expand(build, exponents):
+        # looked up per call, so a rebound f2series function is the one run
+        return lambda n: getattr(f2, build)(getattr(f2, exponents)(n), n)
+
+    _BUILDERS = {name: getattr(f2, names[0]) if len(names) == 1 else expand(*names)
+                 for name, names in _SERIES.items()}
+    return _BUILDERS
+
+
+def __getattr__(name):
+    if name == "_BUILDERS":
+        return _builders()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _cmd_gen(args) -> int:
-    from . import f2series as f2
-
-    builders = {
-        "theta": lambda n: f2.from_exponents(f2.squares(n), n),
-        "pentagonal": lambda n: f2.from_exponents(f2.generalized_pentagonals(n), n),
-        "inv-theta": lambda n: f2.invert_newton(f2.squares(n), n),
-        "inv-pentagonal": lambda n: f2.invert_newton(f2.generalized_pentagonals(n), n),
-        "inv-theta7": f2.inverse_seventh_power,
-    }
-    series = builders[args.series](args.limit)
+    series = _builders()[args.series](args.limit)
     write_f2s(series, args.out)
     print(f"{args.out}: {series.length} coefficients, {series.popcount()} set bits")
     return 0
@@ -204,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="build a bitmap and write it as .f2s")
-    p_gen.add_argument("series", choices=_SERIES)
+    p_gen.add_argument("series", choices=sorted(_SERIES))
     p_gen.add_argument("limit", type=_positive_count,
                        help="coefficient count, e.g. 2^23+1")
     p_gen.add_argument("--out", required=True)
