@@ -5,10 +5,11 @@ for the generalized pentagonal generator, whose reciprocal carries the
 partition parities. Bitmaps are built once through the inversion kernels and
 then scanned read-only through the byte view of their words, with the
 standard library alone. A range of coefficients that starts at a multiple
-of 16 is read as Python ints of at most one fixed block of bytes; members
-= r mod 16 are bit r of every 16-bit group of such an int, so every count
-is the popcount of the int under a mask with period 16, and a scan holds a
-few blocks whatever its length.
+of 16 is read at most one fixed block of bytes at a time. Members = r mod 16
+are bit r % 8 of every other byte from byte r // 8, so a read keeps that
+half of its bytes, and every count is the popcount of the half, as a Python
+int, under a mask with period 8. A scan holds a few blocks whatever its
+length.
 
 beta(x) counts members of B that are congruent to 15 mod 16 and smaller than
 16x. Among the 16x - 1 positive integers below 16x, exactly x lie in that
@@ -59,30 +60,44 @@ def _popcounts(b: BitSeries, residue: int | None, width: int, stop: int) -> Iter
     """Members = residue mod 16 (every member for None) of b in
     [lo, min(lo + width, stop)), for lo = 0, width, 2 * width, ... below stop.
 
-    Either width is a multiple of 16 that divides stop, or width >= stop. A
-    group of at most a block is one read; a longer group is read a block at
-    a time. The mask selects bit `residue` of every 16-bit group and is as
-    long as the longest read.
+    Either width is a multiple of 16 that divides stop, or width >= stop.
+    Members = r mod 16 are bit r % 8 of every other byte from byte r // 8, so
+    a read copies its bytes and converts only that half to an int. Groups of
+    at most a block are cut from reads of whole groups; a longer group is
+    read a block at a time.
     """
     data = b.data
-    mask = -1 if residue is None else int.from_bytes(
-        b"\x01\x00" * ((min(width, stop, 8 * _BLOCK) + 15) // 16), "little") << residue
-    if width < stop and width <= 8 * _BLOCK:
-        # the block loop below gives the same counts; per short group it
-        # costs a quarter more (alpha steps of 2^10 entries on 2^28 bits)
-        step = width >> 3
-        for i in range(0, stop >> 3, step):
-            yield (int.from_bytes(data[i:i + step], "little") & mask).bit_count()
+    if residue is None:
+        for lo in range(0, stop, width):
+            hi = min(lo + width, stop)
+            count = 0
+            for i in range(lo, hi, 8 * _BLOCK):
+                j = min(i + 8 * _BLOCK, hi)
+                v = int.from_bytes(data[i >> 3:(j + 7) >> 3], "little")
+                count += (v & ((1 << (j - i)) - 1) if j & 7 else v).bit_count()
+            yield count
+        return
+    first = residue >> 3
+    mask = int.from_bytes(bytes([1 << (residue & 7)])
+                          * min((min(width, stop) + 15) >> 4, _BLOCK // 2), "little")
+    size = width >> 4  # bytes of a group's half
+    if width < stop and size <= _BLOCK // 2:
+        # one read and one half per block, cut at group boundaries
+        span = 2 * size * (_BLOCK // 2 // size)
+        end = stop >> 3
+        for i in range(0, end, span):
+            half = bytes(data[i:min(i + span, end)])[first::2]
+            for k in range(0, len(half), size):
+                yield (int.from_bytes(half[k:k + size], "little") & mask).bit_count()
         return
     for lo in range(0, stop, width):
         hi = min(lo + width, stop)
         count = 0
         for i in range(lo, hi, 8 * _BLOCK):
             j = min(i + 8 * _BLOCK, hi)
-            v = int.from_bytes(data[i >> 3:(j + 7) >> 3], "little") & mask
-            if j & 7:
-                v &= (1 << (j - i)) - 1
-            count += v.bit_count()
+            n = (j - i - residue + 15) >> 4  # groups whose member bit is below j
+            half = bytes(data[i >> 3:(j + 7) >> 3])[first:2 * n:2]
+            count += (int.from_bytes(half, "little") & mask).bit_count()
         yield count
 
 

@@ -101,13 +101,14 @@ def column_count(text: str, r: int, lo: int, hi: int) -> int:
 def test_scans_across_block_boundaries():
     # seeded random bitmaps of about three blocks with ragged lengths;
     # groups of one entry and of one block -1, 0 and +1 entries, so group
-    # ends fall just before, on and just after block boundaries
+    # ends fall just before, on and just after block boundaries, and groups
+    # of 1000 entries, 32 to a read, so that they take two reads
     rng = random.Random(15)
     block = 8 * _BLOCK  # coefficients per block, 16 * 2^15 entries
     for length in (3 * block - 5, 3 * block + 13, 2 * block + 8 * 16 + 1):
         b = BitSeries(length, rng.getrandbits(length))
         text = format(b.bits, "b").zfill(length)[::-1]
-        for width in (16, block - 16, block, block + 16):
+        for width in (16, 16 * 1000, block - 16, block, block + 16):
             groups = min(length // width, 40)
             for r in range(16):
                 got = list(_popcounts(b, r, width, width * groups))

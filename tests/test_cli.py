@@ -41,6 +41,23 @@ def test_gen_all_series_kinds(tmp_path):
         assert tp.read_f2s(out).length == 100
 
 
+def test_series_table():
+    # gen's constructors, made on first use, stay readable as cli._BUILDERS,
+    # where bench/selftest.py checks that the tracer wraps them
+    from thetaparity import cli, f2series as f2
+
+    n = 100
+    expected = {"theta": f2.from_exponents(f2.squares(n), n),
+                "pentagonal": f2.from_exponents(f2.generalized_pentagonals(n), n),
+                "inv-theta": tp.build_B(n),
+                "inv-pentagonal": tp.build_Bstar(n),
+                "inv-theta7": f2.inverse_seventh_power(n)}
+    assert sorted(cli._BUILDERS) == sorted(cli._SERIES) == sorted(expected)
+    for kind, series in expected.items():
+        assert cli._BUILDERS[kind](n) == series, kind
+    assert cli._BUILDERS["inv-theta7"] is f2.inverse_seventh_power
+
+
 def test_gen_count_expressions(tmp_path):
     out = tmp_path / "b.f2s"
     assert run(["gen", "theta", "2^4+1", "--out", str(out)]) == 0
