@@ -3,9 +3,12 @@
 A series of `length` coefficients is stored as one read-only buffer: the
 8 * ceil(length/64) bytes of its little-endian uint64 words, so coefficient
 n is bit n & 7 of byte n >> 3 and padding bits past `length` are zero. The
-same bytes are the .f2s payload on disk. Everything here works on that
-buffer with the standard library alone, so a process that only loads and
-scans bitmaps (`census`, `alpha`) never imports numpy. The word kernel in
+same bytes are the .f2s payload on disk. `read_f2s` can load only the
+whole words that hold a prefix, still checking the file's size and end
+padding: `verify` reads coefficients 0..hi, `census` the 16 * x * intervals
+it counts and `alpha` 16 * max_x. Everything here works on that buffer
+with the standard library alone, so a process that only loads and scans
+bitmaps (`census`, `alpha`) never imports numpy. The word kernel in
 `f2series` reads the buffer as numpy's zero-copy '<u8' view, `words`, which
 is built on first use.
 """
@@ -156,8 +159,12 @@ def write_f2s(s: BitSeries, path) -> None:
         fh.write(s.data)
 
 
-def read_f2s(path) -> BitSeries:
-    """Load a persisted bitmap as its payload bytes, checking framing and padding."""
+def read_f2s(path, limit: int | None = None) -> BitSeries:
+    """Load a persisted bitmap as its payload bytes, checking framing and padding.
+
+    With `limit`, only the whole words holding the first max(limit, 1)
+    coefficients are read; a limit past the count reads the whole series.
+    """
     with open(path, "rb") as fh:
         head = fh.read(12)
         if len(head) < 12:
@@ -170,9 +177,15 @@ def read_f2s(path) -> BitSeries:
         nbytes = 8 * ((count + 63) // 64)
         if fh.seek(0, 2) != 12 + nbytes:
             raise BitmapFormatError(f"{path}: payload is not {nbytes} bytes")
+        length = count if limit is None else min(count, 64 * ((max(limit, 1) + 63) // 64))
+        if length < count and count & 63:
+            # a prefix of whole words has no padding: check the file's own
+            fh.seek(-8, 2)
+            if int.from_bytes(fh.read(8), "little") >> (count & 63):
+                raise BitmapFormatError(f"{path}: nonzero padding past coefficient {count}")
         fh.seek(12)
-        payload = fh.read(nbytes)
+        payload = fh.read(8 * ((length + 63) // 64))
     try:
-        return BitSeries(count, payload)
+        return BitSeries(length, payload)
     except ValueError as exc:
         raise BitmapFormatError(f"{path}: {exc}") from None

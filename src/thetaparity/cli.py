@@ -8,7 +8,8 @@ library rejects with ValueError and for queries too large for memory, 3 when
 a bitmap is too short for the requested scan. `main` is the only place that
 maps an exception to an exit code. Each handler and argument type imports
 the layers it uses: only `gen` loads the series kernel, and `census` and
-`alpha` read and scan bitmaps without numpy.
+`alpha` read and scan bitmaps without numpy. `verify`, `census` and `alpha`
+read only the prefix of a bitmap that they scan.
 
 Integer arguments accept small arithmetic expressions such as 65536,
 2^23+1 or 5*2^10, which keeps reproduction runs copy-pasteable. One leading
@@ -155,8 +156,9 @@ def _cmd_verify(args) -> int:
     theorems.check_range(ids, args.lo, args.hi)
     if any(theorems.requires_seventh(i) for i in ids) and not args.inv_theta7:
         raise ValueError("the requested statements need --inv-theta7")
-    inv = read_f2s(args.inv_theta)
-    inv7 = read_f2s(args.inv_theta7) if args.inv_theta7 else None
+    # statements read coefficients only for n in [lo, hi]
+    inv = read_f2s(args.inv_theta, args.hi + 1)
+    inv7 = read_f2s(args.inv_theta7, args.hi + 1) if args.inv_theta7 else None
     reports = theorems.run_suite(ids, args.lo, args.hi, theorems.SeriesContext(inv, inv7))
     _write_text(theorems.reports_to_csv(reports), args.out)
     return 0 if all(r.violated == 0 for r in reports) else 1
@@ -171,7 +173,8 @@ def _half_delta(count: int, x: int) -> str:
 def _cmd_census(args) -> int:
     from . import census
 
-    table = census.interval_counts(read_f2s(args.bitmap), args.x, args.intervals)
+    table = census.interval_counts(read_f2s(args.bitmap, 16 * args.x * args.intervals),
+                                   args.x, args.intervals)
     lines = ["interval_index,lo,hi,count,count_minus_half_x"]
     for j, count in enumerate(table.counts):
         lo = j * table.interval_width
@@ -185,7 +188,7 @@ def _cmd_alpha(args) -> int:
     from . import census
 
     # the bitmap is freed before the rows are formatted
-    sweep = census.alpha_sweep(read_f2s(args.bitmap), args.max_x, args.step)
+    sweep = census.alpha_sweep(read_f2s(args.bitmap, 16 * args.max_x), args.max_x, args.step)
     lines = ["x,beta,alpha"]
     for row in sweep.rows:
         lines.append(f"{row.x},{row.beta},{row.alpha:.6f}")

@@ -275,6 +275,55 @@ def test_alpha_csv(tmp_path, capsys):
         assert line == f"{row.x},{row.beta},{row.alpha:.6f}"
 
 
+def _spy_limits(monkeypatch):
+    # the limits each handler passes to read_f2s, in call order
+    from thetaparity import cli
+
+    limits = []
+    read = cli.read_f2s
+
+    def spy(path, limit=None):
+        limits.append(limit)
+        return read(path, limit)
+
+    monkeypatch.setattr(cli, "read_f2s", spy)
+    return limits
+
+
+# each scan with the coefficients its library check needs: hi + 1,
+# 16 * x * intervals and 16 * max_x; {b} is the bitmap made short
+@pytest.mark.parametrize("argv, needed, build", [
+    (["verify", "T1_1", "64", "128", "--inv-theta", "{b}"], 129, "build_B"),
+    (["verify", "L3_5", "64", "128", "--inv-theta", "{full}", "--inv-theta7", "{b}"],
+     129, "inverse_seventh_power"),
+    (["census", "--x", "5", "--intervals", "3", "--bitmap", "{b}"], 240, "build_B"),
+    (["alpha", "--max-x", "13", "--step", "4", "--bitmap", "{b}"], 208, "build_B"),
+], ids=["verify", "verify-inv-theta7", "census", "alpha"])
+def test_commands_read_the_prefix_they_scan(argv, needed, build, tmp_path, capsys,
+                                            monkeypatch):
+    full = tmp_path / "full.f2s"
+    tp.write_f2s(tp.build_B(1000), full)
+    limits = _spy_limits(monkeypatch)
+    for length, code in ((needed, 0), (needed - 64, 3)):
+        b = tmp_path / f"{length}.f2s"
+        tp.write_f2s(getattr(tp, build)(length), b)
+        limits.clear()
+        assert run([arg.format(b=b, full=full) for arg in argv]) == code
+        assert limits == [needed] * (1 + ("{full}" in argv))
+        err = capsys.readouterr().err
+        if code:
+            assert f"holds {length} coefficients, need at least {needed}" in err
+
+
+def test_census_zero_intervals_prints_header(tmp_path, capsys, monkeypatch):
+    bmp = tmp_path / "b.f2s"
+    tp.write_f2s(tp.build_B(100), bmp)
+    limits = _spy_limits(monkeypatch)
+    assert run(["census", "--x", "5", "--intervals", "0", "--bitmap", str(bmp)]) == 0
+    assert limits == [0]
+    assert capsys.readouterr().out == "interval_index,lo,hi,count,count_minus_half_x\n"
+
+
 def test_repcount_outputs(capsys):
     assert run(["repcount", "--n", "11", "--form", "1,1,1"]) == 0
     assert capsys.readouterr().out.strip() == "3"

@@ -642,33 +642,37 @@ def test_f2s_exact_layout(tmp_path):
 
 
 def test_f2s_reader_rejects_damage(tmp_path):
+    # a prefix read checks the whole file's framing and padding too
     path = tmp_path / "x.f2s"
     f2.write_f2s(BitSeries(65, 1), path)
     blob = bytearray(path.read_bytes())
-
-    bad = tmp_path / "bad.f2s"
-    bad.write_bytes(b"F2S2" + bytes(blob[4:]))
-    with pytest.raises(BitmapFormatError):
-        f2.read_f2s(bad)
-
-    bad.write_bytes(bytes(blob[:-1]))  # truncated payload
-    with pytest.raises(BitmapFormatError):
-        f2.read_f2s(bad)
-
-    bad.write_bytes(bytes(blob) + b"\x00" * 8)  # oversized payload
-    with pytest.raises(BitmapFormatError):
-        f2.read_f2s(bad)
-
     dirty = bytearray(blob)
     dirty[-1] |= 0x80  # padding bit past coefficient 65
-    bad.write_bytes(bytes(dirty))
-    with pytest.raises(BitmapFormatError):
-        f2.read_f2s(bad)
+    damaged = [
+        b"F2S2" + bytes(blob[4:]),  # bad magic
+        bytes(blob[:-1]),  # truncated payload
+        bytes(blob) + b"\x00" * 8,  # oversized payload
+        bytes(dirty),
+        b"F2S1" + (0).to_bytes(8, "little"),  # zero count
+        b"F2",  # short header
+    ]
+    bad = tmp_path / "bad.f2s"
+    for limit in (None, 1, 64):
+        for content in damaged:
+            bad.write_bytes(content)
+            with pytest.raises(BitmapFormatError):
+                f2.read_f2s(bad, limit)
 
-    bad.write_bytes(b"F2S1" + (0).to_bytes(8, "little"))
-    with pytest.raises(BitmapFormatError):
-        f2.read_f2s(bad)
 
-    bad.write_bytes(b"F2")
-    with pytest.raises(BitmapFormatError):
-        f2.read_f2s(bad)
+def test_f2s_prefix_read_holds_whole_words(tmp_path):
+    # the words holding the first max(limit, 1) coefficients, as one buffer
+    path = tmp_path / "b.f2s"
+    f2.write_f2s(f2.invert_newton(f2.squares(200), 200), path)
+    whole = f2.read_f2s(path)
+    expected = {-5: 64, 0: 64, 1: 64, 63: 64, 64: 64, 65: 128,
+                199: 200, 200: 200, 201: 200, None: 200}
+    for limit, length in expected.items():
+        s = f2.read_f2s(path, limit)
+        assert s.length == length
+        assert isinstance(s.data.obj, bytes) and len(s.data) == 8 * ((length + 63) // 64)
+        assert s.data == whole.data[:len(s.data)]
