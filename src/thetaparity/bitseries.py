@@ -133,11 +133,16 @@ class BitSeries:
         """The coefficients as one Python int, bit n being x^n (for oracles)."""
         return int.from_bytes(self.data, "little")
 
-    def popcount(self) -> int:
-        """Number of nonzero coefficients."""
-        data = self.data
-        return sum(int.from_bytes(data[i:i + _BLOCK], "little").bit_count()
-                   for i in range(0, len(data), _BLOCK))
+    def popcount(self, stop: int | None = None) -> int:
+        """Number of nonzero coefficients below `stop` (all of them for None),
+        counted a block of bytes at a time; only a last partial byte is masked."""
+        stop = self.length if stop is None else min(stop, self.length)
+        if stop < 0:
+            raise ValueError("stop must be >= 0")
+        data, end = self.data, stop >> 3
+        count = sum(int.from_bytes(data[i:min(i + _BLOCK, end)], "little").bit_count()
+                    for i in range(0, end, _BLOCK))
+        return count + (data[end] & ((1 << (stop & 7)) - 1)).bit_count() if stop & 7 else count
 
     def support(self):
         """Sorted exponents of the nonzero coefficients (int64 array)."""

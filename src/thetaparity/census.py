@@ -4,11 +4,12 @@ B is the support of 1/g for the squares theta series g; B* is the analogue
 for the generalized pentagonal generator, whose reciprocal carries the
 partition parities. Bitmaps are built once through the inversion kernels and
 then scanned read-only through the byte view of their words, with the
-standard library alone. A range of coefficients that starts at a multiple
-of 16 is read at most one fixed block of bytes at a time. Members = r mod 16
-are bit r % 8 of every other byte from byte r // 8, so a read keeps that
-half of its bytes, and every count is the popcount of the half, as a Python
-int, under a mask with period 8. A scan holds a few blocks whatever its
+standard library alone. Members = r mod 16 are bit r % 8 of every other
+byte from byte r // 8. One loop counts them in consecutive groups: it reads
+at most one fixed block of bytes at a time, keeps that half, and counts each
+group's part, as a Python int, under one mask with period 8; a group longer
+than a read carries its count over. `BitSeries.popcount` counts all members
+below a limit in the same blocks. A scan holds a few blocks whatever its
 length.
 
 beta(x) counts members of B that are congruent to 15 mod 16 and smaller than
@@ -24,6 +25,7 @@ by integer cross-multiplication, so no verdict hinges on float rounding.
 from __future__ import annotations
 
 import math
+from array import array
 from itertools import accumulate
 from typing import Iterator, NamedTuple
 
@@ -56,48 +58,32 @@ def build_Bstar(limit: int) -> BitSeries:
     return f2series.invert_newton(f2series.generalized_pentagonals(limit), limit)
 
 
-def _popcounts(b: BitSeries, residue: int | None, width: int, stop: int) -> Iterator[int]:
-    """Members = residue mod 16 (every member for None) of b in
-    [lo, min(lo + width, stop)), for lo = 0, width, 2 * width, ... below stop.
+def _popcounts(b: BitSeries, residue: int, width: int, stop: int) -> Iterator[int]:
+    """Members = residue mod 16 of b in [lo, min(lo + width, stop)), for
+    lo = 0, width, 2 * width, ... below stop.
 
     Either width is a multiple of 16 that divides stop, or width >= stop.
-    Members = r mod 16 are bit r % 8 of every other byte from byte r // 8, so
-    a read copies its bytes and converts only that half to an int. Groups of
-    at most a block are cut from reads of whole groups; a longer group is
-    read a block at a time.
+    Row k holds coefficients 16k to 16k + 15; its member is bit residue % 8
+    of byte 2k + residue // 8. When groups fit, a read holds whole groups and
+    ends on a group end; a longer group spans reads, and its count carries.
     """
     data = b.data
-    if residue is None:
-        for lo in range(0, stop, width):
-            hi = min(lo + width, stop)
-            count = 0
-            for i in range(lo, hi, 8 * _BLOCK):
-                j = min(i + 8 * _BLOCK, hi)
-                v = int.from_bytes(data[i >> 3:(j + 7) >> 3], "little")
-                count += (v & ((1 << (j - i)) - 1) if j & 7 else v).bit_count()
-            yield count
-        return
     first = residue >> 3
-    mask = int.from_bytes(bytes([1 << (residue & 7)])
-                          * min((min(width, stop) + 15) >> 4, _BLOCK // 2), "little")
-    size = width >> 4  # bytes of a group's half
-    if width < stop and size <= _BLOCK // 2:
-        # one read and one half per block, cut at group boundaries
-        span = 2 * size * (_BLOCK // 2 // size)
-        end = stop >> 3
-        for i in range(0, end, span):
-            half = bytes(data[i:min(i + span, end)])[first::2]
-            for k in range(0, len(half), size):
-                yield (int.from_bytes(half[k:k + size], "little") & mask).bit_count()
-        return
-    for lo in range(0, stop, width):
-        hi = min(lo + width, stop)
-        count = 0
-        for i in range(lo, hi, 8 * _BLOCK):
-            j = min(i + 8 * _BLOCK, hi)
-            n = (j - i - residue + 15) >> 4  # groups whose member bit is below j
-            half = bytes(data[i >> 3:(j + 7) >> 3])[first:2 * n:2]
-            count += (int.from_bytes(half, "little") & mask).bit_count()
+    rows = max(stop - residue + 15, 0) >> 4  # rows whose member is below stop
+    size = (width + 15) >> 4  # rows per group
+    span = size * (_BLOCK // 2 // size) or _BLOCK // 2  # rows per read
+    # as long as the longest piece: a longer mask slows every &
+    mask = int.from_bytes(bytes([1 << (residue & 7)]) * min(rows, size, span), "little")
+    count = 0
+    for lo in range(0, rows, span):
+        half = bytes(data[2 * lo:2 * min(lo + span, rows)])[first::2]
+        start = 0
+        # every group end in this read but the last group's
+        for end in range(size - lo % size, min(len(half) + 1, rows - lo), size):
+            yield count + (int.from_bytes(half[start:end], "little") & mask).bit_count()
+            count, start = 0, end
+        count += (int.from_bytes(half[start:], "little") & mask).bit_count()
+    if stop:
         yield count
 
 
@@ -179,7 +165,8 @@ def alpha_sweep(b: BitSeries, max_x: int, step: int) -> AlphaSweep:
     if b.length < 16 * max_x:
         raise InsufficientBitmapError(16 * max_x, b.length)
     xs = range(step, max_x + 1, step)
-    betas = accumulate(_popcounts(b, 15, 16 * step, 16 * xs[-1]))
+    betas = array("q", accumulate(_popcounts(b, 15, 16 * step, 16 * xs[-1])))
+    del b  # a bitmap passed as a temporary is freed before the rows are built
     rows = tuple(SweepRow(x, beta, (beta - x / 2) / math.sqrt(x))
                  for x, beta in zip(xs, betas))
     lo = hi = rows[0]
@@ -213,4 +200,4 @@ def non15_count(b: BitSeries, n_max: int) -> int:
     """Members n <= n_max with n not congruent to 15 mod 16."""
     limit = n_max + 1
     _check_limit(b, limit)
-    return sum(_popcounts(b, None, limit, limit)) - sum(_popcounts(b, 15, limit, limit))
+    return b.popcount(limit) - sum(_popcounts(b, 15, limit, limit))

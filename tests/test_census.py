@@ -17,6 +17,7 @@ import tracemalloc
 import pytest
 
 import thetaparity as tp
+from thetaparity import census
 from thetaparity.bitseries import _BLOCK
 from thetaparity.census import _ALPHA_HIGH, _ALPHA_LOW, SweepRow, _alpha_order, _popcounts
 from thetaparity.f2series import BitSeries, InsufficientBitmapError
@@ -52,6 +53,30 @@ def test_load_and_scans_hold_one_copy(tmp_path):
     assert retained <= 1.1 * size
 
 
+def test_alpha_rows_are_built_after_the_bitmap_is_freed(tmp_path, monkeypatch):
+    # alpha_sweep keeps only the betas of its scan, so a bitmap passed as a
+    # temporary, as the CLI passes it, is gone before the first row is built
+    path = tmp_path / "b.f2s"
+    tp.write_f2s(tp.build_B((1 << 23) + 1), path)
+    size = path.stat().st_size
+    held = []
+
+    def row(*fields):
+        if not held:
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+        return SweepRow(*fields)
+
+    monkeypatch.setattr(census, "SweepRow", row)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sweep = tp.alpha_sweep(tp.read_f2s(path), 1 << 19, 1 << 10)
+    finally:
+        tracemalloc.stop()
+    assert len(sweep.rows) == 512
+    assert held[0] <= size // 10
+
+
 def test_small_scans_allocate_only_what_they_read():
     # a scan of 4096 entries of the 15 mod 16 column (or of each residue
     # column) allocates about that many bytes, not half the bitmap
@@ -59,7 +84,8 @@ def test_small_scans_allocate_only_what_they_read():
     scans = [lambda: tp.interval_counts(b, 512, 8),
              lambda: tp.alpha_sweep(b, 4096, 64),
              lambda: tp.residue_class_counts(b, 16 * 4096),
-             lambda: tp.non15_count(b, 16 * 4096 - 1)]
+             lambda: tp.non15_count(b, 16 * 4096 - 1),
+             lambda: b.popcount(16 * 4096)]
     for scan in scans:
         tracemalloc.start()
         try:
@@ -80,7 +106,8 @@ def test_full_length_scans_allocate_a_few_blocks():
              lambda: tp.interval_counts(b, 1 << 16, 8),
              lambda: tp.alpha_sweep(b, 1 << 19, 1 << 15),
              lambda: tp.residue_class_counts(b, b.length),
-             lambda: tp.non15_count(b, b.length - 1)]
+             lambda: tp.non15_count(b, b.length - 1),
+             lambda: b.popcount(b.length - 1)]
     for scan in scans:
         tracemalloc.start()
         try:
@@ -101,23 +128,30 @@ def column_count(text: str, r: int, lo: int, hi: int) -> int:
 def test_scans_across_block_boundaries():
     # seeded random bitmaps of about three blocks with ragged lengths;
     # groups of one entry and of one block -1, 0 and +1 entries, so group
-    # ends fall just before, on and just after block boundaries, and groups
-    # of 1000 entries, 32 to a read, so that they take two reads
+    # ends fall just before, on and just after block boundaries, groups of
+    # 1000 entries, 32 to a read, so that they take two reads, and groups of
+    # two blocks and of two blocks +1 entry, the latter spanning three reads
     rng = random.Random(15)
     block = 8 * _BLOCK  # coefficients per block, 16 * 2^15 entries
     for length in (3 * block - 5, 3 * block + 13, 2 * block + 8 * 16 + 1):
         b = BitSeries(length, rng.getrandbits(length))
         text = format(b.bits, "b").zfill(length)[::-1]
-        for width in (16, 16 * 1000, block - 16, block, block + 16):
+        for width in (16, 16 * 1000, block - 16, block, block + 16, 2 * block, 2 * block + 16):
             groups = min(length // width, 40)
             for r in range(16):
                 got = list(_popcounts(b, r, width, width * groups))
                 assert got == [column_count(text, r, j * width, (j + 1) * width)
                                for j in range(groups)], (length, width, r)
-        for limit in (block - 1, block, block + 1, length - 1, length):
+        limits = (1, block - 1, block, block + 1, length - 1, length)
+        for limit in (0,) + limits:
+            assert b.popcount(limit) == text[:limit].count("1"), (length, limit)
+        for limit in limits:
             counts = tp.residue_class_counts(b, limit)
             assert counts.tolist() == [column_count(text[:limit], r, 0, limit)
                                        for r in range(16)], (length, limit)
+            # one group, so one count, even where no member is below limit
+            assert [list(_popcounts(b, r, limit, limit)) for r in range(16)] == [
+                [n] for n in counts.tolist()], (length, limit)
             assert tp.non15_count(b, limit - 1) == (
                 text[:limit].count("1") - column_count(text[:limit], 15, 0, limit))
         x = block // 16 + 1  # intervals one entry longer than a block
