@@ -13,14 +13,15 @@ the big-int oracles and tests.
 The generators of interest here are sparse (perfect squares, generalized
 pentagonal numbers), so multiplication by a generator is an XOR of shifted
 copies, one per exponent below the truncation point. One word kernel,
-`_xor_shifted`, does every such product. It groups the exponents by k mod
-64, and for each residue r present builds one copy of the source words
-shifted left by r bits. Each exponent of that group then XORs the copy into
-the accumulator in place at word offset k >> 6, so no per-exponent shift
-allocates. The copy buffer is reused for the next residue: the pentagonal
-exponents hit all 64 residues, and holding every shifted copy at once would
-cost 64 source-sized buffers. The kernel can also return only a window, the
-product's words from some lo on, when the words below are already known.
+`_xor_shifted`, does every such product, and returns any window of its
+words, lo to hi. It groups the exponents by k mod 64, and for each residue
+r present XORs the unshifted source slices of that residue's exponents,
+each at word offset k >> 6, into one sum the size of the window. Shifting
+distributes over XOR, so that sum, shifted left by r bits with the carry
+from the word below, is the residue's part of the product: one shift per
+residue, none per exponent, and no shifted copy of the source. Products are
+built in tiles of `_TILE` words, each small enough that its sum stays in
+cache while every exponent of a residue streams the source past it.
 
 Reciprocals come from precision doubling: over GF(2) the Newton step for
 h -> 1/g collapses to h <- g*h^2, because g*h^2 - 1/g = g*(h - 1/g)^2
@@ -36,8 +37,10 @@ is its prefix: a step from p known coefficients needs the leaves only from
 coefficient floor(p/2) on (a middle product), and their spreads OR the new
 bits in place. The same split by class mod 8 gives 1/g^7 = g*h(x^8) from
 leaves of an eighth of the length, each spread by 8 straight into the
-output. So a build holds the output, one leaf window and one shifted copy
-of that leaf's source, and the spread and carry run in fixed-size chunks.
+output, and the plain product (`mul_sparse`) is the split by class mod 1.
+Each leaf is computed and spread one tile at a time, so a build holds the
+output, one tile and one residue sum, and the spread and carry run in
+fixed-size chunks.
 
 A quadratic-time sequential recurrence (`invert_recurrence`) and the
 big-int carryless product `mul_dense` are kept alongside as independent
@@ -90,6 +93,13 @@ _SPREAD = [sum((np.arange(256) >> i & 1) << (i << s) for i in range(8))
 # source bytes per step of the spread and words per step of a carry: fixed,
 # so neither allocates more than a small temporary however long the series
 _CHUNK = 1 << 13
+# words per tile of a kernel product: each leaf is computed and spread a tile
+# at a time, so a build holds its output and two tile-sized buffers. 2^16
+# words is 512 KiB, a quarter of the 2 MiB per-core L2 of the Xeon VM it was
+# measured on. There the inversion of theta to 2^28+1 took 15.3, 12.4, 11.1
+# and 13.3 s with tiles of 2^14, 2^15, 2^16 and 2^17 words; 2^15 was ahead
+# at 2^26+1 (1.24 against 1.44 s), but the largest builds set the choice
+_TILE = 1 << 16
 
 
 def _mask(nbits: int) -> int:
@@ -163,8 +173,7 @@ def generalized_pentagonals(limit: int) -> SparseExponents:
 
 def from_exponents(e: SparseExponents, limit: int) -> BitSeries:
     """Materialize a sparse series as a dense bitmap of `limit` coefficients."""
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
+    _check_complete(e, limit)
     return BitSeries(limit, _bits_from_positions(e.exponents, limit))
 
 
@@ -175,36 +184,46 @@ def square(s: BitSeries, limit: int) -> BitSeries:
     return BitSeries(limit, _mul_frobenius(s.words, (0,), 1, limit))
 
 
-def _xor_shifted(src: np.ndarray, exponents, nbits: int, lo: int = 0) -> np.ndarray:
-    """Words lo.. of the XOR of src << k over the exponents k < nbits.
+def _xor_shifted(src: np.ndarray, exponents, nbits: int, lo: int = 0,
+                 hi: int | None = None) -> np.ndarray:
+    """Words lo..hi-1 of the XOR of src << k over the exponents k < nbits.
 
-    On word arrays, `exponents` increasing, the product truncated to nbits:
-    one shifted copy of the source per residue k mod 64, XORed in place at
-    word offset k >> 6 for each exponent of that residue, only into the
-    window of words from lo on. Source bits past nbits land in cleared bits.
+    On word arrays, `exponents` increasing, the product truncated to nbits;
+    hi defaults to the product's word count. An exponent k = 64q + r moves
+    source word i to word i + q shifted left by r, carrying into the word
+    above, and shifts distribute over XOR. So for each residue r present the
+    unshifted source slices of its offsets q < hi are XORed into one sum
+    over words lo-1..hi-1, and that sum, shifted left by r with its carry
+    from the word below, is XORed into the result a chunk at a time: the
+    result and the sum are the only window-sized buffers. Source bits past
+    nbits land in cleared bits.
     """
     nwords = (nbits + 63) // 64
+    if hi is None:
+        hi = nwords
     src = src[:nwords]
-    if len(src) < nwords:
-        src = np.concatenate((src, np.zeros(nwords - len(src), dtype="<u8")))
+    n = len(src)
     offsets: dict[int, list[int]] = {}
     for k in exponents:
-        if k >= nbits:
+        if k >= nbits or k >> 6 >= hi:
             break
-        offsets.setdefault(k & 63, []).append(k >> 6)
-    acc = np.zeros(nwords - lo, dtype="<u8")
-    shifted = np.empty_like(src)
+        if (k >> 6) + n >= lo:
+            offsets.setdefault(k & 63, []).append(k >> 6)
+    acc = np.zeros(hi - lo, dtype="<u8")
+    total = np.empty(hi - lo + 1, dtype="<u8")  # words lo-1 .. hi-1
     for r, words in offsets.items():
-        np.left_shift(src, r, out=shifted)
-        if r:
-            # OR in the bits carried out of the word below, a chunk at a time
-            for i in range(1, nwords, _CHUNK):
-                j = min(i + _CHUNK, nwords)
-                shifted[i:j] |= src[i - 1:j - 1] >> (64 - r)
+        total[:] = 0
         for q in words:
-            start = max(q, lo)
-            acc[start - lo:] ^= shifted[start - q:nwords - q]
-    return _clear_padding(acc, nbits)
+            start, stop = max(lo - 1, q), min(hi, q + n)
+            total[start - lo + 1:stop - lo + 1] ^= src[start - q:stop - q]
+        for i in range(0, hi - lo, _CHUNK):
+            j = min(i + _CHUNK, hi - lo)
+            acc[i:j] ^= total[i + 1:j + 1] << r
+            if r:
+                acc[i:j] ^= total[i:j] >> (64 - r)
+    if hi == nwords:
+        _clear_padding(acc, nbits)
+    return acc
 
 
 def _check_complete(e: SparseExponents, limit: int) -> None:
@@ -217,9 +236,12 @@ def _check_complete(e: SparseExponents, limit: int) -> None:
 
 
 def mul_sparse(s: BitSeries, e: SparseExponents, limit: int) -> BitSeries:
-    """Product with a sparse series: XOR of one shifted copy per exponent."""
+    """Product with a sparse series: XOR of one shifted copy per exponent.
+
+    Built tile by tile as the one leaf of `_mul_frobenius` with s = 0.
+    """
     _check_complete(e, limit)
-    return BitSeries(limit, _xor_shifted(s.words, e.exponents, limit))
+    return BitSeries(limit, _mul_frobenius(s.words, e.exponents, 0, limit))
 
 
 def mul_dense(a: BitSeries, b: BitSeries, limit: int) -> BitSeries:
@@ -253,12 +275,12 @@ def _mul_frobenius(h: np.ndarray, exponents, s: int, nbits: int,
     Splits g by exponent class mod 2^s, g = sum over c of x^c G_c(x^(2^s)),
     so that g*h(x^(2^s)) = sum over c of x^c (G_c*h)(x^(2^s)). Each class
     present is one leaf, the word kernel's G_c*h on ceil((nbits - c)/2^s)
-    coefficients, and the leaf's bit i is spread to bit 2^s*i + c of `out`
-    (a fresh zero array when None) through a 256-entry table, a few
-    thousand bytes at a time. Only leaf words from lo on are computed and
-    spread, into the output words from 2^s*lo on. Spreading ORs, so output
-    bits that are already right stay right, and `h` may be a prefix of
-    `out` as long as each leaf reads none of the bits the spreads change.
+    coefficients. The leaf is computed from word lo on, _TILE words at a
+    time, and each tile's bit i is spread to bit 2^s*i + c of `out` (a fresh
+    zero array when None) through a 256-entry table, a few thousand bytes at
+    a time, before the next tile is computed. Spreading ORs, so output bits
+    that are already right stay right, and `h` may be a prefix of `out` as
+    long as each leaf reads none of the bits the spreads change.
     """
     if out is None:
         out = np.zeros((nbits + 63) // 64, dtype="<u8")
@@ -269,13 +291,16 @@ def _mul_frobenius(h: np.ndarray, exponents, s: int, nbits: int,
         if not exps:
             continue
         table = _SPREAD[s] << c
-        dst = out.view(table.dtype)[8 * lo:]
-        leaf = _xor_shifted(h, exps, (nbits - c + m - 1) >> s, lo).view(np.uint8)
-        leaf = leaf[:len(dst)]
-        dst = dst[:len(leaf)]
-        for i in range(0, len(leaf), _CHUNK):
-            dst[i:i + _CHUNK] |= table[leaf[i:i + _CHUNK]]
-        del leaf  # one leaf alive at a time
+        dst = out.view(table.dtype)
+        leaf_bits = (nbits - c + m - 1) >> s
+        leaf_words = (leaf_bits + 63) // 64
+        for a in range(lo, leaf_words, _TILE):
+            b = min(a + _TILE, leaf_words)
+            part = dst[8 * a:8 * b]
+            tile = _xor_shifted(h, exps, leaf_bits, a, b).view(np.uint8)[:len(part)]
+            for i in range(0, len(part), _CHUNK):
+                part[i:i + _CHUNK] |= table[tile[i:i + _CHUNK]]
+            del tile  # one tile alive at a time
     return out
 
 

@@ -351,20 +351,46 @@ def test_kernel_window_is_a_suffix_of_the_product(limit):
                 assert np.array_equal(got, full[lo:])
 
 
+def kernel_builds(limit: int) -> list:
+    # every kernel route at a length where the leaf exponents hit every
+    # residue mod 64 and the Newton windows start past word 0
+    rng = random.Random(77)
+    s = random_series(rng, limit)
+    pent = f2.generalized_pentagonals(limit)
+    spread = SparseExponents(every_residue_exponents(rng, limit), 2 * limit)
+    assert {k % 64 for k in spread.exponents if k < limit} == set(range(64))
+    return [lambda: f2.invert_newton(f2.squares(limit), limit),
+            lambda: f2.invert_newton(pent, limit),
+            lambda: f2.inverse_seventh_power(limit),
+            lambda: f2.mul_sparse(s, pent, limit),
+            lambda: f2.mul_sparse(s, spread, limit),
+            lambda: f2.square(s, limit)]
+
+
 def test_chunk_boundaries_do_not_change_results(monkeypatch):
     # the carry and the spread run in chunks of _CHUNK words or bytes; with
     # chunks of 3 every build crosses many chunk boundaries
-    limit = 4097
-    s = random_series(random.Random(77), limit)
-    pent = f2.generalized_pentagonals(limit)
-    builds = [lambda: f2.invert_newton(f2.squares(limit), limit),
-              lambda: f2.invert_newton(pent, limit),
-              lambda: f2.inverse_seventh_power(limit),
-              lambda: f2.mul_sparse(s, pent, limit),
-              lambda: f2.square(s, limit)]
+    builds = kernel_builds(4097)
     expect = [build() for build in builds]
     monkeypatch.setattr(f2, "_CHUNK", 3)
     assert [build() for build in builds] == expect
+
+
+@pytest.mark.parametrize("tile", (1, 3, 5))
+def test_tile_boundaries_do_not_change_results(monkeypatch, tile):
+    # each leaf is computed and spread _TILE words at a time; with tiles of a
+    # few words every leaf spans many tiles, and the Newton windows start
+    # at words that are not multiples of the tile
+    builds = kernel_builds(4097)
+    expect = [build() for build in builds]
+    monkeypatch.setattr(f2, "_TILE", tile)
+    calls = record_kernel_calls(monkeypatch)
+    for build, want in zip(builds, expect):
+        calls.clear()
+        assert build() == want
+        leaves = leaf_windows(calls)
+        assert len(calls) > len(leaves)
+        assert all(hi - lo <= tile for _, lo, hi in calls)
 
 
 def traced_peak(fn):
@@ -379,29 +405,48 @@ def traced_peak(fn):
 
 
 def test_builds_hold_one_output_and_one_leaf():
-    # peak traced bytes per byte of the result's words at 2^23+1, where the
-    # fixed-size spread and carry chunks and the exponent lists are small:
-    # the output, one leaf window and one shifted copy of the source
-    limit = (1 << 23) + 1
-    for build, bound in ((tp.build_B, 2.75), (tp.build_Bstar, 2.75),
-                         (f2.inverse_seventh_power, 2.0)):
-        result, peak, _ = traced_peak(lambda: build(limit))
-        assert peak <= bound * result.words.nbytes, build.__name__
+    # peak traced bytes per byte of the result's words, where the fixed-size
+    # spread and carry chunks and the exponent lists are small: the output
+    # and, per leaf tile, the tile and one residue sum of its size. At
+    # 2^23+1 a Newton leaf window is one tile, at 2^25+1 the top ones span
+    # three; 1/g^7 also holds 1/g to an eighth of the length
+    for limit, bounds in (((1 << 23) + 1, (2.0, 2.0, 2.0)),
+                          ((1 << 25) + 1, (1.6, 1.6, 1.6))):
+        for build, bound in zip((tp.build_B, tp.build_Bstar,
+                                 f2.inverse_seventh_power), bounds):
+            result, peak, _ = traced_peak(lambda: build(limit))
+            assert peak <= bound * result.words.nbytes, (build.__name__, limit)
     _, peak, base = traced_peak(result.popcount)
     assert peak - base <= 0.25 * result.words.nbytes
 
 
 def record_kernel_calls(monkeypatch) -> list:
-    # (nbits, lo) of every word-kernel call, which still runs
+    # (nbits, lo, hi) of every word-kernel call, which still runs
     calls = []
     kernel = f2._xor_shifted
 
-    def recording(words, exponents, nbits, lo=0):
-        calls.append((nbits, lo))
-        return kernel(words, exponents, nbits, lo)
+    def recording(words, exponents, nbits, lo=0, hi=None):
+        calls.append((nbits, lo, -(-nbits // 64) if hi is None else hi))
+        return kernel(words, exponents, nbits, lo, hi)
 
     monkeypatch.setattr(f2, "_xor_shifted", recording)
     return calls
+
+
+def leaf_windows(calls) -> list:
+    # (nbits, lo) per leaf: a leaf's tiles are contiguous kernel calls on one
+    # length, the first from the leaf's window start and the last ending at
+    # the leaf's last word
+    leaves, end = [], None
+    for nbits, lo, hi in calls:
+        if end is None:
+            leaves.append((nbits, lo))
+        else:
+            assert (nbits, lo) == (leaves[-1][0], end), "tiles leave a gap or overlap"
+        assert lo < hi
+        end = None if hi == -(-nbits // 64) else hi
+    assert end is None, "the last leaf stops short of its last word"
+    return leaves
 
 
 @pytest.mark.parametrize("k", (4, 9, 13))
@@ -415,7 +460,7 @@ def test_newton_ladder_runs_half_length_products(monkeypatch, k):
         for gen in (f2.squares, f2.generalized_pentagonals):
             calls.clear()
             f2.invert_newton(gen(limit), limit)
-            lengths = [nbits for nbits, _ in calls]
+            lengths = [nbits for nbits, _ in leaf_windows(calls)]
             assert max(lengths) <= (limit + 1) // 2 + 1
             assert sum(lengths) < 2 * limit + limit.bit_length()
 
@@ -437,8 +482,8 @@ def test_newton_leaves_skip_known_prefix(monkeypatch, k):
                 expect += [((prec + 1) // 2, lo), (prec // 2, lo)]
             calls.clear()
             f2.invert_newton(gen(limit), limit)
-            assert calls == expect
-            assert any(lo for _, lo in calls) == (k > 4)
+            assert leaf_windows(calls) == expect
+            assert any(lo for _, lo in leaf_windows(calls)) == (k > 4)
 
 
 @pytest.mark.parametrize("k", (4, 9, 13))
@@ -447,7 +492,7 @@ def test_seventh_power_runs_eighth_length_products(monkeypatch, k):
     for limit in (2**k + 1, 2**k, 2**k - 1):
         calls.clear()
         f2.inverse_seventh_power(limit)
-        lengths = [nbits for nbits, _ in calls]
+        lengths = [nbits for nbits, _ in leaf_windows(calls)]
         assert max(lengths) <= (limit + 7) // 8 + 1
         assert sum(lengths) < 2 * limit
 
@@ -510,6 +555,9 @@ def test_mul_sparse_requires_complete_exponents():
     # 1000 would be the product by a truncated g
     with pytest.raises(ValueError, match="complete only below 100, need 1000"):
         f2.mul_sparse(tp.build_B(1000), f2.squares(100), 1000)
+    # nor can its bitmap to 100 hold the squares from 10 on
+    with pytest.raises(ValueError, match="complete only below 10, need 100"):
+        f2.from_exponents(f2.squares(10), 100)
 
 
 @pytest.mark.parametrize("name, args", [
