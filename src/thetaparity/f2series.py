@@ -207,7 +207,7 @@ def _xor_shifted(src: np.ndarray, exponents, nbits: int, lo: int = 0,
     for k in exponents:
         if k >= nbits or k >> 6 >= hi:
             break
-        if (k >> 6) + n >= lo:
+        if (k >> 6) + n >= lo:  # the source reaches word lo-1
             offsets.setdefault(k & 63, []).append(k >> 6)
     acc = np.zeros(hi - lo, dtype="<u8")
     total = np.empty(hi - lo + 1, dtype="<u8")  # words lo-1 .. hi-1
