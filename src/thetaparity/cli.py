@@ -20,11 +20,15 @@ out of range.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import nullcontext
+from itertools import chain, islice
 
 from .bitseries import BitmapFormatError, InsufficientBitmapError, read_f2s, write_f2s
 
 __all__ = ["main"]
+_LINES_PER_WRITE = 1 << 14  # CSV lines per write, about 2 MB held at once
 
 
 def _unsigned(text: str) -> int:
@@ -96,12 +100,12 @@ def _statement_ids(text: str) -> list:
     return ids
 
 
-def _write_text(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _write_lines(lines, path: str | None) -> None:
+    lines = iter(lines)  # so that each islice goes on where the last one stopped
+    with nullcontext(sys.stdout) if path is None else open(
+            path, "w", encoding="utf-8", newline="\n") as fh:
+        while chunk := list(islice(lines, _LINES_PER_WRITE)):
+            fh.write("\n".join(chunk) + "\n")
 
 
 # series name -> the f2series constructor, and the exponent set it inverts
@@ -143,6 +147,11 @@ def __getattr__(name):
 
 
 def _cmd_gen(args) -> int:
+    need = 8 * ((args.limit + 63) // 64)
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise MemoryError(f"{args.limit} coefficients need a {need}-byte bitmap, "
+                          f"more than the {have} bytes of physical memory")
     series = _builders()[args.series](args.limit)
     write_f2s(series, args.out)
     print(f"{args.out}: {series.length} coefficients, {series.popcount()} set bits")
@@ -160,7 +169,7 @@ def _cmd_verify(args) -> int:
     inv = read_f2s(args.inv_theta, args.hi + 1)
     inv7 = read_f2s(args.inv_theta7, args.hi + 1) if args.inv_theta7 else None
     reports = theorems.run_suite(ids, args.lo, args.hi, theorems.SeriesContext(inv, inv7))
-    _write_text(theorems.reports_to_csv(reports), args.out)
+    _write_lines(theorems.reports_to_csv(reports).splitlines(), args.out)
     return 0 if all(r.violated == 0 for r in reports) else 1
 
 
@@ -175,12 +184,10 @@ def _cmd_census(args) -> int:
 
     table = census.interval_counts(read_f2s(args.bitmap, 16 * args.x * args.intervals),
                                    args.x, args.intervals)
-    lines = ["interval_index,lo,hi,count,count_minus_half_x"]
-    for j, count in enumerate(table.counts):
-        lo = j * table.interval_width
-        hi = lo + table.interval_width
-        lines.append(f"{j},{lo},{hi},{count},{_half_delta(count, table.x)}")
-    _write_text("\n".join(lines) + "\n", args.out)
+    w = table.interval_width
+    _write_lines(chain(["interval_index,lo,hi,count,count_minus_half_x"],
+                       (f"{j},{j * w},{(j + 1) * w},{c},{_half_delta(c, table.x)}"
+                        for j, c in enumerate(table.counts))), args.out)
     return 0
 
 
@@ -189,10 +196,8 @@ def _cmd_alpha(args) -> int:
 
     # the bitmap is freed before the rows are formatted
     sweep = census.alpha_sweep(read_f2s(args.bitmap, 16 * args.max_x), args.max_x, args.step)
-    lines = ["x,beta,alpha"]
-    for row in sweep.rows:
-        lines.append(f"{row.x},{row.beta},{row.alpha:.6f}")
-    _write_text("\n".join(lines) + "\n", args.out)
+    _write_lines(chain(["x,beta,alpha"], (f"{r.x},{r.beta},{r.alpha:.6f}" for r in sweep.rows)),
+                 args.out)
     return 0
 
 

@@ -7,6 +7,7 @@ subprocess to check interpreter-level exit codes.
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,26 @@ def test_gen_usage_errors(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["gen", "nonsense", "16", "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
+
+
+def test_gen_refuses_a_bitmap_larger_than_memory(tmp_path, capsys, monkeypatch):
+    # the bitmap's size is checked before any exponent list is built
+    from thetaparity import f2series
+
+    def never(*args):
+        raise AssertionError("a builder ran")
+
+    monkeypatch.setattr(f2series, "squares", never)
+    monkeypatch.setattr(f2series, "generalized_pentagonals", never)
+    out = tmp_path / "x.f2s"
+    need = 8 * (2 ** 58 + 1)
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    for series in ("theta", "pentagonal", "inv-theta", "inv-pentagonal", "inv-theta7"):
+        assert run(["gen", series, "2^64+1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory")
+        assert f"{need}-byte bitmap" in err and f"{have} bytes" in err
+        assert not out.exists()
 
 
 def test_no_threads_option(tmp_path):
@@ -322,6 +343,60 @@ def test_census_zero_intervals_prints_header(tmp_path, capsys, monkeypatch):
     assert run(["census", "--x", "5", "--intervals", "0", "--bitmap", str(bmp)]) == 0
     assert limits == [0]
     assert capsys.readouterr().out == "interval_index,lo,hi,count,count_minus_half_x\n"
+
+
+def _csv_outputs(argv, tmp_path, capsys):
+    # (exit code, stdout) of argv, then (exit code, bytes of --out)
+    out = tmp_path / "out.csv"
+    code = run(argv)
+    printed = capsys.readouterr().out
+    assert run([*argv, "--out", str(out)]) == code
+    return code, printed, out.read_bytes()
+
+
+@pytest.mark.parametrize("lines", (1, 3))
+def test_chunked_writes_do_not_change_outputs(lines, tmp_path, capsys, monkeypatch):
+    # every CSV is written _LINES_PER_WRITE lines at a time; chunks of one
+    # and three lines split the header from the rows and end mid-output
+    from thetaparity import cli
+
+    bmp, bmp7 = tmp_path / "b.f2s", tmp_path / "b7.f2s"
+    tp.write_f2s(tp.build_B(2000), bmp)
+    tp.write_f2s(tp.inverse_seventh_power(2000), bmp7)
+    cases = [["census", "--x", "7", "--intervals", "17", "--bitmap", str(bmp)],
+             ["census", "--x", "7", "--intervals", "0", "--bitmap", str(bmp)],
+             ["alpha", "--max-x", "100", "--step", "3", "--bitmap", str(bmp)],
+             ["verify", "all", "0", "1000", "--inv-theta", str(bmp), "--inv-theta7", str(bmp7)]]
+    expect = [_csv_outputs(argv, tmp_path, capsys) for argv in cases]
+    monkeypatch.setattr(cli, "_LINES_PER_WRITE", lines)
+    for argv, want in zip(cases, expect):
+        assert _csv_outputs(argv, tmp_path, capsys) == want
+    assert len(expect[3][1].splitlines()) == 1 + len(tp.theorems.ALL_STATEMENTS)
+
+
+def test_alpha_csv_holds_one_chunk_of_lines(tmp_path, monkeypatch):
+    # beyond the sweep's rows, alpha holds one chunk of CSV lines, never
+    # all of them: 2^14 lines and their joined copy take about 2 MB, a
+    # chunk of 2^10 lines about 0.2 MB
+    from thetaparity import census, cli
+
+    monkeypatch.setattr(cli, "_LINES_PER_WRITE", 1 << 10)
+    bmp, out = tmp_path / "b.f2s", tmp_path / "alpha.csv"
+    tp.write_f2s(tp.build_B(1 << 18), bmp)
+    argv = ["alpha", "--max-x", "2^14", "--step", "1", "--bitmap", str(bmp), "--out", str(out)]
+    peaks = []
+    for fn in (lambda: census.alpha_sweep(tp.read_f2s(bmp, 1 << 18), 1 << 14, 1),
+               lambda: run(argv)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    sweep, command = peaks
+    assert len(out.read_text().splitlines()) == 1 + (1 << 14)
+    assert command - sweep <= 1 << 19
 
 
 def test_repcount_outputs(capsys):
