@@ -7,8 +7,8 @@ read-only buffer of those words' bytes, which is also the .f2s payload on
 disk; the word kernel and the Frobenius spread here read it as numpy's
 zero-copy '<u8' view `words` and return fresh word arrays, which the
 series then keeps without copying. A 2^23-coefficient series occupies one
-megabyte; the Python int with bit n the coefficient of x^n exists only for
-the big-int oracles and tests.
+megabyte; the Python int with bit n the coefficient of x^n exists only
+inside the big-int oracles `mul_dense` and `invert_recurrence`, and tests.
 
 The generators of interest here are sparse (perfect squares, generalized
 pentagonal numbers), so multiplication by a generator is an XOR of shifted
@@ -112,12 +112,13 @@ def _clear_padding(words: np.ndarray, nbits: int) -> np.ndarray:
     return words
 
 
-def _bits_from_positions(positions, limit: int) -> int:
-    buf = bytearray((limit + 7) // 8)
+def _bits_from_positions(positions, limit: int) -> bytearray:
+    # the 8 * ceil(limit/64) bytes of a series with bit p set for each p < limit
+    buf = bytearray(8 * ((limit + 63) // 64))
     for p in positions:
         if 0 <= p < limit:
             buf[p >> 3] |= 1 << (p & 7)
-    return int.from_bytes(buf, "little")
+    return buf
 
 
 @dataclass(frozen=True)
@@ -184,12 +185,11 @@ def square(s: BitSeries, limit: int) -> BitSeries:
     return BitSeries(limit, _mul_frobenius(s.words, (0,), 1, limit))
 
 
-def _xor_shifted(src: np.ndarray, exponents, nbits: int, lo: int = 0,
-                 hi: int | None = None) -> np.ndarray:
+def _xor_shifted(src: np.ndarray, exponents, nbits: int, lo: int, hi: int) -> np.ndarray:
     """Words lo..hi-1 of the XOR of src << k over the exponents k < nbits.
 
-    On word arrays, `exponents` increasing, the product truncated to nbits;
-    hi defaults to the product's word count. An exponent k = 64q + r moves
+    On word arrays, `exponents` increasing, the product truncated to nbits
+    and hi at most its word count. An exponent k = 64q + r moves
     source word i to word i + q shifted left by r, carrying into the word
     above, and shifts distribute over XOR. So for each residue r present the
     unshifted source slices of its offsets q < hi are XORed into one sum
@@ -199,8 +199,6 @@ def _xor_shifted(src: np.ndarray, exponents, nbits: int, lo: int = 0,
     nbits land in cleared bits.
     """
     nwords = (nbits + 63) // 64
-    if hi is None:
-        hi = nwords
     src = src[:nwords]
     n = len(src)
     offsets: dict[int, list[int]] = {}
@@ -344,7 +342,7 @@ def invert_recurrence(e: SparseExponents, limit: int) -> BitSeries:
     which is what makes it a useful cross-check against the Newton route.
     """
     _check_invertible(e, limit)
-    emask = _bits_from_positions([k for k in e.exponents if k > 0], limit)
+    emask = int.from_bytes(_bits_from_positions(e.exponents[1:], limit), "little")
     full = _mask(limit)
     low64 = _mask(64)
     e64 = emask & low64

@@ -127,6 +127,9 @@ def _window_bits(series: BitSeries, lo: int, hi: int) -> np.ndarray:
     return bits[: hi - lo + 1].astype(bool)
 
 
+_ZERO_COORDINATE = "unexpected zero coordinate in primitive triple, n={}"
+
+
 class _Columns:
     """The quantities of the statements over n in [lo, hi], one array each.
 
@@ -158,20 +161,26 @@ class _Columns:
         return self._column(("roots", divisor), lambda: quadarith._exact_sqrt(
             self.n // divisor))
 
-    def _table(self, key, build_table, scale: int) -> np.ndarray:
+    def _table(self, build_table, scale: int) -> np.ndarray:
         # a table from 0 to scale * hi, kept only at the entries scale * n
-        return self._column(key, lambda: build_table(
-            scale * self.hi)[scale * self.lo :: scale].copy())
+        return build_table(scale * self.hi)[scale * self.lo :: scale].copy()
 
     def tuples(self, form: tuple[int, ...], scale: int = 1) -> np.ndarray:
         """count_square_tuples(scale * n, form)."""
-        return self._table(("tuples", form, scale), functools.partial(
-            quadarith.theta_product_table, form), scale)
+        return self._column(("tuples", form, scale), lambda: self._table(
+            functools.partial(quadarith.theta_product_table, form), scale))
 
     def primitive_r3(self, scale: int) -> np.ndarray:
-        """count_signed_representations(scale * n, (1, 1, 1), primitive=True)."""
-        return self._table(("primitive_r3", scale),
-                           quadarith.primitive_signed_r3_table, scale)
+        """count_signed_representations(scale * n, (1, 1, 1), primitive=True),
+        checked where scale * n = 3 or 6 mod 8: there no sum of three squares
+        has a zero term, so each count is 8 sign patterns per triple."""
+        def build():
+            signed = self._table(quadarith.primitive_signed_r3_table, scale)
+            odd = np.flatnonzero(np.isin(scale * self.n % 8, (3, 6)) & (signed % 8 != 0))
+            if odd.size:
+                raise AssertionError(_ZERO_COORDINATE.format(scale * int(self.n[odd[0]])))
+            return signed
+        return self._column(("primitive_r3", scale), build)
 
     def factors(self) -> quadarith.FactorColumns:
         return self._column("factors", lambda: quadarith.factor_columns(self.lo, self.hi))
@@ -191,8 +200,9 @@ def _vacuous(**witness) -> Verdict:
 
 
 # Each statement has a scalar checker, the oracle, and a batch function that
-# returns (ok, vacuous) boolean arrays over the window of a _Columns; the
-# tallies count ok and vacuous only where the statement applies.
+# takes only the _Columns and returns (ok, vacuous) boolean arrays over its
+# window; the tallies count ok and vacuous only where the statement applies.
+# Columns check their own invariants: FFT rounding, primitive r3 signs.
 
 def _check_t1_1(n: int, ctx: SeriesContext) -> Verdict:
     member = ctx.member(n)
@@ -201,7 +211,7 @@ def _check_t1_1(n: int, ctx: SeriesContext) -> Verdict:
                     half_square=half_square)
 
 
-def _batch_t1_1(c: _Columns, app: np.ndarray):
+def _batch_t1_1(c: _Columns):
     return c.member() == c.square_roots(2)[1], False
 
 
@@ -213,7 +223,7 @@ def _check_parity(form: tuple[int, ...], n: int, ctx: SeriesContext) -> Verdict:
                     **{"count_" + "_".join(map(str, form)): count})
 
 
-def _batch_parity(form: tuple[int, ...], c: _Columns, app: np.ndarray):
+def _batch_parity(form: tuple[int, ...], c: _Columns):
     return c.member() == (c.tuples(form) % 2 == 1), False
 
 
@@ -224,7 +234,7 @@ def _check_l2_1_identity(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(r1 + r2 == 2 * t, r1=r1, r2=r2, count_1_2_8=t)
 
 
-def _batch_l2_1_identity(c: _Columns, app: np.ndarray):
+def _batch_l2_1_identity(c: _Columns):
     return c.tuples((1, 1, 1)) + c.tuples((1, 2)) == 2 * c.tuples((1, 2, 8)), False
 
 
@@ -237,12 +247,9 @@ def _check_l2_1_sufficiency(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(not member, r1=r1, r2=r2, member=member)
 
 
-def _batch_l2_1_sufficiency(c: _Columns, app: np.ndarray):
+def _batch_l2_1_sufficiency(c: _Columns):
     vacuous = (c.tuples((1, 1, 1)) % 4 != 0) | (c.tuples((1, 2)) % 4 != 0)
     return ~c.member(), vacuous
-
-
-_ZERO_COORDINATE = "unexpected zero coordinate in primitive triple, n={}"
 
 
 def _check_primitive_triples(scale: int, n: int, ctx: SeriesContext) -> Verdict:
@@ -261,13 +268,8 @@ def _check_primitive_triples(scale: int, n: int, ctx: SeriesContext) -> Verdict:
                     primitive_triples=triples, signed_primitive=signed)
 
 
-def _batch_primitive_triples(scale: int, c: _Columns, app: np.ndarray):
-    vacuous = c.factors().distinct_primes < 3
-    signed = c.primitive_r3(scale)
-    odd = np.flatnonzero(app & ~vacuous & (signed % 8 != 0))
-    if odd.size:
-        raise AssertionError(_ZERO_COORDINATE.format(scale * int(c.n[odd[0]])))
-    return signed // 8 % 4 == 0, vacuous
+def _batch_primitive_triples(scale: int, c: _Columns):
+    return c.primitive_r3(scale) // 8 % 4 == 0, c.factors().distinct_primes < 3
 
 
 def _check_three_odd_primes(n: int, ctx: SeriesContext) -> Verdict:
@@ -278,7 +280,7 @@ def _check_three_odd_primes(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(not member, odd_exponent_primes=odd, member=member)
 
 
-def _batch_three_odd_primes(c: _Columns, app: np.ndarray):
+def _batch_three_odd_primes(c: _Columns):
     return ~c.member(), c.factors().odd_exponent_primes < 3
 
 
@@ -294,7 +296,7 @@ def _check_l3_1(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(ok, u=u, v=v, exceptional=exceptional)
 
 
-def _batch_l3_1(c: _Columns, app: np.ndarray):
+def _batch_l3_1(c: _Columns):
     ideal = c.factors().ideal_counts
     u, v = ideal[IdealCountKind.MINUS_TWO], ideal[IdealCountKind.GAUSSIAN]
     root, square = c.square_roots()
@@ -312,7 +314,7 @@ def _check_l3_3(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(ok, u=u, v=v, count_1_2=u1, count_1_4=v1, square=bool(sq))
 
 
-def _batch_l3_3(c: _Columns, app: np.ndarray):
+def _batch_l3_3(c: _Columns):
     ideal = c.factors().ideal_counts
     sq = c.square_roots()[1].astype(np.int64)
     ok = ((ideal[IdealCountKind.MINUS_TWO] == 2 * c.tuples((1, 2)) - sq)
@@ -326,7 +328,7 @@ def _check_l3_5(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict((coeff == 1) == square, coefficient=coeff, square=square)
 
 
-def _batch_l3_5(c: _Columns, app: np.ndarray):
+def _batch_l3_5(c: _Columns):
     return c.seventh() == c.square_roots()[1], False
 
 
@@ -336,7 +338,7 @@ def _check_l3_7_identity(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(r3 == 6 * t, r3=r3, count_1_2_4=t)
 
 
-def _batch_l3_7_identity(c: _Columns, app: np.ndarray):
+def _batch_l3_7_identity(c: _Columns):
     return c.tuples((1, 1, 1), 2) == 6 * c.tuples((1, 2, 4)), False
 
 
@@ -346,7 +348,7 @@ def _check_t3_8(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(member == (r3 % 4 == 2), member=member, r3=r3)
 
 
-def _batch_t3_8(c: _Columns, app: np.ndarray):
+def _batch_t3_8(c: _Columns):
     return c.member() == (c.tuples((1, 1, 1), 2) % 4 == 2), False
 
 
@@ -358,7 +360,7 @@ def _check_c3_10(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(r3 % 4 == 0, odd_exponent_primes=odd, r3=r3)
 
 
-def _batch_c3_10(c: _Columns, app: np.ndarray):
+def _batch_c3_10(c: _Columns):
     return c.tuples((1, 1, 1), 2) % 4 == 0, c.factors().odd_exponent_primes < 3
 
 
@@ -368,7 +370,7 @@ def _check_gauss_24h(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(signed == 24 * h, signed_primitive=signed, class_number=h)
 
 
-def _batch_gauss_24h(c: _Columns, app: np.ndarray):
+def _batch_gauss_24h(c: _Columns):
     return c.primitive_r3(1) == 24 * c.class_numbers(1, 3), False
 
 
@@ -378,7 +380,7 @@ def _check_gauss_12h(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(signed == 12 * h, signed_primitive=signed, class_number=h)
 
 
-def _batch_gauss_12h(c: _Columns, app: np.ndarray):
+def _batch_gauss_12h(c: _Columns):
     return c.primitive_r3(2) == 12 * c.class_numbers(8, 7), False
 
 
@@ -388,7 +390,7 @@ class _Statement:
     modulus: int
     residue: int
     verifier: Callable[[int, SeriesContext], Verdict]
-    batch: Callable[[_Columns, np.ndarray], tuple]
+    batch: Callable[[_Columns], tuple]
     description: str
     minimum: int = 0
     needs_membership: bool = False
@@ -545,7 +547,7 @@ class TheoremReport:
 def _scan(sid: StatementId, columns: _Columns):
     n, lo = columns.n, columns.lo
     app = applicable(sid, n)
-    ok, vacuous = _REGISTRY[sid].batch(columns, app)
+    ok, vacuous = _REGISTRY[sid].batch(columns)
     vacuous = app & vacuous
     bad = np.flatnonzero(app & ~vacuous & ~ok)
     # witnesses come from the scalar oracle, which must agree that they fail

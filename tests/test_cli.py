@@ -533,6 +533,8 @@ def test_subcommands_import_only_their_layers(tmp_path):
     gen = ["bitseries", "cli", "f2series"], ["dataclasses", "numpy"]
     scan = ["bitseries", "census", "cli"], []
     for argv, (layers, libraries) in (
+            (["gen", "theta", "2^12", "--out", bmp], gen),
+            (["gen", "pentagonal", "2^12", "--out", bmp], gen),
             (["gen", "inv-theta", "2^12", "--out", bmp], gen),
             (["gen", "inv-theta7", "2^12", "--out", bmp], gen),
             (["census", "--bitmap", bmp, "--x", "2^4", "--intervals", "4"], scan),

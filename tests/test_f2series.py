@@ -149,6 +149,12 @@ def test_bitseries_validation():
         BitSeries(3, 1 << 3)
     with pytest.raises(ValueError):
         BitSeries(3, -1)
+    s = BitSeries(3, 0b101)
+    with pytest.raises(AttributeError):
+        s.length = 4
+    with pytest.raises(AttributeError):
+        del s.data
+    assert (s.length, s.bits) == (3, 0b101)
 
 
 def test_bytes_constructor():
@@ -254,6 +260,9 @@ def test_support_and_popcount():
     assert s.bits == (1 << 0) | (1 << 1) | (1 << 4) | (1 << 9)
     assert s.support().tolist() == [0, 1, 4, 9]
     assert s.popcount() == 4
+    assert repr(s) == "BitSeries(length=10, popcount=4)"
+    with pytest.raises(ValueError):
+        s.popcount(-1)
 
 
 def test_square_examples():
@@ -347,7 +356,7 @@ def test_kernel_window_is_a_suffix_of_the_product(limit):
             for length in (max(1, limit // 2), limit, 2 * limit):
                 s = random_series(rng, length)
                 full = int_words(shift_xor_bits(s.bits, exps, limit), limit)
-                got = f2._xor_shifted(s.words, exps, limit, lo)
+                got = f2._xor_shifted(s.words, exps, limit, lo, nwords)
                 assert np.array_equal(got, full[lo:])
 
 
@@ -409,9 +418,14 @@ def test_builds_hold_one_output_and_one_leaf():
     # spread and carry chunks and the exponent lists are small: the output
     # and, per leaf tile, the tile and one residue sum of its size. At
     # 2^23+1 a Newton leaf window is one tile, at 2^25+1 the top ones span
-    # three; 1/g^7 also holds 1/g to an eighth of the length
+    # three; 1/g^7 also holds 1/g to an eighth of the length. A sparse series
+    # expanded by from_exponents is its output buffer alone
     for limit, bounds in (((1 << 23) + 1, (2.0, 2.0, 2.0)),
                           ((1 << 25) + 1, (1.6, 1.6, 1.6))):
+        for gen in (f2.squares, f2.generalized_pentagonals):
+            e = gen(limit)
+            expanded, peak, _ = traced_peak(lambda: f2.from_exponents(e, limit))
+            assert peak <= 1.1 * expanded.words.nbytes, (gen.__name__, limit)
         for build, bound in zip((tp.build_B, tp.build_Bstar,
                                  f2.inverse_seventh_power), bounds):
             result, peak, _ = traced_peak(lambda: build(limit))
@@ -425,8 +439,8 @@ def record_kernel_calls(monkeypatch) -> list:
     calls = []
     kernel = f2._xor_shifted
 
-    def recording(words, exponents, nbits, lo=0, hi=None):
-        calls.append((nbits, lo, -(-nbits // 64) if hi is None else hi))
+    def recording(words, exponents, nbits, lo, hi):
+        calls.append((nbits, lo, hi))
         return kernel(words, exponents, nbits, lo, hi)
 
     monkeypatch.setattr(f2, "_xor_shifted", recording)

@@ -205,7 +205,7 @@ def test_run_suite_needs_scalar_agreement(ctx20k, monkeypatch):
     # a batch verdict of VIOLATED that the scalar oracle does not confirm
     # is an error, not a counterexample
     stmt = th._REGISTRY[StatementId.T1_1]
-    wrong = lambda c, app: (c.n != 40, False)
+    wrong = lambda c: (c.n != 40, False)
     monkeypatch.setitem(th._REGISTRY, StatementId.T1_1,
                         dataclasses.replace(stmt, batch=wrong))
     with pytest.raises(AssertionError, match="n=40"):
@@ -218,6 +218,18 @@ def test_batch_primitive_triples_keep_the_sign_check(ctx20k, monkeypatch):
     monkeypatch.setattr(qa, "primitive_signed_r3_table", lambda m: table(m) + 4)
     with pytest.raises(AssertionError, match="zero coordinate"):
         th.run_suite([StatementId.L2_2], 0, 400, ctx20k)
+    # the column checks every n where no term can be zero, also where the
+    # statement reading it is vacuous: N = 11 has one prime factor, and
+    # GAUSS_24H decides n = 11 from the same column
+    def off_at_11(m):
+        counts = table(m)
+        counts[11] += 4
+        return counts
+
+    monkeypatch.setattr(qa, "primitive_signed_r3_table", off_at_11)
+    for sid in (StatementId.L2_2, StatementId.GAUSS_24H):
+        with pytest.raises(AssertionError, match="zero coordinate"):
+            th.run_suite([sid], 0, 400, ctx20k)
     monkeypatch.setattr(qa, "count_signed_representations",
                         lambda *args, **kwargs: 12)
     with pytest.raises(AssertionError, match="zero coordinate"):
