@@ -9,10 +9,11 @@ ideal counts, and class numbers in `quadarith`.
 
 Every statement has two verifiers. The scalar checker behind `verify` takes
 one n and calls the per-query oracles; it is the reference. The batch
-function behind `run_suite` decides a whole range at once from columns built
-by the batch oracles (FFT count tables, a prime sieve, one reduced-form
-enumeration per class of discriminants), and the scalar checker rebuilds the
-witness of each recorded violation.
+function behind `run_suite` decides a whole range at once from the columns
+its registry entry reads, built by the batch oracles (FFT count tables, a
+prime sieve, one reduced-form enumeration per class of discriminants); each
+column is built at its first reader and dropped after its last. The scalar
+checker rebuilds the witness of each recorded violation.
 
 One-directional statements report VACUOUS when their number-theoretic
 hypothesis does not bite, so the suite tallies also show how often each
@@ -25,6 +26,7 @@ the registry's description strings say what each one asserts.
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import math
@@ -130,65 +132,45 @@ def _window_bits(series: BitSeries, lo: int, hi: int) -> np.ndarray:
 _ZERO_COORDINATE = "unexpected zero coordinate in primitive triple, n={}"
 
 
-class _Columns:
-    """The quantities of the statements over n in [lo, hi], one array each.
+def _arange(lo: int, hi: int) -> np.ndarray:
+    return np.arange(lo, hi + 1, dtype=np.int64)
 
-    Index i holds the value at n = lo + i. A column is built the first time
-    a statement asks for it and is shared by the other statements of the
-    same run_suite call, so only what the requested statements use is built.
-    """
 
-    def __init__(self, lo: int, hi: int, ctx: SeriesContext):
-        self.lo, self.hi, self.ctx = lo, hi, ctx
-        self.n = np.arange(lo, hi + 1, dtype=np.int64)
-        self._built: dict = {}
+def _every(table: np.ndarray, lo: int, scale: int) -> np.ndarray:
+    # a table from 0 to scale * hi, kept only at the entries scale * n
+    return table[scale * lo :: scale].copy()
 
-    def _column(self, key, build):
-        if key not in self._built:
-            self._built[key] = build()
-        return self._built[key]
 
-    def member(self) -> np.ndarray:
-        return self._column("member", lambda: _window_bits(
-            self.ctx.inv_theta, self.lo, self.hi))
+def _primitive_r3(lo: int, hi: int, ctx: SeriesContext, scale: int) -> np.ndarray:
+    """count_signed_representations(scale * n, (1, 1, 1), primitive=True),
+    checked where scale * n = 3 or 6 mod 8: there no sum of three squares
+    has a zero term, so each count is 8 sign patterns per triple."""
+    signed = _every(quadarith.primitive_signed_r3_table(scale * hi), lo, scale)
+    scaled = scale * _arange(lo, hi)
+    odd = np.flatnonzero(np.isin(scaled % 8, (3, 6)) & (signed % 8 != 0))
+    if odd.size:
+        raise AssertionError(_ZERO_COORDINATE.format(int(scaled[odd[0]])))
+    return signed
 
-    def seventh(self) -> np.ndarray:
-        return self._column("seventh", lambda: _window_bits(
-            self.ctx.inv_theta7, self.lo, self.hi))
 
-    def square_roots(self, divisor: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """(root, is perfect square) of n // divisor."""
-        return self._column(("roots", divisor), lambda: quadarith._exact_sqrt(
-            self.n // divisor))
-
-    def _table(self, build_table, scale: int) -> np.ndarray:
-        # a table from 0 to scale * hi, kept only at the entries scale * n
-        return build_table(scale * self.hi)[scale * self.lo :: scale].copy()
-
-    def tuples(self, form: tuple[int, ...], scale: int = 1) -> np.ndarray:
-        """count_square_tuples(scale * n, form)."""
-        return self._column(("tuples", form, scale), lambda: self._table(
-            functools.partial(quadarith.theta_product_table, form), scale))
-
-    def primitive_r3(self, scale: int) -> np.ndarray:
-        """count_signed_representations(scale * n, (1, 1, 1), primitive=True),
-        checked where scale * n = 3 or 6 mod 8: there no sum of three squares
-        has a zero term, so each count is 8 sign patterns per triple."""
-        def build():
-            signed = self._table(quadarith.primitive_signed_r3_table, scale)
-            odd = np.flatnonzero(np.isin(scale * self.n % 8, (3, 6)) & (signed % 8 != 0))
-            if odd.size:
-                raise AssertionError(_ZERO_COORDINATE.format(scale * int(self.n[odd[0]])))
-            return signed
-        return self._column(("primitive_r3", scale), build)
-
-    def factors(self) -> quadarith.FactorColumns:
-        return self._column("factors", lambda: quadarith.factor_columns(self.lo, self.hi))
-
-    def class_numbers(self, scale: int, residue: int) -> np.ndarray:
-        """class_number(-scale * n) where n = residue mod 8, else 0."""
-        return self._column(("class_numbers", scale, residue), lambda: (
-            quadarith.class_numbers(scale, residue, self.lo, self.hi)))
+# The quantities of the statements over n in [lo, hi], index i at n = lo + i.
+# A column key is (kind, *args), and builder(lo, hi, ctx, *args) computes it;
+# run_suite builds each key at its first reader and drops it after its last.
+_COLUMNS: dict[str, Callable] = {
+    "n": lambda lo, hi, ctx: _arange(lo, hi),
+    "member": lambda lo, hi, ctx: _window_bits(ctx.inv_theta, lo, hi),
+    "seventh": lambda lo, hi, ctx: _window_bits(ctx.inv_theta7, lo, hi),
+    # (root, is perfect square) of n // divisor
+    "roots": lambda lo, hi, ctx, divisor: quadarith._exact_sqrt(_arange(lo, hi) // divisor),
+    # count_square_tuples(scale * n, form)
+    "tuples": lambda lo, hi, ctx, form, scale: _every(
+        quadarith.theta_product_table(form, scale * hi), lo, scale),
+    "primitive_r3": _primitive_r3,
+    "factors": lambda lo, hi, ctx: quadarith.factor_columns(lo, hi),
+    # class_number(-scale * n) where n = residue mod 8, else 0
+    "class_numbers": lambda lo, hi, ctx, scale, residue: quadarith.class_numbers(
+        scale, residue, lo, hi),
+}
 
 
 def _verdict(ok: bool, **witness) -> Verdict:
@@ -200,9 +182,10 @@ def _vacuous(**witness) -> Verdict:
 
 
 # Each statement has a scalar checker, the oracle, and a batch function that
-# takes only the _Columns and returns (ok, vacuous) boolean arrays over its
-# window; the tallies count ok and vacuous only where the statement applies.
-# Columns check their own invariants: FFT rounding, primitive r3 signs.
+# takes the columns its registry entry reads, in that order, and returns
+# (ok, vacuous) boolean arrays over its window; the tallies count ok and
+# vacuous only where the statement applies. Columns check their own
+# invariants: FFT rounding, primitive r3 signs.
 
 def _check_t1_1(n: int, ctx: SeriesContext) -> Verdict:
     member = ctx.member(n)
@@ -211,8 +194,8 @@ def _check_t1_1(n: int, ctx: SeriesContext) -> Verdict:
                     half_square=half_square)
 
 
-def _batch_t1_1(c: _Columns):
-    return c.member() == c.square_roots(2)[1], False
+def _batch_t1_1(member, half_roots):
+    return member == half_roots[1], False
 
 
 def _check_parity(form: tuple[int, ...], n: int, ctx: SeriesContext) -> Verdict:
@@ -223,8 +206,8 @@ def _check_parity(form: tuple[int, ...], n: int, ctx: SeriesContext) -> Verdict:
                     **{"count_" + "_".join(map(str, form)): count})
 
 
-def _batch_parity(form: tuple[int, ...], c: _Columns):
-    return c.member() == (c.tuples(form) % 2 == 1), False
+def _batch_parity(member, count):
+    return member == (count % 2 == 1), False
 
 
 def _check_l2_1_identity(n: int, ctx: SeriesContext) -> Verdict:
@@ -234,8 +217,8 @@ def _check_l2_1_identity(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(r1 + r2 == 2 * t, r1=r1, r2=r2, count_1_2_8=t)
 
 
-def _batch_l2_1_identity(c: _Columns):
-    return c.tuples((1, 1, 1)) + c.tuples((1, 2)) == 2 * c.tuples((1, 2, 8)), False
+def _batch_l2_1_identity(r1, r2, t):
+    return r1 + r2 == 2 * t, False
 
 
 def _check_l2_1_sufficiency(n: int, ctx: SeriesContext) -> Verdict:
@@ -247,9 +230,8 @@ def _check_l2_1_sufficiency(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(not member, r1=r1, r2=r2, member=member)
 
 
-def _batch_l2_1_sufficiency(c: _Columns):
-    vacuous = (c.tuples((1, 1, 1)) % 4 != 0) | (c.tuples((1, 2)) % 4 != 0)
-    return ~c.member(), vacuous
+def _batch_l2_1_sufficiency(r1, r2, member):
+    return ~member, (r1 % 4 != 0) | (r2 % 4 != 0)
 
 
 def _check_primitive_triples(scale: int, n: int, ctx: SeriesContext) -> Verdict:
@@ -268,8 +250,8 @@ def _check_primitive_triples(scale: int, n: int, ctx: SeriesContext) -> Verdict:
                     primitive_triples=triples, signed_primitive=signed)
 
 
-def _batch_primitive_triples(scale: int, c: _Columns):
-    return c.primitive_r3(scale) // 8 % 4 == 0, c.factors().distinct_primes < 3
+def _batch_primitive_triples(signed, factors):
+    return signed // 8 % 4 == 0, factors.distinct_primes < 3
 
 
 def _check_three_odd_primes(n: int, ctx: SeriesContext) -> Verdict:
@@ -280,8 +262,8 @@ def _check_three_odd_primes(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(not member, odd_exponent_primes=odd, member=member)
 
 
-def _batch_three_odd_primes(c: _Columns):
-    return ~c.member(), c.factors().odd_exponent_primes < 3
+def _batch_three_odd_primes(member, factors):
+    return ~member, factors.odd_exponent_primes < 3
 
 
 def _check_l3_1(n: int, ctx: SeriesContext) -> Verdict:
@@ -296,10 +278,10 @@ def _check_l3_1(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(ok, u=u, v=v, exceptional=exceptional)
 
 
-def _batch_l3_1(c: _Columns):
-    ideal = c.factors().ideal_counts
+def _batch_l3_1(factors, roots):
+    ideal = factors.ideal_counts
     u, v = ideal[IdealCountKind.MINUS_TWO], ideal[IdealCountKind.GAUSSIAN]
-    root, square = c.square_roots()
+    root, square = roots
     exceptional = square & ((root % 8 == 3) | (root % 8 == 5))
     return np.where(exceptional, u * v % 4 == 3, (u - v) % 4 == 0), False
 
@@ -314,11 +296,11 @@ def _check_l3_3(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(ok, u=u, v=v, count_1_2=u1, count_1_4=v1, square=bool(sq))
 
 
-def _batch_l3_3(c: _Columns):
-    ideal = c.factors().ideal_counts
-    sq = c.square_roots()[1].astype(np.int64)
-    ok = ((ideal[IdealCountKind.MINUS_TWO] == 2 * c.tuples((1, 2)) - sq)
-          & (ideal[IdealCountKind.GAUSSIAN] == 2 * c.tuples((1, 4)) - sq))
+def _batch_l3_3(factors, roots, u1, v1):
+    ideal = factors.ideal_counts
+    sq = roots[1].astype(np.int64)
+    ok = ((ideal[IdealCountKind.MINUS_TWO] == 2 * u1 - sq)
+          & (ideal[IdealCountKind.GAUSSIAN] == 2 * v1 - sq))
     return ok, False
 
 
@@ -328,8 +310,8 @@ def _check_l3_5(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict((coeff == 1) == square, coefficient=coeff, square=square)
 
 
-def _batch_l3_5(c: _Columns):
-    return c.seventh() == c.square_roots()[1], False
+def _batch_l3_5(seventh, roots):
+    return seventh == roots[1], False
 
 
 def _check_l3_7_identity(n: int, ctx: SeriesContext) -> Verdict:
@@ -338,8 +320,8 @@ def _check_l3_7_identity(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(r3 == 6 * t, r3=r3, count_1_2_4=t)
 
 
-def _batch_l3_7_identity(c: _Columns):
-    return c.tuples((1, 1, 1), 2) == 6 * c.tuples((1, 2, 4)), False
+def _batch_l3_7_identity(r3, t):
+    return r3 == 6 * t, False
 
 
 def _check_t3_8(n: int, ctx: SeriesContext) -> Verdict:
@@ -348,8 +330,8 @@ def _check_t3_8(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(member == (r3 % 4 == 2), member=member, r3=r3)
 
 
-def _batch_t3_8(c: _Columns):
-    return c.member() == (c.tuples((1, 1, 1), 2) % 4 == 2), False
+def _batch_t3_8(member, r3):
+    return member == (r3 % 4 == 2), False
 
 
 def _check_c3_10(n: int, ctx: SeriesContext) -> Verdict:
@@ -360,8 +342,8 @@ def _check_c3_10(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(r3 % 4 == 0, odd_exponent_primes=odd, r3=r3)
 
 
-def _batch_c3_10(c: _Columns):
-    return c.tuples((1, 1, 1), 2) % 4 == 0, c.factors().odd_exponent_primes < 3
+def _batch_c3_10(r3, factors):
+    return r3 % 4 == 0, factors.odd_exponent_primes < 3
 
 
 def _check_gauss_24h(n: int, ctx: SeriesContext) -> Verdict:
@@ -370,8 +352,8 @@ def _check_gauss_24h(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(signed == 24 * h, signed_primitive=signed, class_number=h)
 
 
-def _batch_gauss_24h(c: _Columns):
-    return c.primitive_r3(1) == 24 * c.class_numbers(1, 3), False
+def _batch_gauss_24h(signed, h):
+    return signed == 24 * h, False
 
 
 def _check_gauss_12h(n: int, ctx: SeriesContext) -> Verdict:
@@ -380,117 +362,113 @@ def _check_gauss_12h(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(signed == 12 * h, signed_primitive=signed, class_number=h)
 
 
-def _batch_gauss_12h(c: _Columns):
-    return c.primitive_r3(2) == 12 * c.class_numbers(8, 7), False
+def _batch_gauss_12h(signed, h):
+    return signed == 12 * h, False
 
 
 @dataclass(frozen=True)
 class _Statement:
-    # the statement applies to n >= minimum with n = residue mod modulus
+    # the statement applies to n >= minimum with n = residue mod modulus;
+    # batch takes the columns of the keys in reads, in that order
     modulus: int
     residue: int
     verifier: Callable[[int, SeriesContext], Verdict]
-    batch: Callable[[_Columns], tuple]
+    batch: Callable[..., tuple]
+    reads: tuple[tuple, ...]
     description: str
     minimum: int = 0
-    needs_membership: bool = False
-    needs_seventh: bool = False
-    needs_class_numbers: bool = False
-
-
-def _pair(check, batch, *args):
-    # the scalar checker and the batch function of one shared helper
-    return functools.partial(check, *args), functools.partial(batch, *args)
 
 
 _REGISTRY: dict[StatementId, _Statement] = {
     StatementId.T1_1: _Statement(
-        2, 0, _check_t1_1, _batch_t1_1,
+        2, 0, _check_t1_1, _batch_t1_1, (("member",), ("roots", 2)),
         "even n is in B iff n/2 is a perfect square",
-        needs_membership=True,
     ),
     StatementId.T1_2: _Statement(
-        4, 1, *_pair(_check_parity, _batch_parity, (1, 4)),
+        4, 1, functools.partial(_check_parity, (1, 4)), _batch_parity,
+        (("member",), ("tuples", (1, 4), 1)),
         "n = 1 mod 4: membership matches the parity of the (1,4) square-tuple count",
-        needs_membership=True,
     ),
     StatementId.T1_4: _Statement(
-        8, 3, *_pair(_check_parity, _batch_parity, (1, 2, 8)),
+        8, 3, functools.partial(_check_parity, (1, 2, 8)), _batch_parity,
+        (("member",), ("tuples", (1, 2, 8), 1)),
         "n = 3 mod 8: membership matches the parity of the (1,2,8) square-tuple count",
-        needs_membership=True,
     ),
     StatementId.L2_1_IDENTITY: _Statement(
         8, 3, _check_l2_1_identity, _batch_l2_1_identity,
+        (("tuples", (1, 1, 1), 1), ("tuples", (1, 2), 1), ("tuples", (1, 2, 8), 1)),
         "n = 3 mod 8: (1,1,1) count plus (1,2) count equals twice the (1,2,8) count",
     ),
     StatementId.L2_1_SUFFICIENCY: _Statement(
         8, 3, _check_l2_1_sufficiency, _batch_l2_1_sufficiency,
+        (("tuples", (1, 1, 1), 1), ("tuples", (1, 2), 1), ("member",)),
         "n = 3 mod 8: if both counts are divisible by 4, n is not in B",
-        needs_membership=True,
     ),
     StatementId.L2_2: _Statement(
-        8, 3, *_pair(_check_primitive_triples, _batch_primitive_triples, 1),
+        8, 3, functools.partial(_check_primitive_triples, 1), _batch_primitive_triples,
+        (("primitive_r3", 1), ("factors",)),
         "n = 3 mod 8 with >= 3 distinct primes: primitive triple count is divisible by 4",
     ),
     StatementId.T2_3: _Statement(
         8, 3, _check_three_odd_primes, _batch_three_odd_primes,
+        (("member",), ("factors",)),
         "n = 3 mod 8 with >= 3 odd-exponent primes is not in B",
-        needs_membership=True,
     ),
     StatementId.L3_1: _Statement(
-        8, 1, _check_l3_1, _batch_l3_1,
+        8, 1, _check_l3_1, _batch_l3_1, (("factors",), ("roots", 1)),
         "n = 1 mod 8: the two ideal counts agree mod 4, except n = (8k+/-3)^2 "
         "where their product is 3 mod 4",
     ),
     StatementId.L3_3: _Statement(
         2, 1, _check_l3_3, _batch_l3_3,
+        (("factors",), ("roots", 1), ("tuples", (1, 2), 1), ("tuples", (1, 4), 1)),
         "odd n: ideal counts equal twice the (1,2) and (1,4) square-tuple counts, "
         "each less one when n is a square (V-side count read as the (1,4) form; "
         "as interpreted)",
     ),
     StatementId.L3_5: _Statement(
-        16, 1, _check_l3_5, _batch_l3_5,
+        16, 1, _check_l3_5, _batch_l3_5, (("seventh",), ("roots", 1)),
         "n = 1 mod 16: the 1/g^7 coefficient is 1 iff n is a perfect square",
-        needs_seventh=True,
     ),
     StatementId.T3_6: _Statement(
-        16, 7, *_pair(_check_parity, _batch_parity, (1, 2, 4)),
+        16, 7, functools.partial(_check_parity, (1, 2, 4)), _batch_parity,
+        (("member",), ("tuples", (1, 2, 4), 1)),
         "n = 7 mod 16: membership matches the parity of the (1,2,4) square-tuple count",
-        needs_membership=True,
     ),
     StatementId.L3_7_IDENTITY: _Statement(
         8, 7, _check_l3_7_identity, _batch_l3_7_identity,
+        (("tuples", (1, 1, 1), 2), ("tuples", (1, 2, 4), 1)),
         "n = 7 mod 8: the (1,1,1) count at 2n equals six times the (1,2,4) count at n",
     ),
     StatementId.T3_8: _Statement(
-        16, 7, _check_t3_8, _batch_t3_8,
+        16, 7, _check_t3_8, _batch_t3_8, (("member",), ("tuples", (1, 1, 1), 2)),
         "n = 7 mod 16: membership matches the (1,1,1) count at 2n being 2 mod 4",
-        needs_membership=True,
     ),
     StatementId.L3_9: _Statement(
-        8, 7, *_pair(_check_primitive_triples, _batch_primitive_triples, 2),
+        8, 7, functools.partial(_check_primitive_triples, 2), _batch_primitive_triples,
+        (("primitive_r3", 2), ("factors",)),
         "n = 7 mod 8 with >= 3 distinct primes: primitive triple count at 2n is "
         "divisible by 4",
     ),
     StatementId.C3_10: _Statement(
-        8, 7, _check_c3_10, _batch_c3_10,
+        8, 7, _check_c3_10, _batch_c3_10, (("tuples", (1, 1, 1), 2), ("factors",)),
         "n = 7 mod 8 with >= 3 odd-exponent primes: (1,1,1) count at 2n is divisible by 4",
     ),
     StatementId.T3_11: _Statement(
         16, 7, _check_three_odd_primes, _batch_three_odd_primes,
+        (("member",), ("factors",)),
         "n = 7 mod 16 with >= 3 odd-exponent primes is not in B",
-        needs_membership=True,
     ),
     StatementId.GAUSS_24H: _Statement(
         8, 3, _check_gauss_24h, _batch_gauss_24h,
+        (("primitive_r3", 1), ("class_numbers", 1, 3)),
         "n = 3 mod 8, n > 3: primitive signed triple count equals 24 h(-n)",
         minimum=4,
-        needs_class_numbers=True,
     ),
     StatementId.GAUSS_12H: _Statement(
         8, 7, _check_gauss_12h, _batch_gauss_12h,
+        (("primitive_r3", 2), ("class_numbers", 8, 7)),
         "n = 7 mod 8: primitive signed triple count at 2n equals 12 h(-8n)",
-        needs_class_numbers=True,
     ),
 }
 
@@ -504,7 +482,7 @@ def description(sid: StatementId) -> str:
 
 def requires_seventh(sid: StatementId) -> bool:
     """True when verifying sid needs the 1/g^7 bitmap."""
-    return _REGISTRY[sid].needs_seventh
+    return ("seventh",) in _REGISTRY[sid].reads
 
 
 def applicable(sid: StatementId, n: int | np.ndarray) -> bool | np.ndarray:
@@ -544,16 +522,16 @@ class TheoremReport:
         return self.violations[0][0] if self.violations else None
 
 
-def _scan(sid: StatementId, columns: _Columns):
-    n, lo = columns.n, columns.lo
+def _scan(sid: StatementId, lo: int, hi: int, ctx: SeriesContext, columns: list):
+    n = _arange(lo, hi)
     app = applicable(sid, n)
-    ok, vacuous = _REGISTRY[sid].batch(columns)
+    ok, vacuous = _REGISTRY[sid].batch(*columns)
     vacuous = app & vacuous
     bad = np.flatnonzero(app & ~vacuous & ~ok)
     # witnesses come from the scalar oracle, which must agree that they fail
     kept = []
     for i in bad[:MAX_RECORDED_VIOLATIONS]:
-        verdict = verify(sid, lo + int(i), columns.ctx)
+        verdict = verify(sid, lo + int(i), ctx)
         if verdict.status is not Status.VIOLATED:
             raise AssertionError(f"{sid.name} at n={lo + int(i)}: batch verdict "
                                  f"VIOLATED, scalar verdict {verdict.status.name}")
@@ -567,14 +545,17 @@ def _scan(sid: StatementId, columns: _Columns):
 def check_range(ids: Iterable[StatementId], lo: int, hi: int) -> None:
     """Raise ValueError unless run_suite supports [lo, hi] for these statements.
 
-    The class-number statements stop at CLASS_NUMBER_HI_MAX, for memory: the
-    FFT tables of their r3 columns need about 100 bytes per entry.
+    The statements that read a class-number column stop at
+    CLASS_NUMBER_HI_MAX. The ceiling only refuses their requests; it bounds
+    no memory, since L2_2, L3_9 and the others that read a three-variable
+    table build tables of the same size and take any hi.
     """
     if lo < 0 or hi < lo:
         raise ValueError("need 0 <= lo <= hi")
-    if hi > CLASS_NUMBER_HI_MAX and any(_REGISTRY[i].needs_class_numbers for i in ids):
-        names = ",".join(i.name for i in ids if _REGISTRY[i].needs_class_numbers)
-        raise ValueError(f"{names}: class-number statements take hi <= "
+    names = [i.name for i in ids
+             if any(key[0] == "class_numbers" for key in _REGISTRY[i].reads)]
+    if hi > CLASS_NUMBER_HI_MAX and names:
+        raise ValueError(f"{','.join(names)}: class-number statements take hi <= "
                          f"{CLASS_NUMBER_HI_MAX}")
 
 
@@ -583,24 +564,38 @@ def run_suite(ids: Iterable[StatementId], lo: int, hi: int,
     """One report per statement over every applicable n in [lo, hi].
 
     Each quantity the requested statements use is computed once as a column
-    over [lo, hi], and each statement's verdicts come out as one array. The
-    report keeps the first MAX_RECORDED_VIOLATIONS violations, in increasing
-    n, with witnesses from the scalar `verify`, and counts the rest as
-    dropped. The scalar checkers stay the oracle of the columns.
+    over [lo, hi], at its first reader, and dropped after its last reader;
+    each statement's verdicts come out as one array. The report keeps the
+    first MAX_RECORDED_VIOLATIONS violations, in increasing n, with
+    witnesses from the scalar `verify`, and counts the rest as dropped. The
+    scalar checkers stay the oracle of the columns.
     """
     ids = list(ids)
     check_range(ids, lo, hi)
-    if any(_REGISTRY[i].needs_membership for i in ids):
+    reads = [_REGISTRY[i].reads for i in ids]
+    if any(("member",) in keys for keys in reads):
         if ctx.inv_theta.length <= hi:
             raise InsufficientBitmapError(hi + 1, ctx.inv_theta.length, "1/g bitmap")
-    if any(_REGISTRY[i].needs_seventh for i in ids):
+    if any(("seventh",) in keys for keys in reads):
         if ctx.inv_theta7 is None:
             raise ValueError("requested statements need a 1/g^7 bitmap")
         if ctx.inv_theta7.length <= hi:
             raise InsufficientBitmapError(hi + 1, ctx.inv_theta7.length, "1/g^7 bitmap")
 
-    columns = _Columns(lo, hi, ctx)
-    return [TheoremReport(sid, lo, hi, *_scan(sid, columns)) for sid in ids]
+    readers = collections.Counter(key for keys in reads for key in keys)
+    built: dict = {}
+    reports = []
+    for sid, keys in zip(ids, reads):
+        for key in keys:
+            if key not in built:
+                built[key] = _COLUMNS[key[0]](lo, hi, ctx, *key[1:])
+        result = _scan(sid, lo, hi, ctx, [built[key] for key in keys])
+        reports.append(TheoremReport(sid, lo, hi, *result))
+        readers.subtract(keys)
+        for key in keys:
+            if not readers[key]:
+                del built[key]
+    return reports
 
 
 def reports_to_csv(reports: Iterable[TheoremReport]) -> str:

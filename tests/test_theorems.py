@@ -7,7 +7,9 @@ quietly passing.
 """
 
 import dataclasses
+import inspect
 import random
+import weakref
 
 import pytest
 
@@ -30,6 +32,12 @@ def test_registry_covers_every_statement():
     for sid in StatementId:
         assert th.description(sid)
         assert _first_applicable(sid) < 200
+        # a batch takes exactly the columns its entry reads, each once
+        stmt = th._REGISTRY[sid]
+        assert len(set(stmt.reads)) == len(stmt.reads)
+        assert all(key[0] in th._COLUMNS for key in stmt.reads)
+        assert len(inspect.signature(stmt.batch).parameters) == len(stmt.reads)
+        assert th.requires_seventh(sid) == (sid is StatementId.L3_5)
 
 
 def test_applicability_examples():
@@ -205,11 +213,41 @@ def test_run_suite_needs_scalar_agreement(ctx20k, monkeypatch):
     # a batch verdict of VIOLATED that the scalar oracle does not confirm
     # is an error, not a counterexample
     stmt = th._REGISTRY[StatementId.T1_1]
-    wrong = lambda c: (c.n != 40, False)
-    monkeypatch.setitem(th._REGISTRY, StatementId.T1_1,
-                        dataclasses.replace(stmt, batch=wrong))
+    monkeypatch.setitem(th._REGISTRY, StatementId.T1_1, dataclasses.replace(
+        stmt, batch=lambda n: (n != 40, False), reads=(("n",),)))
     with pytest.raises(AssertionError, match="n=40"):
         th.run_suite([StatementId.T1_1], 0, 100, ctx20k)
+
+
+def test_run_suite_frees_each_column_after_its_last_reader(ctx20k, monkeypatch):
+    builds, alive = {}, {}
+
+    def counting(kind, build):
+        def wrapped(lo, hi, ctx, *args):
+            key = (kind, *args)
+            column = build(lo, hi, ctx, *args)
+            builds[key] = builds.get(key, 0) + 1
+            # the roots column is a (root, is square) pair of arrays
+            alive[key] = weakref.ref(column[0] if kind == "roots" else column)
+            return column
+        return wrapped
+
+    for kind, build in list(th._COLUMNS.items()):
+        monkeypatch.setitem(th._COLUMNS, kind, counting(kind, build))
+    ids = th.ALL_STATEMENTS
+    scan = th._scan
+
+    def checked_scan(sid, *args):
+        later = {key for i in ids[ids.index(sid):] for key in th._REGISTRY[i].reads}
+        for key, ref in alive.items():
+            assert key in later or ref() is None, (sid, key)
+        return scan(sid, *args)
+
+    monkeypatch.setattr(th, "_scan", checked_scan)
+    th.run_suite(ids, 0, 2000, ctx20k)
+    read = {key for sid in ids for key in th._REGISTRY[sid].reads}
+    assert builds == dict.fromkeys(read, 1)
+    assert all(ref() is None for ref in alive.values())
 
 
 def test_batch_primitive_triples_keep_the_sign_check(ctx20k, monkeypatch):
