@@ -547,8 +547,8 @@ def check_range(ids: Iterable[StatementId], lo: int, hi: int) -> None:
 
     The statements that read a class-number column stop at
     CLASS_NUMBER_HI_MAX. The ceiling only refuses their requests; it bounds
-    no memory, since L2_2, L3_9 and the others that read a three-variable
-    table build tables of the same size and take any hi.
+    no memory, since L3_9 and the others that read a three-variable table
+    at 2n build tables of the same size and take any hi.
     """
     if lo < 0 or hi < lo:
         raise ValueError("need 0 <= lo <= hi")
