@@ -15,8 +15,15 @@ against its per-query oracle: count tables as products of theta series by
 real FFT, primitive signed triple counts by Mobius inversion of the signed
 table, factor counts and ideal counts from a smallest-prime-factor sieve,
 and class numbers by one enumeration of reduced forms for a whole residue
-class of discriminants. Counting conventions are fixed once and never
-converted implicitly:
+class of discriminants.
+
+The three-square counts at even N = 2j come from the parity split of theta
+that the GF(2) kernel applies to g: theta(x) = A(x^2) + x B(x^2), where A
+holds the even k and B the odd k, so r3(2j) is the coefficient of y^j in
+A^3 + 3 y A B^2, a product of half the length of theta^3 to 2j. Primitive
+counts at 2j need no count at an odd N either, since a sum of three squares
+divisible by 4 has every term even: r3(4m) = r3(m). Counting conventions
+are fixed once and never converted implicitly:
 
 * `count_square_tuples(n, form)` counts ORDERED tuples (s_1, ..., s_k) of
   nonnegative perfect-square values with sum a_i * s_i = n. Positions are
@@ -171,28 +178,43 @@ def _rounded(values: np.ndarray) -> np.ndarray:
     return ints.astype(np.int64)
 
 
-def theta_product_table(form, n_max: int, signed: bool = False) -> np.ndarray:
-    """counts[n] for 0 <= n <= n_max as a product of one theta series per variable.
+def theta_product_table(form, n_max: int, signed: bool = False,
+                        scale: int = 1) -> np.ndarray:
+    """counts[j] at N = scale * j, 0 <= j <= n_max, from products of theta series.
 
     Unsigned, variable a_i contributes sum over k >= 0 of x^(a_i k^2) and
-    counts[n] = count_square_tuples(n, form); signed, it contributes
-    1 + 2 * sum over k >= 1 of x^(a_i k^2) and counts[n] =
-    count_signed_representations(n, form). The product is taken by real FFT
-    over a length at which nothing wraps into [0, n_max]. Every build checks
-    its rounding and raises AssertionError when an entry lies 1/4 or more
-    from an integer. count_square_tuples and count_signed_representations
-    are the exact per-query oracles.
+    counts[j] = count_square_tuples(N, form); signed, it contributes
+    1 + 2 * sum over k >= 1 of x^(a_i k^2) and counts[j] =
+    count_signed_representations(N, form). At scale 1 the product of one
+    series per variable is taken by real FFT over a length at which nothing
+    wraps into [0, n_max].
+
+    Scale 2 takes only the form (1, 1, 1). Split theta by the parity of k,
+    theta(x) = A(x^2) + x B(x^2) with A(y) = sum over even k of y^(k^2/2)
+    and B(y) = sum over odd k of y^((k^2-1)/2); the even part of theta^3 is
+    A^3 + 3 y A B^2 in y = x^2, so counts[j] = [y^j](A^3 + 3 y A B^2). That
+    product is taken at half the length of theta^3 to 2 n_max, and holds
+    only the spectra of A and B.
+
+    Every build checks its rounding and raises AssertionError when an
+    entry lies 1/4 or more from an integer. count_square_tuples and
+    count_signed_representations are the exact per-query oracles.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     coeffs = _coefficients(form)
+    weight = 2.0 if signed else 1.0
+    if scale == 2 and coeffs == (1, 1, 1):
+        return _even_r3_table(n_max, weight)
+    if scale != 1:
+        raise ValueError("scale must be 1, or 2 with the form (1, 1, 1)")
     size = _fft_size(len(coeffs) * n_max + 1)
     product = spectrum = None
     for i, a in enumerate(coeffs):
         if i == 0 or a != coeffs[i - 1]:
             theta = np.zeros(n_max + 1)
             k = np.arange(math.isqrt(n_max // a) + 1)
-            theta[a * k * k] = 2.0 if signed else 1.0
+            theta[a * k * k] = weight
             theta[0] = 1.0
             spectrum = np.fft.rfft(theta, size)
             del theta
@@ -204,15 +226,47 @@ def theta_product_table(form, n_max: int, signed: bool = False) -> np.ndarray:
     return _rounded(np.fft.irfft(product, size)[: n_max + 1])
 
 
-def primitive_signed_r3_table(n_max: int) -> np.ndarray:
-    """counts[N] = count_signed_representations(N, (1, 1, 1), primitive=True).
+def _even_r3_table(n_max: int, weight: float) -> np.ndarray:
+    # [y^j](A^3 + 3 y A B^2) for j <= n_max, A and B the parity halves of
+    # theta (theta_product_table); the term of each k has weight `weight`,
+    # except k = 0 (y^0 in A), which has weight 1
+    size = _fft_size(3 * n_max + 1)
+    i = np.arange(math.isqrt(n_max) + 1)
+    spectra = []
+    for exponents, zero in ((2 * i * i, 1.0), (2 * i * (i + 1), weight)):
+        half = np.zeros(n_max + 1)
+        half[exponents[exponents <= n_max]] = weight
+        half[0] = zero
+        spectra.append(np.fft.rfft(half, size))
+        del half
+    a, b = spectra
+    del spectra
+    b *= b
+    b *= a
+    a **= 3
+    out = np.fft.irfft(a, size)[: n_max + 1]
+    del a
+    tail = np.fft.irfft(b, size)[:n_max]
+    del b
+    tail *= 3
+    out[1:] += tail
+    return _rounded(out)
 
-    For 0 <= N <= n_max. A vector with gcd d and sum of squares N is d times
-    a primitive vector with sum N / d^2, so Mobius inversion over the square
-    divisors of N turns the signed table into the primitive one; N = 0 has
-    no primitive vector and counts 0.
+
+def primitive_signed_r3_table(n_max: int, scale: int = 1) -> np.ndarray:
+    """counts[j] = count_signed_representations(N, (1, 1, 1), primitive=True).
+
+    At N = scale * j for 0 <= j <= n_max, with scale 1 or 2. A vector with
+    gcd d and sum of squares N is d times a primitive vector with sum
+    N / d^2, so Mobius inversion over the square divisors of N turns the
+    signed table S into the primitive one; N = 0 has no primitive vector and
+    counts 0. At scale 2 the signed table is E[j] = S(2j) (theta_product_table
+    at scale 2). An odd d has d^2 | 2j exactly when d^2 | j, with
+    S(2j / d^2) = E[j / d^2]; d = 2e, e odd, needs 2e^2 | j, and since a sum
+    of three squares divisible by 4 has every term even, S(4m) = S(m) and
+    S(2j / 4e^2) = S(2j / e^2) = E[j / e^2]. No table at odd N is needed.
     """
-    signed = theta_product_table((1, 1, 1), n_max, signed=True)
+    signed = theta_product_table((1, 1, 1), n_max, signed=True, scale=scale)
     root = math.isqrt(n_max)
     spf = _smallest_prime_factors(root)
     mu = np.ones(root + 1, dtype=np.int64)
@@ -221,8 +275,13 @@ def primitive_signed_r3_table(n_max: int) -> np.ndarray:
         mu[:: p * p] = 0
     counts = np.zeros_like(signed)
     for d in np.flatnonzero(mu[1:]) + 1:
+        if scale == 2 and d % 2 == 0:
+            continue  # taken with its odd half below
         step = int(d) * int(d)
         counts[::step] += mu[d] * signed[: n_max // step + 1]
+        if scale == 2:
+            # mu(2d) = -mu(d), at j = 2 d^2 m read E[2m]
+            counts[:: 2 * step] -= mu[d] * signed[: n_max // step + 1 : 2]
     counts[0] = 0
     return counts
 

@@ -124,6 +124,49 @@ def test_signed_theta_product_table_matches_per_query():
             assert table[n] == qa.count_signed_representations(n, coeffs), (coeffs, n)
 
 
+EVEN_R3_LENGTHS = (0, 1, 2, 7, 64, 1500)
+
+
+def test_even_r3_table_matches_oracles():
+    # the scale-2 table is built from the parity halves of theta; it must
+    # read the (1,1,1) counts at every even N
+    top = max(EVEN_R3_LENGTHS)
+    tuples = tuple_bincount((1, 1, 1), 2 * top)[::2]
+    signed = [qa.count_signed_representations(2 * j, (1, 1, 1)) for j in range(top + 1)]
+    for n_max in EVEN_R3_LENGTHS:
+        table = qa.theta_product_table((1, 1, 1), n_max, scale=2)
+        assert table.dtype == np.int64 and table.shape == (n_max + 1,)
+        assert (table == tuples[: n_max + 1]).all(), n_max
+        table = qa.theta_product_table((1, 1, 1), n_max, signed=True, scale=2)
+        assert table.tolist() == signed[: n_max + 1], n_max
+
+
+def test_table_scales_other_than_even_r3_are_refused():
+    for form, scale in (((1, 1, 1), 3), ((1, 2, 4), 2), ((1, 2), 2), ((1, 1, 1), 0)):
+        with pytest.raises(ValueError, match="scale"):
+            qa.theta_product_table(form, 10, scale=scale)
+    with pytest.raises(ValueError, match="scale"):
+        qa.primitive_signed_r3_table(10, 3)
+
+
+def test_even_r3_table_peak_is_below_the_full_table():
+    # the full table to 2 n_max holds three spectra of twice the length;
+    # the parity halves hold two of half that, and one output
+    def traced_peak(build):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    n_max = 10**5
+    full = traced_peak(lambda: qa.theta_product_table((1, 1, 1), 2 * n_max))
+    half = traced_peak(lambda: qa.theta_product_table((1, 1, 1), n_max, scale=2))
+    assert half <= 0.6 * full, (half, full)
+
+
 def test_theta_product_table_precision_check(monkeypatch):
     # an inverse transform that is off by 0.3 somewhere must not round quietly
     irfft = np.fft.irfft
@@ -134,10 +177,11 @@ def test_theta_product_table_precision_check(monkeypatch):
         return out
 
     monkeypatch.setattr(np.fft, "irfft", perturbed)
-    with pytest.raises(AssertionError, match="precision"):
-        qa.theta_product_table((1, 1, 1), 100)
-    with pytest.raises(AssertionError, match="precision"):
-        qa.primitive_signed_r3_table(100)
+    for scale in (1, 2):
+        with pytest.raises(AssertionError, match="precision"):
+            qa.theta_product_table((1, 1, 1), 100, scale=scale)
+        with pytest.raises(AssertionError, match="precision"):
+            qa.primitive_signed_r3_table(100, scale)
     monkeypatch.setattr(np.fft, "irfft", irfft)
     assert qa.theta_product_table((1, 1, 1), 100)[5] == 6  # 4 + 1 + 0, ordered
 
@@ -155,6 +199,17 @@ def test_primitive_signed_r3_table_matches_per_query():
             n, (1, 1, 1), primitive=True), n
     for n_max in (0, 1, 3, 4):
         assert (qa.primitive_signed_r3_table(n_max) == table[: n_max + 1]).all()
+
+
+def test_even_primitive_signed_r3_table_matches_per_query():
+    # at N = 2n the Mobius terms of d = 2e read the half table at n / e^2
+    # (n = 2, 18, 50, ... for e = 1, 3, 5), since r3(4m) = r3(m)
+    table = qa.primitive_signed_r3_table(1500, 2)
+    for n in range(1501):
+        assert table[n] == qa.count_signed_representations(
+            2 * n, (1, 1, 1), primitive=True), n
+    for n_max in (0, 1, 2, 7):
+        assert (qa.primitive_signed_r3_table(n_max, 2) == table[: n_max + 1]).all()
 
 
 def test_factor_columns_match_factorize():

@@ -250,17 +250,34 @@ def test_run_suite_frees_each_column_after_its_last_reader(ctx20k, monkeypatch):
     assert all(ref() is None for ref in alive.values())
 
 
+def test_run_suite_builds_no_table_past_hi(ctx20k, monkeypatch):
+    # the counts at 2n come from tables at scale 2, so every table, the
+    # primitive r3 ones included, stops at hi
+    calls = []
+    table = qa.theta_product_table
+
+    def recorded(form, n_max, signed=False, scale=1):
+        calls.append((tuple(form), n_max, signed, scale))
+        return table(form, n_max, signed, scale)
+
+    monkeypatch.setattr(qa, "theta_product_table", recorded)
+    th.run_suite(th.ALL_STATEMENTS, 0, 2000, ctx20k)
+    assert all(n_max <= 2000 for _, n_max, _, _ in calls), calls
+    assert {((1, 1, 1), 2000, False, 2), ((1, 1, 1), 2000, True, 2)} <= set(calls)
+
+
 def test_batch_primitive_triples_keep_the_sign_check(ctx20k, monkeypatch):
     # both paths insist that primitive triples have no zero coordinate
     table = qa.primitive_signed_r3_table
-    monkeypatch.setattr(qa, "primitive_signed_r3_table", lambda m: table(m) + 4)
+    monkeypatch.setattr(qa, "primitive_signed_r3_table",
+                        lambda m, scale: table(m, scale) + 4)
     with pytest.raises(AssertionError, match="zero coordinate"):
         th.run_suite([StatementId.L2_2], 0, 400, ctx20k)
     # the column checks every n where no term can be zero, also where the
     # statement reading it is vacuous: N = 11 has one prime factor, and
     # GAUSS_24H decides n = 11 from the same column
-    def off_at_11(m):
-        counts = table(m)
+    def off_at_11(m, scale):
+        counts = table(m, scale)
         counts[11] += 4
         return counts
 
