@@ -232,15 +232,15 @@ def _even_r3_table(n_max: int, weight: float) -> np.ndarray:
     # except k = 0 (y^0 in A), which has weight 1
     size = _fft_size(3 * n_max + 1)
     i = np.arange(math.isqrt(n_max) + 1)
-    spectra = []
-    for exponents, zero in ((2 * i * i, 1.0), (2 * i * (i + 1), weight)):
+
+    def spectrum(exponents, zero):
         half = np.zeros(n_max + 1)
         half[exponents[exponents <= n_max]] = weight
         half[0] = zero
-        spectra.append(np.fft.rfft(half, size))
-        del half
-    a, b = spectra
-    del spectra
+        return np.fft.rfft(half, size)
+
+    a = spectrum(2 * i * i, 1.0)
+    b = spectrum(2 * i * (i + 1), weight)
     b *= b
     b *= a
     a **= 3
@@ -260,11 +260,10 @@ def primitive_signed_r3_table(n_max: int, scale: int = 1) -> np.ndarray:
     gcd d and sum of squares N is d times a primitive vector with sum
     N / d^2, so Mobius inversion over the square divisors of N turns the
     signed table S into the primitive one; N = 0 has no primitive vector and
-    counts 0. At scale 2 the signed table is E[j] = S(2j) (theta_product_table
-    at scale 2). An odd d has d^2 | 2j exactly when d^2 | j, with
-    S(2j / d^2) = E[j / d^2]; d = 2e, e odd, needs 2e^2 | j, and since a sum
-    of three squares divisible by 4 has every term even, S(4m) = S(m) and
-    S(2j / 4e^2) = S(2j / e^2) = E[j / e^2]. No table at odd N is needed.
+    counts 0. At scale 2 it inverts the half table E[j] = S(2j): an odd d
+    reads E[j / d^2], and d = 2e (e odd, 2e^2 | j) reads S(2j / 4e^2) =
+    S(2j / e^2) = E[j / e^2], since a sum of three squares divisible by 4
+    has every term even, S(4m) = S(m). No table at odd N is needed.
     """
     signed = theta_product_table((1, 1, 1), n_max, signed=True, scale=scale)
     root = math.isqrt(n_max)
@@ -276,7 +275,7 @@ def primitive_signed_r3_table(n_max: int, scale: int = 1) -> np.ndarray:
     counts = np.zeros_like(signed)
     for d in np.flatnonzero(mu[1:]) + 1:
         if scale == 2 and d % 2 == 0:
-            continue  # taken with its odd half below
+            continue  # d = 2e is taken at e, below
         step = int(d) * int(d)
         counts[::step] += mu[d] * signed[: n_max // step + 1]
         if scale == 2:

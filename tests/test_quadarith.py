@@ -150,8 +150,9 @@ def test_table_scales_other_than_even_r3_are_refused():
 
 
 def test_even_r3_table_peak_is_below_the_full_table():
-    # the full table to 2 n_max holds three spectra of twice the length;
-    # the parity halves hold two of half that, and one output
+    # both builds peak at three arrays of their transform length (two
+    # spectra and the output), and the parity halves transform at half the
+    # length of the full table to 2 n_max
     def traced_peak(build):
         tracemalloc.start()
         try:
