@@ -11,19 +11,25 @@ Both per-query representation counts are sums over one enumerator of the
 nonnegative solutions, which walks the grid of leading coordinates in
 fixed-size blocks (memory O(sqrt n), n < 2^63). The batch functions compute
 the same quantities for every n of a range at once, and each is tested
-against its per-query oracle: count tables as products of theta series by
-real FFT, primitive signed triple counts by Mobius inversion of the signed
-table, factor counts and ideal counts from a smallest-prime-factor sieve,
-and class numbers by one enumeration of reduced forms for a whole residue
+against its per-query oracle: count tables as products of theta series,
+primitive signed triple counts by Mobius inversion of the signed table,
+factor counts and ideal counts from a smallest-prime-factor sieve, and
+class numbers by one enumeration of reduced forms for a whole residue
 class of discriminants.
 
-The three-square counts at even N = 2j come from the parity split of theta
-that the GF(2) kernel applies to g: theta(x) = A(x^2) + x B(x^2), where A
-holds the even k and B the odd k, so r3(2j) is the coefficient of y^j in
-A^3 + 3 y A B^2, a product of half the length of theta^3 to 2j. Primitive
-counts at 2j need no count at an odd N either, since a sum of three squares
-divisible by 4 has every term even: r3(4m) = r3(m). Counting conventions
-are fixed once and never converted implicitly:
+A count table to n_max places the product of two theta series exactly, in
+int64: the terms of the sparser series each shift the other's terms, which
+land on distinct entries, into the table, so the product costs O(n_max)
+with no transform. One- and two-variable forms stop there; a third
+variable multiplies that table by its series in one real FFT of length at
+least 2 n_max + 1. The three-square counts at even N = 2j come from the
+parity split of theta that the GF(2) kernel applies to g: theta(x) =
+A(x^2) + x B(x^2), where A holds the even k and B the odd k, so r3(2j) is
+the coefficient of y^j in A (A^2 + 3 y B^2), with A^2 and B^2 exact and
+one FFT for the product with A. Primitive counts at 2j need no count at an
+odd N either, since a sum of three squares divisible by 4 has every term
+even: r3(4m) = r3(m). Counting conventions are fixed once and never
+converted implicitly:
 
 * `count_square_tuples(n, form)` counts ORDERED tuples (s_1, ..., s_k) of
   nonnegative perfect-square values with sum a_i * s_i = n. Positions are
@@ -178,6 +184,49 @@ def _rounded(values: np.ndarray) -> np.ndarray:
     return ints.astype(np.int64)
 
 
+def _sparse_terms(exponents: np.ndarray, weight: int, zero: int,
+                  n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    # a sparse series as (exponents, weights), exponents increasing and
+    # distinct, cut at n_max; the term at exponent 0 has weight `zero`
+    exponents = exponents[exponents <= n_max]
+    weights = np.full(exponents.size, weight, dtype=np.int64)
+    weights[exponents == 0] = zero
+    return exponents, weights
+
+
+def _exact_product(first, second, n_max: int) -> np.ndarray:
+    # the product of two sparse series to n_max, in int64 with no rounding:
+    # one term of the shorter series places the other's terms on distinct
+    # entries, so one fancy-indexed add per term suffices
+    (exponents, weights), (others, other_weights) = sorted(
+        (first, second), key=lambda terms: terms[0].size)
+    counts = np.zeros(n_max + 1, dtype=np.int64)
+    for e, w in zip(exponents.tolist(), weights.tolist()):
+        m = int(np.searchsorted(others, n_max - e, side="right"))
+        counts[e + others[:m]] += w * other_weights[:m]
+    return counts
+
+
+def _fft_product(table: np.ndarray, terms, n_max: int) -> np.ndarray:
+    # table times a sparse series to n_max by one real FFT at a length at
+    # which nothing wraps into [0, n_max]; both factors stop at n_max
+    size = _fft_size(2 * n_max + 1)
+    product = np.fft.rfft(table, size)
+    del table
+    sparse = np.zeros(n_max + 1)
+    sparse[terms[0]] = terms[1]
+    spectrum = np.fft.rfft(sparse, size)
+    del sparse
+    product *= spectrum
+    del spectrum
+    out = np.fft.irfft(product, size)[: n_max + 1]
+    del product
+    return _rounded(out)
+
+
+_ONE = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
+
+
 def theta_product_table(form, n_max: int, signed: bool = False,
                         scale: int = 1) -> np.ndarray:
     """counts[j] at N = scale * j, 0 <= j <= n_max, from products of theta series.
@@ -185,72 +234,44 @@ def theta_product_table(form, n_max: int, signed: bool = False,
     Unsigned, variable a_i contributes sum over k >= 0 of x^(a_i k^2) and
     counts[j] = count_square_tuples(N, form); signed, it contributes
     1 + 2 * sum over k >= 1 of x^(a_i k^2) and counts[j] =
-    count_signed_representations(N, form). At scale 1 the product of one
-    series per variable is taken by real FFT over a length at which nothing
-    wraps into [0, n_max].
+    count_signed_representations(N, form). The product of two series is
+    placed exactly, in int64: each term of the sparser one adds the other's
+    terms, shifted, into the table, O(n_max) in all. One- and two-variable
+    forms return that table. A third variable multiplies it by one real FFT
+    at a length of at least 2 n_max + 1.
 
     Scale 2 takes only the form (1, 1, 1). Split theta by the parity of k,
     theta(x) = A(x^2) + x B(x^2) with A(y) = sum over even k of y^(k^2/2)
     and B(y) = sum over odd k of y^((k^2-1)/2); the even part of theta^3 is
-    A^3 + 3 y A B^2 in y = x^2, so counts[j] = [y^j](A^3 + 3 y A B^2). That
-    product is taken at half the length of theta^3 to 2 n_max, and holds
-    only the spectra of A and B.
+    A (A^2 + 3 y B^2) in y = x^2, so counts[j] = [y^j](A (A^2 + 3 y B^2)).
+    A^2 and B^2 are placed exactly, and the product with A is the one FFT.
 
-    Every build checks its rounding and raises AssertionError when an
+    Every FFT result checks its rounding and raises AssertionError when an
     entry lies 1/4 or more from an integer. count_square_tuples and
     count_signed_representations are the exact per-query oracles.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     coeffs = _coefficients(form)
-    weight = 2.0 if signed else 1.0
+    weight = 2 if signed else 1
     if scale == 2 and coeffs == (1, 1, 1):
-        return _even_r3_table(n_max, weight)
+        i = np.arange(math.isqrt(n_max) + 1, dtype=np.int64)
+        a = _sparse_terms(2 * i * i, weight, 1, n_max)
+        b = _sparse_terms(2 * i * (i + 1), weight, weight, n_max)
+        b3y = _sparse_terms(2 * i * (i + 1) + 1, 3 * weight, 0, n_max)  # 3 y B
+        return _fft_product(_exact_product(a, a, n_max)
+                            + _exact_product(b3y, b, n_max), a, n_max)
     if scale != 1:
         raise ValueError("scale must be 1, or 2 with the form (1, 1, 1)")
-    size = _fft_size(len(coeffs) * n_max + 1)
-    product = spectrum = None
-    for i, a in enumerate(coeffs):
-        if i == 0 or a != coeffs[i - 1]:
-            theta = np.zeros(n_max + 1)
-            k = np.arange(math.isqrt(n_max // a) + 1)
-            theta[a * k * k] = weight
-            theta[0] = 1.0
-            spectrum = np.fft.rfft(theta, size)
-            del theta
-        if product is None:
-            product = spectrum.copy()
-        else:
-            product *= spectrum
-    del spectrum
-    return _rounded(np.fft.irfft(product, size)[: n_max + 1])
-
-
-def _even_r3_table(n_max: int, weight: float) -> np.ndarray:
-    # [y^j](A^3 + 3 y A B^2) for j <= n_max, A and B the parity halves of
-    # theta (theta_product_table); the term of each k has weight `weight`,
-    # except k = 0 (y^0 in A), which has weight 1
-    size = _fft_size(3 * n_max + 1)
-    i = np.arange(math.isqrt(n_max) + 1)
-
-    def spectrum(exponents, zero):
-        half = np.zeros(n_max + 1)
-        half[exponents[exponents <= n_max]] = weight
-        half[0] = zero
-        return np.fft.rfft(half, size)
-
-    a = spectrum(2 * i * i, 1.0)
-    b = spectrum(2 * i * (i + 1), weight)
-    b *= b
-    b *= a
-    a **= 3
-    out = np.fft.irfft(a, size)[: n_max + 1]
-    del a
-    tail = np.fft.irfft(b, size)[:n_max]
-    del b
-    tail *= 3
-    out[1:] += tail
-    return _rounded(out)
+    terms = []
+    for c in coeffs:
+        k = np.arange(math.isqrt(n_max // c) + 1, dtype=np.int64)
+        terms.append(_sparse_terms(c * k * k, weight, 1, n_max))
+    if len(terms) == 1:
+        terms.append(_ONE)
+    if len(terms) == 2:
+        return _exact_product(*terms, n_max)
+    return _fft_product(_exact_product(*terms[:2], n_max), terms[2], n_max)
 
 
 def primitive_signed_r3_table(n_max: int, scale: int = 1) -> np.ndarray:

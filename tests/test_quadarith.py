@@ -97,7 +97,14 @@ def test_count_square_tuples_vs_brute(monkeypatch):
                     brute_square_tuples(n, coeffs), (block, coeffs, n)
 
 
-FFT_FORMS = [(1, 1, 1), (1, 2, 8), (1, 2, 4), (1, 2), (1, 4), (3,), (2, 5)]
+# (4, 1) and (8, 2, 1) put the sparser series second, (2, 2) and (1, 1, 2)
+# repeat a coefficient, and (1, 4000) has a one-term series below 4000
+FORMS = [(1, 1, 1), (1, 2, 8), (1, 2, 4), (1, 2), (1, 4), (3,), (2, 5), (4, 1),
+         (2, 2), (8, 2, 1), (1, 1, 2), (1, 4000), DiagonalForm((2, 1, 8))]
+
+
+def coefficients(form):
+    return form.coefficients if isinstance(form, DiagonalForm) else form
 
 
 def tuple_bincount(coeffs, n_max):
@@ -110,18 +117,74 @@ def tuple_bincount(coeffs, n_max):
 
 
 def test_theta_product_table_matches_tuple_bincount():
-    for coeffs in FFT_FORMS:
+    for form in FORMS:
         for n_max in (0, 1, 2, 7, 64, 3001):
-            table = qa.theta_product_table(coeffs, n_max)
+            table = qa.theta_product_table(form, n_max)
             assert table.dtype == np.int64 and table.shape == (n_max + 1,)
-            assert (table == tuple_bincount(coeffs, n_max)).all(), (coeffs, n_max)
+            assert (table == tuple_bincount(coefficients(form), n_max)).all(), (form, n_max)
 
 
 def test_signed_theta_product_table_matches_per_query():
-    for coeffs in FFT_FORMS:
-        table = qa.theta_product_table(coeffs, 300, signed=True)
+    for form in FORMS:
+        table = qa.theta_product_table(form, 300, signed=True)
         for n in range(301):
-            assert table[n] == qa.count_signed_representations(n, coeffs), (coeffs, n)
+            assert table[n] == qa.count_signed_representations(n, form), (form, n)
+
+
+def record_transforms(monkeypatch):
+    """Patch np.fft.rfft and irfft to log (name, length) of every call."""
+    calls = []
+    for name in ("rfft", "irfft"):
+        def recorded(a, n=None, *args, _name=name, _real=getattr(np.fft, name), **kwargs):
+            calls.append((_name, n))
+            return _real(a, n, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, recorded)
+    return calls
+
+
+def test_tables_take_one_transform_at_twice_the_length(monkeypatch):
+    # one or two variables are placed exactly; a third variable, and the
+    # parity halves at scale 2, take one inverse transform at 2 n_max
+    calls = record_transforms(monkeypatch)
+    n_max = 1000
+    for form in FORMS:
+        for signed in (False, True):
+            del calls[:]
+            qa.theta_product_table(form, n_max, signed)
+            if len(coefficients(form)) < 3:
+                assert calls == [], form
+            else:
+                assert [c for c in calls if c[0] == "irfft"] == \
+                    [("irfft", qa._fft_size(2 * n_max + 1))], (form, calls)
+    for signed in (False, True):
+        del calls[:]
+        qa.theta_product_table((1, 1, 1), n_max, signed, scale=2)
+        assert [c for c in calls if c[0] == "irfft"] == \
+            [("irfft", qa._fft_size(2 * n_max + 1))], calls
+
+
+def traced_peak(build):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_peaks_per_entry():
+    # an exact two-variable table holds little besides its output; a
+    # three-variable one holds the exact table's spectrum, the third
+    # series and its spectrum, then the inverse transform
+    n_max = 10**5
+    for form in ((1, 2), (1, 4), (1, 1)):
+        out = qa.theta_product_table(form, n_max, signed=True)
+        peak = traced_peak(lambda: qa.theta_product_table(form, n_max, signed=True))
+        assert peak <= 1.1 * out.nbytes, (form, peak, out.nbytes)
+    for form, scale in (((1, 1, 1), 1), ((1, 1, 1), 2), ((1, 2, 8), 1)):
+        peak = traced_peak(lambda: qa.theta_product_table(form, n_max, True, scale))
+        assert peak <= 80 * (n_max + 1), (form, scale, peak / (n_max + 1))
 
 
 EVEN_R3_LENGTHS = (0, 1, 2, 7, 64, 1500)
@@ -150,18 +213,9 @@ def test_table_scales_other_than_even_r3_are_refused():
 
 
 def test_even_r3_table_peak_is_below_the_full_table():
-    # both builds peak at three arrays of their transform length (two
-    # spectra and the output), and the parity halves transform at half the
-    # length of the full table to 2 n_max
-    def traced_peak(build):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            build()
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-
+    # each build takes one transform at twice its table's length, and the
+    # scale-2 table has half the entries of the full table to 2 n_max, so
+    # it transforms at about half the length
     n_max = 10**5
     full = traced_peak(lambda: qa.theta_product_table((1, 1, 1), 2 * n_max))
     half = traced_peak(lambda: qa.theta_product_table((1, 1, 1), n_max, scale=2))
@@ -183,6 +237,8 @@ def test_theta_product_table_precision_check(monkeypatch):
             qa.theta_product_table((1, 1, 1), 100, scale=scale)
         with pytest.raises(AssertionError, match="precision"):
             qa.primitive_signed_r3_table(100, scale)
+    with pytest.raises(AssertionError, match="precision"):
+        qa.theta_product_table((1, 2, 8), 100)
     monkeypatch.setattr(np.fft, "irfft", irfft)
     assert qa.theta_product_table((1, 1, 1), 100)[5] == 6  # 4 + 1 + 0, ordered
 

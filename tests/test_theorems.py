@@ -11,6 +11,7 @@ import inspect
 import random
 import weakref
 
+import numpy as np
 import pytest
 
 import thetaparity as tp
@@ -264,6 +265,18 @@ def test_run_suite_builds_no_table_past_hi(ctx20k, monkeypatch):
     th.run_suite(th.ALL_STATEMENTS, 0, 2000, ctx20k)
     assert all(n_max <= 2000 for _, n_max, _, _ in calls), calls
     assert {((1, 1, 1), 2000, False, 2), ((1, 1, 1), 2000, True, 2)} <= set(calls)
+
+
+def test_run_suite_transforms_at_most_twice_hi(ctx20k, monkeypatch):
+    # every table takes its one transform at 2 hi, or none
+    lengths = []
+    for name in ("rfft", "irfft"):
+        def recorded(a, n=None, *args, _real=getattr(np.fft, name), **kwargs):
+            lengths.append(n)
+            return _real(a, n, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, recorded)
+    th.run_suite(th.ALL_STATEMENTS, 0, 2000, ctx20k)
+    assert lengths and max(lengths) <= qa._fft_size(4001), lengths
 
 
 def test_batch_primitive_triples_keep_the_sign_check(ctx20k, monkeypatch):
