@@ -213,12 +213,7 @@ def _fft_product(table: np.ndarray, terms, n_max: int) -> np.ndarray:
     size = _fft_size(2 * n_max + 1)
     product = np.fft.rfft(table, size)
     del table
-    sparse = np.zeros(n_max + 1)
-    sparse[terms[0]] = terms[1]
-    spectrum = np.fft.rfft(sparse, size)
-    del sparse
-    product *= spectrum
-    del spectrum
+    product *= np.fft.rfft(np.bincount(*terms, minlength=n_max + 1), size)
     out = np.fft.irfft(product, size)[: n_max + 1]
     del product
     return _rounded(out)
@@ -256,9 +251,10 @@ def theta_product_table(form, n_max: int, signed: bool = False,
     weight = 2 if signed else 1
     if scale == 2 and coeffs == (1, 1, 1):
         i = np.arange(math.isqrt(n_max) + 1, dtype=np.int64)
+        odd = 2 * i * (i + 1)
         a = _sparse_terms(2 * i * i, weight, 1, n_max)
-        b = _sparse_terms(2 * i * (i + 1), weight, weight, n_max)
-        b3y = _sparse_terms(2 * i * (i + 1) + 1, 3 * weight, 0, n_max)  # 3 y B
+        b = _sparse_terms(odd, weight, weight, n_max)
+        b3y = _sparse_terms(odd + 1, 3 * weight, 3 * weight, n_max)  # 3 y B
         return _fft_product(_exact_product(a, a, n_max)
                             + _exact_product(b3y, b, n_max), a, n_max)
     if scale != 1:
