@@ -209,7 +209,8 @@ def _exact_product(first, second, n_max: int) -> np.ndarray:
 
 def _fft_product(table: np.ndarray, terms, n_max: int) -> np.ndarray:
     # table times a sparse series to n_max by one real FFT at a length at
-    # which nothing wraps into [0, n_max]; both factors stop at n_max
+    # which nothing wraps into [0, n_max]; both factors stop at n_max.
+    # Callers pass the table as a temporary, so `del` frees it.
     size = _fft_size(2 * n_max + 1)
     product = np.fft.rfft(table, size)
     del table

@@ -544,8 +544,9 @@ def check_range(ids: Iterable[StatementId], lo: int, hi: int) -> None:
     CLASS_NUMBER_HI_MAX. The ceiling only refuses their requests; it bounds
     no memory, since L3_9 and the others that read a three-variable table
     at 2n build tables of the same size and take any hi. In fresh processes
-    on a 2-vCPU VM, `verify GAUSS_12H 0 2*10^6` and `verify L3_9 0 2*10^6`
-    both peak at 285 MB, and `verify L3_9 0 3*10^6` runs at 532 MB.
+    on a 2-vCPU VM, `verify GAUSS_12H 0 2*10^6` peaks at 174 MB and
+    `verify L3_9 0 2*10^6` at 262 MB, and `verify L3_9 0 3*10^6` runs at
+    377 MB.
     """
     if lo < 0 or hi < lo:
         raise ValueError("need 0 <= lo <= hi")

@@ -97,8 +97,9 @@ def test_count_square_tuples_vs_brute(monkeypatch):
                     brute_square_tuples(n, coeffs), (block, coeffs, n)
 
 
-# (4, 1) and (8, 2, 1) put the sparser series second, (2, 2) and (1, 1, 2)
-# repeat a coefficient, and (1, 4000) has a one-term series below 4000
+# (4, 1) and (8, 2, 1) put the sparser series first, where (1, 4) and
+# (1, 2, 8) put it second; (2, 2) and (1, 1, 2) repeat a coefficient; and
+# (1, 4000) has a one-term series at every length tested
 FORMS = [(1, 1, 1), (1, 2, 8), (1, 2, 4), (1, 2), (1, 4), (3,), (2, 5), (4, 1),
          (2, 2), (8, 2, 1), (1, 1, 2), (1, 4000), DiagonalForm((2, 1, 8))]
 
@@ -131,36 +132,20 @@ def test_signed_theta_product_table_matches_per_query():
             assert table[n] == qa.count_signed_representations(n, form), (form, n)
 
 
-def record_transforms(monkeypatch):
-    """Patch np.fft.rfft and irfft to log (name, length) of every call."""
-    calls = []
-    for name in ("rfft", "irfft"):
-        def recorded(a, n=None, *args, _name=name, _real=getattr(np.fft, name), **kwargs):
-            calls.append((_name, n))
-            return _real(a, n, *args, **kwargs)
-        monkeypatch.setattr(np.fft, name, recorded)
-    return calls
-
-
-def test_tables_take_one_transform_at_twice_the_length(monkeypatch):
+def test_tables_take_one_transform_at_twice_the_length(fft_calls):
     # one or two variables are placed exactly; a third variable, and the
     # parity halves at scale 2, take one inverse transform at 2 n_max
-    calls = record_transforms(monkeypatch)
     n_max = 1000
-    for form in FORMS:
+    one_irfft = [("irfft", qa._fft_size(2 * n_max + 1))]
+    for form, scale in [(form, 1) for form in FORMS] + [((1, 1, 1), 2)]:
         for signed in (False, True):
-            del calls[:]
-            qa.theta_product_table(form, n_max, signed)
+            del fft_calls[:]
+            qa.theta_product_table(form, n_max, signed, scale)
             if len(coefficients(form)) < 3:
-                assert calls == [], form
+                assert fft_calls == [], form
             else:
-                assert [c for c in calls if c[0] == "irfft"] == \
-                    [("irfft", qa._fft_size(2 * n_max + 1))], (form, calls)
-    for signed in (False, True):
-        del calls[:]
-        qa.theta_product_table((1, 1, 1), n_max, signed, scale=2)
-        assert [c for c in calls if c[0] == "irfft"] == \
-            [("irfft", qa._fft_size(2 * n_max + 1))], calls
+                irfft = [call for call in fft_calls if call[0] == "irfft"]
+                assert irfft == one_irfft, (form, scale, fft_calls)
 
 
 def traced_peak(build):

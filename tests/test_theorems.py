@@ -11,7 +11,6 @@ import inspect
 import random
 import weakref
 
-import numpy as np
 import pytest
 
 import thetaparity as tp
@@ -267,16 +266,10 @@ def test_run_suite_builds_no_table_past_hi(ctx20k, monkeypatch):
     assert {((1, 1, 1), 2000, False, 2), ((1, 1, 1), 2000, True, 2)} <= set(calls)
 
 
-def test_run_suite_transforms_at_most_twice_hi(ctx20k, monkeypatch):
+def test_run_suite_transforms_at_most_twice_hi(ctx20k, fft_calls):
     # every table takes its one transform at 2 hi, or none
-    lengths = []
-    for name in ("rfft", "irfft"):
-        def recorded(a, n=None, *args, _real=getattr(np.fft, name), **kwargs):
-            lengths.append(n)
-            return _real(a, n, *args, **kwargs)
-        monkeypatch.setattr(np.fft, name, recorded)
     th.run_suite(th.ALL_STATEMENTS, 0, 2000, ctx20k)
-    assert lengths and max(lengths) <= qa._fft_size(4001), lengths
+    assert fft_calls and max(n for _, n in fft_calls) <= qa._fft_size(4001), fft_calls
 
 
 def test_batch_primitive_triples_keep_the_sign_check(ctx20k, monkeypatch):
