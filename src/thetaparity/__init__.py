@@ -15,12 +15,12 @@ import importlib
 # public name -> defining module; each module is imported on first use, so
 # a process compiles only the layers it touches
 _EXPORTS = {name: module for module, names in {
-    "census": "AlphaSweep CensusTable SweepRow alpha_sweep build_B build_Bstar "
-              "interval_counts non15_count residue_class_counts",
+    "census": "AlphaSweep CensusTable SweepRow alpha_sweep interval_counts non15_count "
+              "residue_class_counts",
     "bitseries": "BitmapFormatError BitSeries InsufficientBitmapError read_f2s write_f2s",
-    "f2series": "NotInvertibleError SparseExponents from_exponents generalized_pentagonals "
-                "inverse_seventh_power invert_newton invert_recurrence mul_dense "
-                "mul_sparse square squares",
+    "f2series": "NotInvertibleError SparseExponents build_B build_Bstar from_exponents "
+                "generalized_pentagonals inverse_seventh_power invert_newton "
+                "invert_recurrence mul_dense mul_sparse square squares",
     "quadarith": "DiagonalForm Factorization IdealCountKind class_number "
                  "count_signed_representations count_square_tuples factorize "
                  "ideal_count is_square jacobi odd_exponent_prime_count",

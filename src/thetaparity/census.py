@@ -2,15 +2,15 @@
 
 B is the support of 1/g for the squares theta series g; B* is the analogue
 for the generalized pentagonal generator, whose reciprocal carries the
-partition parities. Bitmaps are built once through the inversion kernels and
-then scanned read-only through the byte view of their words, with the
-standard library alone. Members = r mod 16 are bit r % 8 of every other
-byte from byte r // 8. One loop counts them in consecutive groups: it reads
-at most one fixed block of bytes at a time, keeps that half, and counts each
-group's part, as a Python int, under one mask with period 8; a group longer
-than a read carries its count over. `BitSeries.popcount` counts all members
-below a limit in the same blocks. A scan holds a few blocks whatever its
-length.
+partition parities. `f2series.build_B` and `build_Bstar` build the bitmaps;
+this module only scans them, read-only, through the byte view of their
+words, with the standard library alone. Members = r mod 16 are bit r % 8
+of every other byte from byte r // 8. One loop counts them in consecutive
+groups: it reads at most one fixed block of bytes at a time, keeps that
+half, and counts each group's part, as a Python int, under one mask with
+period 8; a group longer than a read carries its count over.
+`BitSeries.popcount` counts all members below a limit in the same blocks.
+A scan holds a few blocks whatever its length.
 
 beta(x) counts members of B that are congruent to 15 mod 16 and smaller than
 16x. Among the 16x - 1 positive integers below 16x, exactly x lie in that
@@ -35,27 +35,11 @@ __all__ = [
     "CensusTable",
     "SweepRow",
     "AlphaSweep",
-    "build_B",
-    "build_Bstar",
     "interval_counts",
     "alpha_sweep",
     "residue_class_counts",
     "non15_count",
 ]
-
-
-def build_B(limit: int) -> BitSeries:
-    """Membership bitmap of B: reciprocal of the squares theta series."""
-    from . import f2series
-
-    return f2series.invert_newton(f2series.squares(limit), limit)
-
-
-def build_Bstar(limit: int) -> BitSeries:
-    """Membership bitmap of B*: reciprocal of the pentagonal-number series."""
-    from . import f2series
-
-    return f2series.invert_newton(f2series.generalized_pentagonals(limit), limit)
 
 
 def _popcounts(b: BitSeries, residue: int, width: int, stop: int) -> Iterator[int]:

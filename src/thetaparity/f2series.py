@@ -47,6 +47,10 @@ big-int carryless product `mul_dense` are kept alongside as independent
 oracles. Neither uses the word kernel; the test suite asserts bit-identical
 agreement with the Newton route and the sparse product.
 
+`SERIES` names the five series that `gen` writes: theta and the
+pentagonal generator as dense bitmaps, and the three reciprocals, B
+(`build_B`), B* (`build_Bstar`) and 1/g^7, each a function of the limit.
+
 Truncation is always explicit. No operation grows storage implicitly, and
 reading a coefficient at or past `length` raises instead of returning zero.
 """
@@ -78,6 +82,9 @@ __all__ = [
     "invert_newton",
     "invert_recurrence",
     "inverse_seventh_power",
+    "build_B",
+    "build_Bstar",
+    "SERIES",
     "write_f2s",
     "read_f2s",
 ]
@@ -376,3 +383,25 @@ def inverse_seventh_power(limit: int) -> BitSeries:
     e = squares(limit)
     h = invert_newton(e, (limit + 7) // 8).words
     return BitSeries(limit, _mul_frobenius(h, e.exponents, 3, limit))
+
+
+def build_B(limit: int) -> BitSeries:
+    """Membership bitmap of B: reciprocal of the squares theta series."""
+    return invert_newton(squares(limit), limit)
+
+
+def build_Bstar(limit: int) -> BitSeries:
+    """Membership bitmap of B*: reciprocal of the pentagonal-number series."""
+    return invert_newton(generalized_pentagonals(limit), limit)
+
+
+# gen's series by name, each a function of the limit. The lambdas look the
+# module's functions up when they run, so a function rebound in this module,
+# by a tracer or a test, is the one that runs
+SERIES = {
+    "theta": lambda limit: from_exponents(squares(limit), limit),
+    "pentagonal": lambda limit: from_exponents(generalized_pentagonals(limit), limit),
+    "inv-theta": build_B,
+    "inv-pentagonal": build_Bstar,
+    "inv-theta7": inverse_seventh_power,
+}

@@ -189,8 +189,9 @@ def _check_t1_1(n: int, ctx: SeriesContext) -> Verdict:
                     half_square=half_square)
 
 
-def _batch_t1_1(member, half_roots):
-    return member == half_roots[1], False
+def _batch_square_flag(bits, roots):
+    # a bitmap bit equals the perfect-square flag of a roots column
+    return bits == roots[1], False
 
 
 def _check_parity(form: tuple[int, ...], n: int, ctx: SeriesContext) -> Verdict:
@@ -305,10 +306,6 @@ def _check_l3_5(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict((coeff == 1) == square, coefficient=coeff, square=square)
 
 
-def _batch_l3_5(seventh, roots):
-    return seventh == roots[1], False
-
-
 def _check_l3_7_identity(n: int, ctx: SeriesContext) -> Verdict:
     r3 = quadarith.count_square_tuples(2 * n, (1, 1, 1))
     t = quadarith.count_square_tuples(n, (1, 2, 4))
@@ -341,24 +338,16 @@ def _batch_c3_10(r3, factors):
     return r3 % 4 == 0, factors.odd_exponent_primes < 3
 
 
-def _check_gauss_24h(n: int, ctx: SeriesContext) -> Verdict:
-    signed = quadarith.count_signed_representations(n, (1, 1, 1), primitive=True)
-    h = quadarith.class_number(-n)
-    return _verdict(signed == 24 * h, signed_primitive=signed, class_number=h)
+def _check_gauss(scale: int, disc: int, multiple: int, n: int,
+                 ctx: SeriesContext) -> Verdict:
+    # primitive signed r3(scale * n) equals multiple * h(-disc * n)
+    signed = quadarith.count_signed_representations(scale * n, (1, 1, 1), primitive=True)
+    h = quadarith.class_number(-disc * n)
+    return _verdict(signed == multiple * h, signed_primitive=signed, class_number=h)
 
 
-def _batch_gauss_24h(signed, h):
-    return signed == 24 * h, False
-
-
-def _check_gauss_12h(n: int, ctx: SeriesContext) -> Verdict:
-    signed = quadarith.count_signed_representations(2 * n, (1, 1, 1), primitive=True)
-    h = quadarith.class_number(-8 * n)
-    return _verdict(signed == 12 * h, signed_primitive=signed, class_number=h)
-
-
-def _batch_gauss_12h(signed, h):
-    return signed == 12 * h, False
+def _batch_gauss(multiple: int, signed, h):
+    return signed == multiple * h, False
 
 
 @dataclass(frozen=True)
@@ -376,7 +365,7 @@ class _Statement:
 
 _REGISTRY: dict[StatementId, _Statement] = {
     StatementId.T1_1: _Statement(
-        2, 0, _check_t1_1, _batch_t1_1, (("member",), ("roots", 2)),
+        2, 0, _check_t1_1, _batch_square_flag, (("member",), ("roots", 2)),
         "even n is in B iff n/2 is a perfect square",
     ),
     StatementId.T1_2: _Statement(
@@ -422,7 +411,7 @@ _REGISTRY: dict[StatementId, _Statement] = {
         "as interpreted)",
     ),
     StatementId.L3_5: _Statement(
-        16, 1, _check_l3_5, _batch_l3_5, (("seventh",), ("roots", 1)),
+        16, 1, _check_l3_5, _batch_square_flag, (("seventh",), ("roots", 1)),
         "n = 1 mod 16: the 1/g^7 coefficient is 1 iff n is a perfect square",
     ),
     StatementId.T3_6: _Statement(
@@ -455,13 +444,13 @@ _REGISTRY: dict[StatementId, _Statement] = {
         "n = 7 mod 16 with >= 3 odd-exponent primes is not in B",
     ),
     StatementId.GAUSS_24H: _Statement(
-        8, 3, _check_gauss_24h, _batch_gauss_24h,
+        8, 3, functools.partial(_check_gauss, 1, 1, 24), functools.partial(_batch_gauss, 24),
         (("primitive_r3", 1), ("class_numbers", 1, 3)),
         "n = 3 mod 8, n > 3: primitive signed triple count equals 24 h(-n)",
         minimum=4,
     ),
     StatementId.GAUSS_12H: _Statement(
-        8, 7, _check_gauss_12h, _batch_gauss_12h,
+        8, 7, functools.partial(_check_gauss, 2, 8, 12), functools.partial(_batch_gauss, 12),
         (("primitive_r3", 2), ("class_numbers", 8, 7)),
         "n = 7 mod 8: primitive signed triple count at 2n equals 12 h(-8n)",
     ),
@@ -543,10 +532,8 @@ def check_range(ids: Iterable[StatementId], lo: int, hi: int) -> None:
     The statements that read a class-number column stop at
     CLASS_NUMBER_HI_MAX. The ceiling only refuses their requests; it bounds
     no memory, since L3_9 and the others that read a three-variable table
-    at 2n build tables of the same size and take any hi. In fresh processes
-    on a 2-vCPU VM, `verify GAUSS_12H 0 2*10^6` peaks at 174 MB and
-    `verify L3_9 0 2*10^6` at 262 MB, and `verify L3_9 0 3*10^6` runs at
-    377 MB.
+    at 2n build tables of the same size and take any hi. README "Supported
+    ranges" gives the measured peaks.
     """
     if lo < 0 or hi < lo:
         raise ValueError("need 0 <= lo <= hi")

@@ -43,9 +43,13 @@ def test_gen_all_series_kinds(tmp_path):
 
 
 def test_series_table():
-    # gen's constructors, made on first use, stay readable as cli._BUILDERS,
-    # where bench/selftest.py checks that the tracer wraps them
+    # gen's constructors live in one table, f2series.SERIES, which stays
+    # readable as cli._BUILDERS, where bench/selftest.py checks that the
+    # tracer wraps them; the package re-exports the same builders
     from thetaparity import cli, f2series as f2
+
+    assert cli._BUILDERS is f2.SERIES
+    assert tp.build_B is f2.build_B and tp.build_Bstar is f2.build_Bstar
 
     n = 100
     expected = {"theta": f2.from_exponents(f2.squares(n), n),
