@@ -12,24 +12,22 @@ nonnegative solutions, which walks the grid of leading coordinates in
 fixed-size blocks (memory O(sqrt n), n < 2^63). The batch functions compute
 the same quantities for every n of a range at once, and each is tested
 against its per-query oracle: count tables as products of theta series,
-primitive signed triple counts by Mobius inversion of the signed table,
-factor counts and ideal counts from a smallest-prime-factor sieve, and
+three-square counts on one residue class as products of triangular-number
+series, primitive triple counts by Mobius inversion of those, factor
+counts and ideal counts from one sieve over the odd n of a window, and
 class numbers by one enumeration of reduced forms for a whole residue
 class of discriminants.
 
-A count table to n_max places the product of two theta series exactly, in
+A count table to n_max places the product of two series exactly, in
 int64: the terms of the sparser series each shift the other's terms, which
 land on distinct entries, into the table, so the product costs O(n_max)
-with no transform. One- and two-variable forms stop there; a third
-variable multiplies that table by its series in one real FFT of length at
-least 2 n_max + 1. The three-square counts at even N = 2j come from the
-parity split of theta that the GF(2) kernel applies to g: theta(x) =
-A(x^2) + x B(x^2), where A holds the even k and B the odd k, so r3(2j) is
-the coefficient of y^j in A (A^2 + 3 y B^2), with A^2 and B^2 exact and
-one FFT for the product with A. Primitive counts at 2j need no count at an
-odd N either, since a sum of three squares divisible by 4 has every term
-even: r3(4m) = r3(m). Counting conventions are fixed once and never
-converted implicitly:
+with no transform. A third variable multiplies that table by its series in
+one real FFT of length at least 2 n_max + 1. On a class N = 8m + r (or
+2(8m + r)) every solution of the forms the statements read has fixed
+parities, and an odd square is 8T + 1 with T triangular (Gauss), so the
+count at N is the coefficient of x^m in a product of three series an
+eighth as long as the table to N. Counting conventions are fixed once and
+never converted implicitly:
 
 * `count_square_tuples(n, form)` counts ORDERED tuples (s_1, ..., s_k) of
   nonnegative perfect-square values with sum a_i * s_i = n. Positions are
@@ -55,7 +53,8 @@ __all__ = [
     "count_square_tuples",
     "count_signed_representations",
     "theta_product_table",
-    "primitive_signed_r3_table",
+    "tuple_class_table",
+    "primitive_r3_class_table",
     "jacobi",
     "is_square",
     "is_prime",
@@ -65,6 +64,7 @@ __all__ = [
     "FactorColumns",
     "factor_columns",
     "class_number",
+    "class_column",
     "class_numbers",
 ]
 
@@ -184,122 +184,98 @@ def _rounded(values: np.ndarray) -> np.ndarray:
     return ints.astype(np.int64)
 
 
-def _sparse_terms(exponents: np.ndarray, weight: int, zero: int,
-                  n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    # a sparse series as (exponents, weights), exponents increasing and
-    # distinct, cut at n_max; the term at exponent 0 has weight `zero`
-    exponents = exponents[exponents <= n_max]
-    weights = np.full(exponents.size, weight, dtype=np.int64)
-    weights[exponents == 0] = zero
-    return exponents, weights
-
-
 def _exact_product(first, second, n_max: int) -> np.ndarray:
-    # the product of two sparse series to n_max, in int64 with no rounding:
-    # one term of the shorter series places the other's terms on distinct
+    # the product to n_max of two sparse series, each its increasing
+    # exponents up to n_max (every term 1), in int64 with no rounding: one
+    # term of the shorter series places the other's terms on distinct
     # entries, so one fancy-indexed add per term suffices
-    (exponents, weights), (others, other_weights) = sorted(
-        (first, second), key=lambda terms: terms[0].size)
+    exponents, others = sorted((first, second), key=len)
     counts = np.zeros(n_max + 1, dtype=np.int64)
-    for e, w in zip(exponents.tolist(), weights.tolist()):
-        m = int(np.searchsorted(others, n_max - e, side="right"))
-        counts[e + others[:m]] += w * other_weights[:m]
+    for e in exponents.tolist():
+        counts[e + others[: np.searchsorted(others, n_max - e, side="right")]] += 1
     return counts
 
 
-def _fft_product(table: np.ndarray, terms, n_max: int) -> np.ndarray:
+def _fft_product(table: np.ndarray, exponents, n_max: int) -> np.ndarray:
     # table times a sparse series to n_max by one real FFT at a length at
     # which nothing wraps into [0, n_max]; both factors stop at n_max.
     # Callers pass the table as a temporary, so `del` frees it.
     size = _fft_size(2 * n_max + 1)
     product = np.fft.rfft(table, size)
     del table
-    product *= np.fft.rfft(np.bincount(*terms, minlength=n_max + 1), size)
+    product *= np.fft.rfft(np.bincount(exponents, minlength=n_max + 1), size)
     out = np.fft.irfft(product, size)[: n_max + 1]
     del product
     return _rounded(out)
 
 
-_ONE = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
+def theta_product_table(form, n_max: int) -> np.ndarray:
+    """counts[n] = count_square_tuples(n, form) for 0 <= n <= n_max.
 
-
-def theta_product_table(form, n_max: int, signed: bool = False,
-                        scale: int = 1) -> np.ndarray:
-    """counts[j] at N = scale * j, 0 <= j <= n_max, from products of theta series.
-
-    Unsigned, variable a_i contributes sum over k >= 0 of x^(a_i k^2) and
-    counts[j] = count_square_tuples(N, form); signed, it contributes
-    1 + 2 * sum over k >= 1 of x^(a_i k^2) and counts[j] =
-    count_signed_representations(N, form). The product of two series is
-    placed exactly, in int64: each term of the sparser one adds the other's
-    terms, shifted, into the table, O(n_max) in all. One- and two-variable
-    forms return that table. A third variable multiplies it by one real FFT
-    at a length of at least 2 n_max + 1.
-
-    Scale 2 takes only the form (1, 1, 1). Split theta by the parity of k,
-    theta(x) = A(x^2) + x B(x^2) with A(y) = sum over even k of y^(k^2/2)
-    and B(y) = sum over odd k of y^((k^2-1)/2); the even part of theta^3 is
-    A (A^2 + 3 y B^2) in y = x^2, so counts[j] = [y^j](A (A^2 + 3 y B^2)).
-    A^2 and B^2 are placed exactly, and the product with A is the one FFT.
-
-    Every FFT result checks its rounding and raises AssertionError when an
-    entry lies 1/4 or more from an integer. count_square_tuples and
-    count_signed_representations are the exact per-query oracles.
+    Variable a_i contributes the series sum over k >= 0 of x^(a_i k^2). The
+    product of two series is placed exactly, in int64: each term of the
+    sparser one adds the other's terms, shifted, into the table, O(n_max) in
+    all. A third variable multiplies that table by one real FFT at a length
+    of at least 2 n_max + 1, which raises AssertionError when an entry lies
+    1/4 or more from an integer. count_square_tuples is the exact per-query
+    oracle.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    coeffs = _coefficients(form)
-    weight = 2 if signed else 1
-    if scale == 2 and coeffs == (1, 1, 1):
-        i = np.arange(math.isqrt(n_max) + 1, dtype=np.int64)
-        odd = 2 * i * (i + 1)
-        a = _sparse_terms(2 * i * i, weight, 1, n_max)
-        b = _sparse_terms(odd, weight, weight, n_max)
-        b3y = _sparse_terms(odd + 1, 3 * weight, 3 * weight, n_max)  # 3 y B
-        return _fft_product(_exact_product(a, a, n_max)
-                            + _exact_product(b3y, b, n_max), a, n_max)
-    if scale != 1:
-        raise ValueError("scale must be 1, or 2 with the form (1, 1, 1)")
-    terms = []
-    for c in coeffs:
-        k = np.arange(math.isqrt(n_max // c) + 1, dtype=np.int64)
-        terms.append(_sparse_terms(c * k * k, weight, 1, n_max))
-    if len(terms) == 1:
-        terms.append(_ONE)
-    if len(terms) == 2:
-        return _exact_product(*terms, n_max)
-    return _fft_product(_exact_product(*terms[:2], n_max), terms[2], n_max)
+    series = [c * np.arange(math.isqrt(n_max // c) + 1, dtype=np.int64) ** 2
+              for c in _coefficients(form)]
+    if len(series) == 1:
+        return np.bincount(series[0], minlength=n_max + 1)
+    if len(series) == 2:
+        return _exact_product(*series, n_max)
+    return _fft_product(_exact_product(*series[:2], n_max), series[2], n_max)
 
 
-def primitive_signed_r3_table(n_max: int, scale: int = 1) -> np.ndarray:
-    """counts[j] = count_signed_representations(N, (1, 1, 1), primitive=True).
+def tuple_class_table(form, scale: int, residue: int, m_max: int) -> np.ndarray:
+    """counts[m] = count_square_tuples(scale * (8m + residue), form), m <= m_max.
 
-    At N = scale * j for 0 <= j <= n_max, with scale 1 or 2. A vector with
-    gcd d and sum of squares N is d times a primitive vector with sum
-    N / d^2, so Mobius inversion over the square divisors of N turns the
-    signed table S into the primitive one; N = 0 has no primitive vector and
-    counts 0. At scale 2 it inverts the half table E[j] = S(2j): an odd d
-    reads E[j / d^2], and d = 2e (e odd, 2e^2 | j) reads S(2j / 4e^2) =
-    S(2j / e^2) = E[j / e^2], since a sum of three squares divisible by 4
-    has every term even, S(4m) = S(m). No table at odd N is needed.
+    For the four classes the statements read. On each, every solution has
+    fixed parities and an odd square (2a + 1)^2 is 8 T_a + 1, T_a = a (a +
+    1) / 2 (Gauss), so the count is a multiple of the coefficient of x^m in
+    a product of three series: two multiplied exactly, the third by one FFT
+    with theta_product_table's rounding check.
     """
-    signed = theta_product_table((1, 1, 1), n_max, signed=True, scale=scale)
-    root = math.isqrt(n_max)
-    spf = _smallest_prime_factors(root)
-    mu = np.ones(root + 1, dtype=np.int64)
-    for p in np.flatnonzero(spf == np.arange(root + 1))[2:]:
-        mu[::p] *= -1
-        mu[:: p * p] = 0
-    counts = np.zeros_like(signed)
-    for d in np.flatnonzero(mu[1:]) + 1:
-        if scale == 2 and d % 2 == 0:
-            continue  # d = 2e is taken at e, below
-        step = int(d) * int(d)
-        counts[::step] += mu[d] * signed[: n_max // step + 1]
-        if scale == 2:
-            # mu(2d) = -mu(d), at j = 2 d^2 m read E[2m]
-            counts[:: 2 * step] -= mu[d] * signed[: n_max // step + 1 : 2]
-    counts[0] = 0
+    if m_max < 0:
+        raise ValueError("m_max must be nonnegative")
+    t = np.arange(math.isqrt(4 * m_max + 2) + 1, dtype=np.int64)
+    t = t * (t + 1) // 2  # every T_a <= 2 m_max + 1
+    classes = {  # (multiple, three series)
+        ((1, 1, 1), 1, 3): (1, t, t, t),  # all odd: T_a + T_b + T_c = m
+        ((1, 2, 8), 1, 3): (1, t, 2 * t, np.arange(math.isqrt(m_max) + 1) ** 2),
+        ((1, 2, 4), 1, 7): (1, t, 2 * t, 4 * t),  # all odd
+        # N = 16m + 14 has two odd terms and one 2 mod 4, in three places:
+        # T_a + T_b + 4 T_c = 2m + 1, one of T_a, T_b even, in two orders
+        ((1, 1, 1), 2, 7): (6, t[t % 2 == 0] // 2, t[t % 2 == 1] // 2, 2 * t),
+    }
+    key = (_coefficients(form), scale, residue)
+    if key not in classes:
+        raise ValueError(f"no class table for {key}")
+    multiple, *series = classes[key]
+    first, second, third = (s[s <= m_max] for s in series)
+    return multiple * _fft_product(_exact_product(first, second, m_max), third, m_max)
+
+
+def primitive_r3_class_table(scale: int, residue: int, m_max: int) -> np.ndarray:
+    """counts[m] = count_signed_representations(scale * (8m + residue),
+    (1, 1, 1), primitive=True) for m <= m_max, for scale 1 and residue 3 or
+    scale 2 and residue 7.
+
+    No term is zero there, so the signed count is 8 times tuple_class_table. As 4
+    does not divide N, a gcd d of a vector is odd, and d^2 = 1 mod 8 keeps
+    n / d^2 = 8m' + residue in the class, at m = d^2 m' + residue (d^2 -
+    1) / 8. Mobius inversion takes one prime p at a time: subtract the count
+    at n / p^2 (numpy reads the right side whole before it writes).
+    """
+    counts = 8 * tuple_class_table((1, 1, 1), scale, residue, m_max)
+    # p^2 divides an n of the class up to the top only if residue p^2 does
+    for p in filter(is_prime, range(3, math.isqrt(8 * m_max // residue + 1) + 1, 2)):
+        shift = residue * (p * p - 1) // 8
+        counts[shift :: p * p] -= counts[: (m_max - shift) // (p * p) + 1]
     return counts
 
 
@@ -461,23 +437,13 @@ def ideal_count(n: int, kind: IdealCountKind) -> int:
     return total
 
 
-def _smallest_prime_factors(n_max: int) -> np.ndarray:
-    # spf[m] is the least prime factor of m for m >= 2; spf[0] = 0, spf[1] = 1
-    spf = np.zeros(n_max + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(n_max) + 1):
-        if spf[p] == 0:
-            multiples = spf[p * p :: p]
-            multiples[multiples == 0] = p
-    return np.where(spf == 0, np.arange(n_max + 1), spf)
-
-
 @dataclass(frozen=True)
 class FactorColumns:
     """Factor counts of every n in [lo, hi]; index i holds n = lo + i.
 
-    `distinct_primes` and `odd_exponent_primes` count the primes dividing n
-    and those to an odd power (0 at n = 0 and 1); `ideal_counts[kind]` is
-    ideal_count(n, kind) at odd n and 0 at even n.
+    `distinct_primes` and `odd_exponent_primes` (int8) count the primes
+    dividing n and those to an odd power, `ideal_counts[kind]` (int32) is
+    ideal_count(n, kind); all three are for odd n and read 0 at even n.
     """
 
     distinct_primes: np.ndarray
@@ -486,39 +452,50 @@ class FactorColumns:
 
 
 def factor_columns(lo: int, hi: int) -> FactorColumns:
-    """Factor counts and ideal counts of every n in [lo, hi] from one sieve.
+    """Factor counts and ideal counts of every odd n in [lo, hi] from one sieve.
 
-    A smallest-prime-factor sieve to hi strips one prime at a time from all
-    n at once. A prime's character, like ideal_count's, is jacobi(kind, p),
-    which for kind -1 and -2 depends only on p mod 8.
+    Each odd prime p <= sqrt(hi) divides its multiples out of a remainder
+    column, one strided slice per power of p, and a remainder above 1 is one
+    more prime, so time and memory are O(hi - lo + sqrt(hi)). A prime's
+    character, like ideal_count's, is jacobi(kind, p), which for kind -1
+    and -2 depends only on p mod 8.
     """
     if not 0 <= lo <= hi:
         raise ValueError("need 0 <= lo <= hi")
-    n = np.arange(lo, hi + 1, dtype=np.int64)
-    spf = _smallest_prime_factors(hi)
-    distinct = np.zeros_like(n)
-    odd = np.zeros_like(n)
-    ideal = {kind: n % 2 for kind in IdealCountKind}
+    first = lo | 1
+    rem = np.arange(first, hi + 1, 2, dtype=np.int64)  # index i at n = first + 2i
+    distinct = np.zeros(rem.size, dtype=np.int8)
+    odd = np.zeros(rem.size, dtype=np.int8)
+    ideal = {kind: np.ones(rem.size, dtype=np.int32) for kind in IdealCountKind}
     split = {kind: np.array([r % 2 == 1 and jacobi(kind.value, r) == 1
                              for r in range(8)]) for kind in IdealCountKind}
-    live = np.flatnonzero(n > 1)
-    rem = n[live]
-    while live.size:
-        p = spf[rem]
-        e = np.zeros_like(rem)
-        step = np.arange(rem.size)
-        while step.size:
-            rem[step] //= p[step]
-            e[step] += 1
-            step = step[rem[step] % p[step] == 0]
-        distinct[live] += 1
-        odd[live] += e & 1
+    for p in filter(is_prime, range(3, math.isqrt(hi) + 1, 2)):
+        s = (p - first) // 2 % p  # rem[s::p] are the multiples of p
+        e = np.zeros(rem[s::p].size, dtype=np.int8)  # and e their exponents
+        q = p
+        while q <= hi:
+            i = (q - first) // 2 % q
+            rem[i::q] //= p
+            e[(i - s) // p :: q // p] += 1
+            q *= p
+        distinct[s::p] += 1
+        odd[s::p] += e & 1
         for kind, table in split.items():
             # split primes give c + 1; inert ones 1 for even c, 0 for odd c
-            ideal[kind][live] *= np.where(table[p % 8], e + 1, 1 - (e & 1))
-        more = rem > 1
-        live, rem = live[more], rem[more]
-    return FactorColumns(distinct, odd, ideal)
+            ideal[kind][s::p] *= e + 1 if table[p % 8] else 1 - (e & 1)
+    big = rem > 1
+    distinct += big
+    odd += big
+    for kind, table in split.items():
+        ideal[kind] *= np.where(big, 2 * table[rem % 8], 1)
+
+    def full(column):  # the odd n at their places, 0 at even n
+        out = np.zeros(hi - lo + 1, dtype=column.dtype)
+        out[first - lo :: 2] = column
+        return out
+
+    return FactorColumns(full(distinct), full(odd),
+                         {kind: full(column) for kind, column in ideal.items()})
 
 
 def class_number(d: int) -> int:
@@ -547,6 +524,20 @@ def class_number(d: int) -> int:
     return h
 
 
+def class_column(residue: int, lo: int, hi: int, build) -> np.ndarray:
+    """A column over [lo, hi] holding a class table at n = 8m + residue.
+
+    build(m_lo, m_hi) returns the table's int64 entries m_lo..m_hi, those
+    whose n lies in the window; it is not called when none does. Every
+    other entry of the column is 0.
+    """
+    column = np.zeros(hi - lo + 1, dtype=np.int64)
+    m_lo, m_hi = (lo - residue + 7) // 8, (hi - residue) // 8
+    if m_lo <= m_hi:
+        column[8 * m_lo + residue - lo :: 8] = build(m_lo, m_hi)
+    return column
+
+
 def class_numbers(scale: int, residue: int, lo: int, hi: int) -> np.ndarray:
     """h[i] = class_number(-scale * n) at n = lo + i when n = residue mod 8.
 
@@ -562,38 +553,36 @@ def class_numbers(scale: int, residue: int, lo: int, hi: int) -> np.ndarray:
         raise ValueError("-scale * n must be a discriminant for n = residue mod 8")
     if not 0 <= lo <= hi or scale * hi >= 1 << 60:
         raise ValueError("need 0 <= lo <= hi and scale * hi < 2^60")
-    h = np.zeros(hi - lo + 1, dtype=np.int64)
-    first = lo + (residue - lo) % 8
-    if first > hi:
-        return h
-    size = (hi - first) // 8 + 1
-    d_lo, d_hi = scale * first, scale * (first + 8 * (size - 1))
     mod = 8 * scale
     target = scale * residue % mod
-    counts = np.zeros(size, dtype=np.int64)
-    for a in range(1, math.isqrt(d_hi // 3) + 1):
-        # 4ac = b^2 + target (mod 8 * scale) has solutions c iff g divides
-        # the right side, and then they form one class mod `step`
-        g = math.gcd(4 * a, mod)
-        step = mod // g
-        bs = np.arange(a + 1, dtype=np.int64)
-        rhs = (target + bs * bs) % mod
-        bs, rhs = bs[rhs % g == 0], rhs[rhs % g == 0]
-        if not bs.size:
-            continue
-        c0 = rhs // g * pow(4 * a // g, -1, step) % step
-        c_first = np.maximum(a, -(-(d_lo + bs * bs) // (4 * a)))
-        c_first += (c0 - c_first) % step
-        runs = np.maximum(0, ((d_hi + bs * bs) // (4 * a) - c_first) // step + 1)
-        total = int(runs.sum())
-        if not total:
-            continue
-        starts = np.repeat(np.cumsum(runs) - runs, runs)
-        b = np.repeat(bs, runs)
-        c = np.repeat(c_first, runs) + step * (np.arange(total) - starts)
-        gcd_ab = np.repeat(np.gcd(bs, a), runs)
-        primitive = (gcd_ab == 1) | (np.gcd(gcd_ab, c) == 1)
-        twins = (b > 0) & (b < a) & (c > a)
-        np.add.at(counts, (4 * a * c - b * b - d_lo) // mod, primitive * (1 + twins))
-    h[first - lo :: 8] = counts
-    return h
+
+    def build(m_lo, m_hi):
+        d_lo, d_hi = scale * (8 * m_lo + residue), scale * (8 * m_hi + residue)
+        counts = np.zeros(m_hi - m_lo + 1, dtype=np.int64)
+        for a in range(1, math.isqrt(d_hi // 3) + 1):
+            # 4ac = b^2 + target (mod 8 * scale) has solutions c iff g
+            # divides the right side, and then they form one class mod `step`
+            g = math.gcd(4 * a, mod)
+            step = mod // g
+            bs = np.arange(a + 1, dtype=np.int64)
+            rhs = (target + bs * bs) % mod
+            bs, rhs = bs[rhs % g == 0], rhs[rhs % g == 0]
+            if not bs.size:
+                continue
+            c0 = rhs // g * pow(4 * a // g, -1, step) % step
+            c_first = np.maximum(a, -(-(d_lo + bs * bs) // (4 * a)))
+            c_first += (c0 - c_first) % step
+            runs = np.maximum(0, ((d_hi + bs * bs) // (4 * a) - c_first) // step + 1)
+            total = int(runs.sum())
+            if not total:
+                continue
+            starts = np.repeat(np.cumsum(runs) - runs, runs)
+            b = np.repeat(bs, runs)
+            c = np.repeat(c_first, runs) + step * (np.arange(total) - starts)
+            gcd_ab = np.repeat(np.gcd(bs, a), runs)
+            primitive = (gcd_ab == 1) | (np.gcd(gcd_ab, c) == 1)
+            twins = (b > 0) & (b < a) & (c > a)
+            np.add.at(counts, (4 * a * c - b * b - d_lo) // mod, primitive * (1 + twins))
+        return counts
+
+    return class_column(residue, lo, hi, build)

@@ -136,15 +136,22 @@ def _arange(lo: int, hi: int) -> np.ndarray:
     return np.arange(lo, hi + 1, dtype=np.int64)
 
 
-def _primitive_r3(lo: int, hi: int, ctx: SeriesContext, scale: int) -> np.ndarray:
-    """count_signed_representations(scale * n, (1, 1, 1), primitive=True),
-    checked where scale * n = 3 or 6 mod 8: there no sum of three squares
-    has a zero term, so each count is 8 sign patterns per triple."""
-    signed = quadarith.primitive_signed_r3_table(hi, scale)[lo:]
-    scaled = scale * _arange(lo, hi)
-    odd = np.flatnonzero(np.isin(scaled % 8, (3, 6)) & (signed % 8 != 0))
+def _class_column(lo: int, hi: int, table: Callable, *args) -> np.ndarray:
+    # table(*args, m_max)[m] at n = 8m + residue, the last of args; 0 elsewhere
+    return quadarith.class_column(args[-1], lo, hi,
+                                  lambda m_lo, m_hi: table(*args, m_hi)[m_lo:])
+
+
+def _primitive_r3(lo: int, hi: int, ctx: SeriesContext, scale: int,
+                  residue: int) -> np.ndarray:
+    """count_signed_representations(scale * n, (1, 1, 1), primitive=True)
+    where n = residue mod 8, else 0, checked: on those classes no sum of
+    three squares has a zero term, so each count is 8 sign patterns per
+    triple."""
+    signed = _class_column(lo, hi, quadarith.primitive_r3_class_table, scale, residue)
+    odd = np.flatnonzero(signed % 8)
     if odd.size:
-        raise AssertionError(_ZERO_COORDINATE.format(int(scaled[odd[0]])))
+        raise AssertionError(_ZERO_COORDINATE.format(scale * (lo + int(odd[0]))))
     return signed
 
 
@@ -157,9 +164,11 @@ _COLUMNS: dict[str, Callable] = {
     "seventh": lambda lo, hi, ctx: _window_bits(ctx.inv_theta7, lo, hi),
     # (root, is perfect square) of n // divisor
     "roots": lambda lo, hi, ctx, divisor: quadarith._exact_sqrt(_arange(lo, hi) // divisor),
-    # count_square_tuples(scale * n, form)
-    "tuples": lambda lo, hi, ctx, form, scale: quadarith.theta_product_table(
-        form, hi, scale=scale)[lo:],
+    # count_square_tuples(n, form)
+    "tuples": lambda lo, hi, ctx, form: quadarith.theta_product_table(form, hi)[lo:],
+    # count_square_tuples(scale * n, form) where n = residue mod 8, else 0
+    "class_tuples": lambda lo, hi, ctx, *key: _class_column(
+        lo, hi, quadarith.tuple_class_table, *key),
     "primitive_r3": _primitive_r3,
     "factors": lambda lo, hi, ctx: quadarith.factor_columns(lo, hi),
     # class_number(-scale * n) where n = residue mod 8, else 0
@@ -279,7 +288,7 @@ def _batch_l3_1(factors, roots):
     u, v = ideal[IdealCountKind.MINUS_TWO], ideal[IdealCountKind.GAUSSIAN]
     root, square = roots
     exceptional = square & ((root % 8 == 3) | (root % 8 == 5))
-    return np.where(exceptional, u * v % 4 == 3, (u - v) % 4 == 0), False
+    return np.where(exceptional, (u % 4) * (v % 4) % 4 == 3, (u - v) % 4 == 0), False
 
 
 def _check_l3_3(n: int, ctx: SeriesContext) -> Verdict:
@@ -370,27 +379,28 @@ _REGISTRY: dict[StatementId, _Statement] = {
     ),
     StatementId.T1_2: _Statement(
         4, 1, functools.partial(_check_parity, (1, 4)), _batch_parity,
-        (("member",), ("tuples", (1, 4), 1)),
+        (("member",), ("tuples", (1, 4))),
         "n = 1 mod 4: membership matches the parity of the (1,4) square-tuple count",
     ),
     StatementId.T1_4: _Statement(
         8, 3, functools.partial(_check_parity, (1, 2, 8)), _batch_parity,
-        (("member",), ("tuples", (1, 2, 8), 1)),
+        (("member",), ("class_tuples", (1, 2, 8), 1, 3)),
         "n = 3 mod 8: membership matches the parity of the (1,2,8) square-tuple count",
     ),
     StatementId.L2_1_IDENTITY: _Statement(
         8, 3, _check_l2_1_identity, _batch_l2_1_identity,
-        (("tuples", (1, 1, 1), 1), ("tuples", (1, 2), 1), ("tuples", (1, 2, 8), 1)),
+        (("class_tuples", (1, 1, 1), 1, 3), ("tuples", (1, 2)),
+         ("class_tuples", (1, 2, 8), 1, 3)),
         "n = 3 mod 8: (1,1,1) count plus (1,2) count equals twice the (1,2,8) count",
     ),
     StatementId.L2_1_SUFFICIENCY: _Statement(
         8, 3, _check_l2_1_sufficiency, _batch_l2_1_sufficiency,
-        (("tuples", (1, 1, 1), 1), ("tuples", (1, 2), 1), ("member",)),
+        (("class_tuples", (1, 1, 1), 1, 3), ("tuples", (1, 2)), ("member",)),
         "n = 3 mod 8: if both counts are divisible by 4, n is not in B",
     ),
     StatementId.L2_2: _Statement(
         8, 3, functools.partial(_check_primitive_triples, 1), _batch_primitive_triples,
-        (("primitive_r3", 1), ("factors",)),
+        (("primitive_r3", 1, 3), ("factors",)),
         "n = 3 mod 8 with >= 3 distinct primes: primitive triple count is divisible by 4",
     ),
     StatementId.T2_3: _Statement(
@@ -405,7 +415,7 @@ _REGISTRY: dict[StatementId, _Statement] = {
     ),
     StatementId.L3_3: _Statement(
         2, 1, _check_l3_3, _batch_l3_3,
-        (("factors",), ("roots", 1), ("tuples", (1, 2), 1), ("tuples", (1, 4), 1)),
+        (("factors",), ("roots", 1), ("tuples", (1, 2)), ("tuples", (1, 4))),
         "odd n: ideal counts equal twice the (1,2) and (1,4) square-tuple counts, "
         "each less one when n is a square (V-side count read as the (1,4) form; "
         "as interpreted)",
@@ -416,26 +426,26 @@ _REGISTRY: dict[StatementId, _Statement] = {
     ),
     StatementId.T3_6: _Statement(
         16, 7, functools.partial(_check_parity, (1, 2, 4)), _batch_parity,
-        (("member",), ("tuples", (1, 2, 4), 1)),
+        (("member",), ("class_tuples", (1, 2, 4), 1, 7)),
         "n = 7 mod 16: membership matches the parity of the (1,2,4) square-tuple count",
     ),
     StatementId.L3_7_IDENTITY: _Statement(
         8, 7, _check_l3_7_identity, _batch_l3_7_identity,
-        (("tuples", (1, 1, 1), 2), ("tuples", (1, 2, 4), 1)),
+        (("class_tuples", (1, 1, 1), 2, 7), ("class_tuples", (1, 2, 4), 1, 7)),
         "n = 7 mod 8: the (1,1,1) count at 2n equals six times the (1,2,4) count at n",
     ),
     StatementId.T3_8: _Statement(
-        16, 7, _check_t3_8, _batch_t3_8, (("member",), ("tuples", (1, 1, 1), 2)),
+        16, 7, _check_t3_8, _batch_t3_8, (("member",), ("class_tuples", (1, 1, 1), 2, 7)),
         "n = 7 mod 16: membership matches the (1,1,1) count at 2n being 2 mod 4",
     ),
     StatementId.L3_9: _Statement(
         8, 7, functools.partial(_check_primitive_triples, 2), _batch_primitive_triples,
-        (("primitive_r3", 2), ("factors",)),
+        (("primitive_r3", 2, 7), ("factors",)),
         "n = 7 mod 8 with >= 3 distinct primes: primitive triple count at 2n is "
         "divisible by 4",
     ),
     StatementId.C3_10: _Statement(
-        8, 7, _check_c3_10, _batch_c3_10, (("tuples", (1, 1, 1), 2), ("factors",)),
+        8, 7, _check_c3_10, _batch_c3_10, (("class_tuples", (1, 1, 1), 2, 7), ("factors",)),
         "n = 7 mod 8 with >= 3 odd-exponent primes: (1,1,1) count at 2n is divisible by 4",
     ),
     StatementId.T3_11: _Statement(
@@ -445,13 +455,13 @@ _REGISTRY: dict[StatementId, _Statement] = {
     ),
     StatementId.GAUSS_24H: _Statement(
         8, 3, functools.partial(_check_gauss, 1, 1, 24), functools.partial(_batch_gauss, 24),
-        (("primitive_r3", 1), ("class_numbers", 1, 3)),
+        (("primitive_r3", 1, 3), ("class_numbers", 1, 3)),
         "n = 3 mod 8, n > 3: primitive signed triple count equals 24 h(-n)",
         minimum=4,
     ),
     StatementId.GAUSS_12H: _Statement(
         8, 7, functools.partial(_check_gauss, 2, 8, 12), functools.partial(_batch_gauss, 12),
-        (("primitive_r3", 2), ("class_numbers", 8, 7)),
+        (("primitive_r3", 2, 7), ("class_numbers", 8, 7)),
         "n = 7 mod 8: primitive signed triple count at 2n equals 12 h(-8n)",
     ),
 }
@@ -530,10 +540,10 @@ def check_range(ids: Iterable[StatementId], lo: int, hi: int) -> None:
     """Raise ValueError unless run_suite supports [lo, hi] for these statements.
 
     The statements that read a class-number column stop at
-    CLASS_NUMBER_HI_MAX. The ceiling only refuses their requests; it bounds
-    no memory, since L3_9 and the others that read a three-variable table
-    at 2n build tables of the same size and take any hi. README "Supported
-    ranges" gives the measured peaks.
+    CLASS_NUMBER_HI_MAX, which bounds the time of the class-number
+    enumeration (it grows like hi^1.5), not memory: L3_9 reads the same
+    primitive r3 column as GAUSS_12H and takes any hi. README "Supported
+    ranges" gives the measured times and peaks.
     """
     if lo < 0 or hi < lo:
         raise ValueError("need 0 <= lo <= hi")

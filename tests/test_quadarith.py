@@ -125,27 +125,44 @@ def test_theta_product_table_matches_tuple_bincount():
             assert (table == tuple_bincount(coefficients(form), n_max)).all(), (form, n_max)
 
 
-def test_signed_theta_product_table_matches_per_query():
-    for form in FORMS:
-        table = qa.theta_product_table(form, 300, signed=True)
-        for n in range(301):
-            assert table[n] == qa.count_signed_representations(n, form), (form, n)
+# (form, scale, residue) of each class table: N = scale * (8m + residue)
+CLASSES = [((1, 1, 1), 1, 3), ((1, 2, 8), 1, 3), ((1, 2, 4), 1, 7), ((1, 1, 1), 2, 7)]
+
+
+def test_class_tables_match_per_query():
+    # every class table at every m, and the signed counts 8 times it where
+    # no term can be zero; m_max = 0 holds only the first member, N = 3, 7
+    # or 14
+    for form, scale, residue in CLASSES:
+        table = qa.tuple_class_table(form, scale, residue, 300)
+        assert table.dtype == np.int64 and table.shape == (301,)
+        for m in range(301):
+            n = scale * (8 * m + residue)
+            assert table[m] == qa.count_square_tuples(n, form), (form, scale, m)
+            if form != (1, 2, 8):
+                assert 8 * table[m] == qa.count_signed_representations(n, form), n
+        for m_max in (0, 1, 2, 7):
+            assert (qa.tuple_class_table(form, scale, residue, m_max)
+                    == table[: m_max + 1]).all()
 
 
 def test_tables_take_one_transform_at_twice_the_length(fft_calls):
-    # one or two variables are placed exactly; a third variable, and the
-    # parity halves at scale 2, take one inverse transform at 2 n_max
+    # one or two variables are placed exactly; a third variable takes one
+    # inverse transform at twice the table's length, so a class table at
+    # m_max takes it at 2 m_max
     n_max = 1000
     one_irfft = [("irfft", qa._fft_size(2 * n_max + 1))]
-    for form, scale in [(form, 1) for form in FORMS] + [((1, 1, 1), 2)]:
-        for signed in (False, True):
-            del fft_calls[:]
-            qa.theta_product_table(form, n_max, signed, scale)
-            if len(coefficients(form)) < 3:
-                assert fft_calls == [], form
-            else:
-                irfft = [call for call in fft_calls if call[0] == "irfft"]
-                assert irfft == one_irfft, (form, scale, fft_calls)
+    for form in FORMS:
+        del fft_calls[:]
+        qa.theta_product_table(form, n_max)
+        if len(coefficients(form)) < 3:
+            assert fft_calls == [], form
+        else:
+            assert [call for call in fft_calls if call[0] == "irfft"] == one_irfft
+    for key in CLASSES:
+        del fft_calls[:]
+        qa.tuple_class_table(*key, n_max)
+        assert [call for call in fft_calls if call[0] == "irfft"] == one_irfft, key
 
 
 def traced_peak(build):
@@ -160,51 +177,61 @@ def traced_peak(build):
 
 def test_table_peaks_per_entry():
     # an exact two-variable table holds little besides its output; a
-    # three-variable one holds the exact table's spectrum, the third
-    # series and its spectrum, then the inverse transform
+    # three-variable one, a class table and a primitive class table hold
+    # the exact table's spectrum, the third series and its spectrum, then
+    # the inverse transform
     n_max = 10**5
     for form in ((1, 2), (1, 4), (1, 1)):
-        out = qa.theta_product_table(form, n_max, signed=True)
-        peak = traced_peak(lambda: qa.theta_product_table(form, n_max, signed=True))
+        out = qa.theta_product_table(form, n_max)
+        peak = traced_peak(lambda: qa.theta_product_table(form, n_max))
         assert peak <= 1.1 * out.nbytes, (form, peak, out.nbytes)
-    for form, scale in (((1, 1, 1), 1), ((1, 1, 1), 2), ((1, 2, 8), 1)):
-        peak = traced_peak(lambda: qa.theta_product_table(form, n_max, True, scale))
-        assert peak <= 80 * (n_max + 1), (form, scale, peak / (n_max + 1))
+    builds = [functools.partial(qa.theta_product_table, form, n_max)
+              for form in ((1, 1, 1), (1, 2, 8))]
+    builds += [functools.partial(qa.tuple_class_table, *key, n_max) for key in CLASSES]
+    builds += [functools.partial(qa.primitive_r3_class_table, *key, n_max)
+               for key in ((1, 3), (2, 7))]
+    for build in builds:
+        peak = traced_peak(build)
+        assert peak <= 80 * (n_max + 1), (build, peak / (n_max + 1))
 
 
 EVEN_R3_LENGTHS = (0, 1, 2, 7, 64, 1500)
 
 
 def test_even_r3_table_matches_oracles():
-    # the scale-2 table is built from the parity halves of theta; it must
-    # read the (1,1,1) counts at every even N
+    # the (1,1,1) class table at N = 2n, n = 8m + 7, comes from the even
+    # and odd triangular numbers; it must read the counts at every such N
     top = max(EVEN_R3_LENGTHS)
-    tuples = tuple_bincount((1, 1, 1), 2 * top)[::2]
-    signed = [qa.count_signed_representations(2 * j, (1, 1, 1)) for j in range(top + 1)]
-    for n_max in EVEN_R3_LENGTHS:
-        table = qa.theta_product_table((1, 1, 1), n_max, scale=2)
-        assert table.dtype == np.int64 and table.shape == (n_max + 1,)
-        assert (table == tuples[: n_max + 1]).all(), n_max
-        table = qa.theta_product_table((1, 1, 1), n_max, signed=True, scale=2)
-        assert table.tolist() == signed[: n_max + 1], n_max
+    tuples = tuple_bincount((1, 1, 1), 16 * top + 14)[14::16]
+    for m_max in EVEN_R3_LENGTHS:
+        table = qa.tuple_class_table((1, 1, 1), 2, 7, m_max)
+        assert table.dtype == np.int64 and table.shape == (m_max + 1,)
+        assert (table == tuples[: m_max + 1]).all(), m_max
 
 
 def test_table_scales_other_than_even_r3_are_refused():
-    for form, scale in (((1, 1, 1), 3), ((1, 2, 4), 2), ((1, 2), 2), ((1, 1, 1), 0)):
-        with pytest.raises(ValueError, match="scale"):
-            qa.theta_product_table(form, 10, scale=scale)
-    with pytest.raises(ValueError, match="scale"):
-        qa.primitive_signed_r3_table(10, 3)
+    # class tables exist for the four classes the statements read only,
+    # and tables take no scale or sign
+    for form, scale, residue in (((1, 1, 1), 3, 3), ((1, 2, 4), 2, 7), ((1, 2), 1, 3),
+                                 ((1, 1, 1), 1, 7), ((1, 1, 1), 2, 3), ((1, 2, 8), 1, 7)):
+        with pytest.raises(ValueError, match="class table"):
+            qa.tuple_class_table(form, scale, residue, 10)
+    for scale, residue in ((1, 7), (2, 3), (3, 3), (1, 0)):
+        with pytest.raises(ValueError, match="class table"):
+            qa.primitive_r3_class_table(scale, residue, 10)
+    with pytest.raises(TypeError):
+        qa.theta_product_table((1, 1, 1), 10, True)
+    with pytest.raises(ValueError, match="nonnegative"):
+        qa.tuple_class_table((1, 1, 1), 1, 3, -1)
 
 
 def test_even_r3_table_peak_is_below_the_full_table():
-    # each build takes one transform at twice its table's length, and the
-    # scale-2 table has half the entries of the full table to 2 n_max, so
-    # it transforms at about half the length
-    n_max = 10**5
-    full = traced_peak(lambda: qa.theta_product_table((1, 1, 1), 2 * n_max))
-    half = traced_peak(lambda: qa.theta_product_table((1, 1, 1), n_max, scale=2))
-    assert half <= 0.6 * full, (half, full)
+    # the class table at 2n, n = 8m + 7, transforms at twice its m_max, an
+    # eighth of hi, where the full table to 2 hi would transform at 4 hi
+    hi = 10**5
+    full = traced_peak(lambda: qa.theta_product_table((1, 1, 1), 2 * hi))
+    part = traced_peak(lambda: qa.tuple_class_table((1, 1, 1), 2, 7, (hi - 7) // 8))
+    assert part <= 0.1 * full, (part, full)
 
 
 def test_theta_product_table_precision_check(monkeypatch):
@@ -217,13 +244,15 @@ def test_theta_product_table_precision_check(monkeypatch):
         return out
 
     monkeypatch.setattr(np.fft, "irfft", perturbed)
-    for scale in (1, 2):
+    for form in ((1, 1, 1), (1, 2, 8)):
         with pytest.raises(AssertionError, match="precision"):
-            qa.theta_product_table((1, 1, 1), 100, scale=scale)
+            qa.theta_product_table(form, 100)
+    for key in CLASSES:
         with pytest.raises(AssertionError, match="precision"):
-            qa.primitive_signed_r3_table(100, scale)
-    with pytest.raises(AssertionError, match="precision"):
-        qa.theta_product_table((1, 2, 8), 100)
+            qa.tuple_class_table(*key, 100)
+    for key in ((1, 3), (2, 7)):
+        with pytest.raises(AssertionError, match="precision"):
+            qa.primitive_r3_class_table(*key, 100)
     monkeypatch.setattr(np.fft, "irfft", irfft)
     assert qa.theta_product_table((1, 1, 1), 100)[5] == 6  # 4 + 1 + 0, ordered
 
@@ -234,36 +263,43 @@ def test_theta_product_table_rejects_negative_length():
 
 
 def test_primitive_signed_r3_table_matches_per_query():
-    table = qa.primitive_signed_r3_table(3000)
-    assert table[0] == 0 == qa.count_signed_representations(0, (1, 1, 1), primitive=True)
-    for n in range(3001):
-        assert table[n] == qa.count_signed_representations(
-            n, (1, 1, 1), primitive=True), n
-    for n_max in (0, 1, 3, 4):
-        assert (qa.primitive_signed_r3_table(n_max) == table[: n_max + 1]).all()
+    # N = 8m + 3; Mobius terms of odd d land at m = d^2 m' + 3 (d^2 - 1) / 8
+    table = qa.primitive_r3_class_table(1, 3, 400)
+    for m in range(401):
+        assert table[m] == qa.count_signed_representations(
+            8 * m + 3, (1, 1, 1), primitive=True), m
+    for m_max in (0, 1, 2, 3, 7):
+        assert (qa.primitive_r3_class_table(1, 3, m_max) == table[: m_max + 1]).all()
 
 
 def test_even_primitive_signed_r3_table_matches_per_query():
-    # at N = 2n the Mobius terms of d = 2e read the half table at n / e^2
-    # (n = 2, 18, 50, ... for e = 1, 3, 5), since r3(4m) = r3(m)
-    table = qa.primitive_signed_r3_table(1500, 2)
-    for n in range(1501):
-        assert table[n] == qa.count_signed_representations(
-            2 * n, (1, 1, 1), primitive=True), n
-    for n_max in (0, 1, 2, 7):
-        assert (qa.primitive_signed_r3_table(n_max, 2) == table[: n_max + 1]).all()
+    # N = 2n with n = 8m + 7: 4 does not divide N, so every d is odd and
+    # n / d^2 stays in the class (n = 7 * 9 = 63 is the first with d = 3)
+    table = qa.primitive_r3_class_table(2, 7, 200)
+    for m in range(201):
+        assert table[m] == qa.count_signed_representations(
+            2 * (8 * m + 7), (1, 1, 1), primitive=True), m
+    for m_max in (0, 1, 2, 7):
+        assert (qa.primitive_r3_class_table(2, 7, m_max) == table[: m_max + 1]).all()
 
 
 def test_factor_columns_match_factorize():
-    for lo, hi in ((0, 3000), (0, 0), (1, 1), (777, 1500), (2**16 - 5, 2**16 + 40)):
+    # windows from 0, far from 0 (3*5*...*23 = 111546435 has eight distinct
+    # primes), with odd and even ends; even n read 0
+    primorial = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
+    for lo, hi in ((0, 3000), (0, 0), (1, 1), (777, 1500), (2**16 - 5, 2**16 + 40),
+                   (primorial - 600, primorial + 601)):
         cols = qa.factor_columns(lo, hi)
+        assert cols.distinct_primes.dtype == cols.odd_exponent_primes.dtype == np.int8
         for i, n in enumerate(range(lo, hi + 1)):
-            pairs = qa.factorize(n).pairs if n else ()
+            pairs = qa.factorize(n).pairs if n % 2 else ()
             assert cols.distinct_primes[i] == len(pairs), n
             assert cols.odd_exponent_primes[i] == sum(c % 2 for _, c in pairs), n
             for kind in IdealCountKind:
+                assert cols.ideal_counts[kind].dtype == np.int32
                 want = qa.ideal_count(n, kind) if n % 2 else 0
                 assert cols.ideal_counts[kind][i] == want, (n, kind)
+    assert qa.factor_columns(primorial, primorial).distinct_primes[0] == 8
     with pytest.raises(ValueError):
         qa.factor_columns(5, 4)
 

@@ -197,7 +197,11 @@ def test_run_suite_matches_scalar_verify(ctx20k):
     windows += [(lo, lo + rng.randrange(60, 200))
                 for lo in (rng.randrange(19000) for _ in range(3))]
     lo = rng.randrange(19000)
-    windows.append((lo, lo + 700))
+    wide = (lo, lo + 700)
+    # one n of each class mod 16 alone, and windows from an odd lo
+    windows += [(n, n) for n in (16 * rng.randrange(1250) + r for r in range(16))]
+    windows += [(lo, lo + rng.randrange(60, 200)) for lo in (7, 2 * rng.randrange(9500) + 1)]
+    windows.append(wide)
     for k, (lo, hi) in enumerate(windows):
         fraction = (0.0, 0.02, 0.2)[k % 3]
         ctx = tp.SeriesContext(_flip(ctx20k.inv_theta, rng, lo, hi, fraction),
@@ -251,19 +255,19 @@ def test_run_suite_frees_each_column_after_its_last_reader(ctx20k, monkeypatch):
 
 
 def test_run_suite_builds_no_table_past_hi(ctx20k, monkeypatch):
-    # the counts at 2n come from tables at scale 2, so every table, the
-    # primitive r3 ones included, stops at hi
+    # the counts at 2n come from class tables at n, so no table, the
+    # primitive r3 ones included, runs past hi, and a class table stops at
+    # the last m of its class
     calls = []
-    table = qa.theta_product_table
-
-    def recorded(form, n_max, signed=False, scale=1):
-        calls.append((tuple(form), n_max, signed, scale))
-        return table(form, n_max, signed, scale)
-
-    monkeypatch.setattr(qa, "theta_product_table", recorded)
+    for name in ("theta_product_table", "tuple_class_table", "primitive_r3_class_table"):
+        def recorded(*args, _table=getattr(qa, name)):
+            calls.append(args)
+            return _table(*args)
+        monkeypatch.setattr(qa, name, recorded)
     th.run_suite(th.ALL_STATEMENTS, 0, 2000, ctx20k)
-    assert all(n_max <= 2000 for _, n_max, _, _ in calls), calls
-    assert {((1, 1, 1), 2000, False, 2), ((1, 1, 1), 2000, True, 2)} <= set(calls)
+    assert all(args[-1] <= (2000 if len(args) == 2 else (2000 - args[-2]) // 8)
+               for args in calls), calls
+    assert {((1, 1, 1), 2, 7, 249), (2, 7, 249), (1, 3, 249)} <= set(calls)
 
 
 def test_run_suite_transforms_at_most_twice_hi(ctx20k, fft_calls):
@@ -272,22 +276,42 @@ def test_run_suite_transforms_at_most_twice_hi(ctx20k, fft_calls):
     assert fft_calls and max(n for _, n in fft_calls) <= qa._fft_size(4001), fft_calls
 
 
+def test_class_columns_match_per_query():
+    # each three-square column holds its class mod 8 and 0 elsewhere, also
+    # in windows that end below the first member (hi = 0..2, 3, 7, 11, 15)
+    # or start at an odd or even lo
+    windows = [(0, hi) for hi in (0, 1, 2, 3, 7, 11, 15)]
+    windows += [(1, 15), (3, 3), (4, 30), (7, 7), (13, 90), (1000, 1100)]
+    for lo, hi in windows:
+        for form, scale, residue in (((1, 1, 1), 1, 3), ((1, 2, 8), 1, 3),
+                                     ((1, 2, 4), 1, 7), ((1, 1, 1), 2, 7)):
+            got = th._COLUMNS["class_tuples"](lo, hi, None, form, scale, residue)
+            assert got.tolist() == [
+                qa.count_square_tuples(scale * n, form) if n % 8 == residue else 0
+                for n in range(lo, hi + 1)], (form, scale, lo, hi)
+        for scale, residue in ((1, 3), (2, 7)):
+            got = th._COLUMNS["primitive_r3"](lo, hi, None, scale, residue)
+            assert got.tolist() == [
+                qa.count_signed_representations(scale * n, (1, 1, 1), primitive=True)
+                if n % 8 == residue else 0 for n in range(lo, hi + 1)], (scale, lo, hi)
+
+
 def test_batch_primitive_triples_keep_the_sign_check(ctx20k, monkeypatch):
     # both paths insist that primitive triples have no zero coordinate
-    table = qa.primitive_signed_r3_table
-    monkeypatch.setattr(qa, "primitive_signed_r3_table",
-                        lambda m, scale: table(m, scale) + 4)
+    table = qa.primitive_r3_class_table
+    monkeypatch.setattr(qa, "primitive_r3_class_table",
+                        lambda scale, residue, m: table(scale, residue, m) + 4)
     with pytest.raises(AssertionError, match="zero coordinate"):
         th.run_suite([StatementId.L2_2], 0, 400, ctx20k)
-    # the column checks every n where no term can be zero, also where the
-    # statement reading it is vacuous: N = 11 has one prime factor, and
+    # the column checks every n of its class, also where the statement
+    # reading it is vacuous: N = 11 (m = 1) has one prime factor, and
     # GAUSS_24H decides n = 11 from the same column
-    def off_at_11(m, scale):
-        counts = table(m, scale)
-        counts[11] += 4
+    def off_at_11(scale, residue, m):
+        counts = table(scale, residue, m)
+        counts[1] += 4
         return counts
 
-    monkeypatch.setattr(qa, "primitive_signed_r3_table", off_at_11)
+    monkeypatch.setattr(qa, "primitive_r3_class_table", off_at_11)
     for sid in (StatementId.L2_2, StatementId.GAUSS_24H):
         with pytest.raises(AssertionError, match="zero coordinate"):
             th.run_suite([sid], 0, 400, ctx20k)
