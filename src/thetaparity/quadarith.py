@@ -64,7 +64,6 @@ __all__ = [
     "FactorColumns",
     "factor_columns",
     "class_number",
-    "class_column",
     "class_numbers",
 ]
 
@@ -109,12 +108,12 @@ _BLOCK_CELLS = 1 << 16
 _MAX_ROOT = math.isqrt((1 << 63) - 1)
 
 
-def _exact_sqrt(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # values are nonnegative int64, so the rounded float sqrt of a perfect
-    # square is its root; the cap keeps roots * roots inside int64
+def _exact_sqrt(values: np.ndarray) -> np.ndarray:
+    # the root of each nonnegative int64 value that is a perfect square, its
+    # rounded float sqrt, else -1; the cap keeps roots * roots inside int64
     roots = np.rint(np.sqrt(values.astype(np.float64))).astype(np.int64)
     roots = np.minimum(roots, _MAX_ROOT)
-    return roots, roots * roots == values
+    return np.where(roots * roots == values, roots, -1)
 
 
 def _solutions(n: int, coeffs: tuple[int, ...]):
@@ -137,8 +136,8 @@ def _solutions(n: int, coeffs: tuple[int, ...]):
         grid = np.ix_(*block)
         rem = np.atleast_1d(n - sum(a * x * x for a, x in zip(head, grid)))
         quot = rem // last
-        roots, square = _exact_sqrt(np.maximum(quot, 0))
-        keep = (rem >= 0) & (quot * last == rem) & square
+        roots = _exact_sqrt(np.maximum(quot, 0))
+        keep = (rem >= 0) & (quot * last == rem) & (roots >= 0)
         # zip stops at the k - 1 grid axes, which k = 1 does not have
         yield np.stack([*(x[i] for x, i in zip(block, np.nonzero(keep))),
                         roots[keep]])
@@ -439,16 +438,20 @@ def ideal_count(n: int, kind: IdealCountKind) -> int:
 
 @dataclass(frozen=True)
 class FactorColumns:
-    """Factor counts of every n in [lo, hi]; index i holds n = lo + i.
+    """Factor counts of the odd n of a window, index i at its i-th odd n.
 
     `distinct_primes` and `odd_exponent_primes` (int8) count the primes
     dividing n and those to an odd power, `ideal_counts[kind]` (int32) is
-    ideal_count(n, kind); all three are for odd n and read 0 at even n.
+    ideal_count(n, kind). Indexing slices every field alike.
     """
 
     distinct_primes: np.ndarray
     odd_exponent_primes: np.ndarray
     ideal_counts: dict
+
+    def __getitem__(self, key) -> FactorColumns:
+        return FactorColumns(self.distinct_primes[key], self.odd_exponent_primes[key],
+                             {kind: column[key] for kind, column in self.ideal_counts.items()})
 
 
 def factor_columns(lo: int, hi: int) -> FactorColumns:
@@ -488,14 +491,7 @@ def factor_columns(lo: int, hi: int) -> FactorColumns:
     odd += big
     for kind, table in split.items():
         ideal[kind] *= np.where(big, 2 * table[rem % 8], 1)
-
-    def full(column):  # the odd n at their places, 0 at even n
-        out = np.zeros(hi - lo + 1, dtype=column.dtype)
-        out[first - lo :: 2] = column
-        return out
-
-    return FactorColumns(full(distinct), full(odd),
-                         {kind: full(column) for kind, column in ideal.items()})
+    return FactorColumns(distinct, odd, ideal)
 
 
 def class_number(d: int) -> int:
@@ -524,30 +520,15 @@ def class_number(d: int) -> int:
     return h
 
 
-def class_column(residue: int, lo: int, hi: int, build) -> np.ndarray:
-    """A column over [lo, hi] holding a class table at n = 8m + residue.
-
-    build(m_lo, m_hi) returns the table's int64 entries m_lo..m_hi, those
-    whose n lies in the window; it is not called when none does. Every
-    other entry of the column is 0.
-    """
-    column = np.zeros(hi - lo + 1, dtype=np.int64)
-    m_lo, m_hi = (lo - residue + 7) // 8, (hi - residue) // 8
-    if m_lo <= m_hi:
-        column[8 * m_lo + residue - lo :: 8] = build(m_lo, m_hi)
-    return column
-
-
 def class_numbers(scale: int, residue: int, lo: int, hi: int) -> np.ndarray:
-    """h[i] = class_number(-scale * n) at n = lo + i when n = residue mod 8.
+    """h[i] = class_number(-scale * n) at the i-th n = residue mod 8 in [lo, hi].
 
-    Every other entry is 0. One enumeration of reduced forms (Cohen, A
-    Course in Computational Algebraic Number Theory, 5.3) covers the whole
-    residue class: for each a and each 0 <= b <= a, the c >= a with
-    4ac - b^2 = scale * n for an n of the class form one arithmetic
-    progression, cut to the window. A form with 0 < b < a < c stands for
-    itself and (a, -b, c). Each a adds its forms' exact counts in place to
-    the window's entries of the class.
+    One enumeration of reduced forms (Cohen, A Course in Computational
+    Algebraic Number Theory, 5.3) covers the whole residue class: for each a
+    and each 0 <= b <= a, the c >= a with 4ac - b^2 = scale * n for an n of
+    the class form one arithmetic progression, cut to the window. A form
+    with 0 < b < a < c stands for itself and (a, -b, c). Each a adds its
+    forms' exact counts in place to the window's entries of the class.
     """
     if scale < 1 or not 0 <= residue < 8 or (-scale * residue) % 4 not in (0, 1):
         raise ValueError("-scale * n must be a discriminant for n = residue mod 8")
@@ -555,34 +536,33 @@ def class_numbers(scale: int, residue: int, lo: int, hi: int) -> np.ndarray:
         raise ValueError("need 0 <= lo <= hi and scale * hi < 2^60")
     mod = 8 * scale
     target = scale * residue % mod
-
-    def build(m_lo, m_hi):
-        d_lo, d_hi = scale * (8 * m_lo + residue), scale * (8 * m_hi + residue)
-        counts = np.zeros(m_hi - m_lo + 1, dtype=np.int64)
-        for a in range(1, math.isqrt(d_hi // 3) + 1):
-            # 4ac = b^2 + target (mod 8 * scale) has solutions c iff g
-            # divides the right side, and then they form one class mod `step`
-            g = math.gcd(4 * a, mod)
-            step = mod // g
-            bs = np.arange(a + 1, dtype=np.int64)
-            rhs = (target + bs * bs) % mod
-            bs, rhs = bs[rhs % g == 0], rhs[rhs % g == 0]
-            if not bs.size:
-                continue
-            c0 = rhs // g * pow(4 * a // g, -1, step) % step
-            c_first = np.maximum(a, -(-(d_lo + bs * bs) // (4 * a)))
-            c_first += (c0 - c_first) % step
-            runs = np.maximum(0, ((d_hi + bs * bs) // (4 * a) - c_first) // step + 1)
-            total = int(runs.sum())
-            if not total:
-                continue
-            starts = np.repeat(np.cumsum(runs) - runs, runs)
-            b = np.repeat(bs, runs)
-            c = np.repeat(c_first, runs) + step * (np.arange(total) - starts)
-            gcd_ab = np.repeat(np.gcd(bs, a), runs)
-            primitive = (gcd_ab == 1) | (np.gcd(gcd_ab, c) == 1)
-            twins = (b > 0) & (b < a) & (c > a)
-            np.add.at(counts, (4 * a * c - b * b - d_lo) // mod, primitive * (1 + twins))
-        return counts
-
-    return class_column(residue, lo, hi, build)
+    m_lo, m_hi = (lo - residue + 7) // 8, (hi - residue) // 8
+    if m_lo > m_hi:
+        return np.zeros(0, dtype=np.int64)
+    counts = np.zeros(m_hi - m_lo + 1, dtype=np.int64)
+    d_lo, d_hi = scale * (8 * m_lo + residue), scale * (8 * m_hi + residue)
+    for a in range(1, math.isqrt(d_hi // 3) + 1):
+        # 4ac = b^2 + target (mod 8 * scale) has solutions c iff g
+        # divides the right side, and then they form one class mod `step`
+        g = math.gcd(4 * a, mod)
+        step = mod // g
+        bs = np.arange(a + 1, dtype=np.int64)
+        rhs = (target + bs * bs) % mod
+        bs, rhs = bs[rhs % g == 0], rhs[rhs % g == 0]
+        if not bs.size:
+            continue
+        c0 = rhs // g * pow(4 * a // g, -1, step) % step
+        c_first = np.maximum(a, -(-(d_lo + bs * bs) // (4 * a)))
+        c_first += (c0 - c_first) % step
+        runs = np.maximum(0, ((d_hi + bs * bs) // (4 * a) - c_first) // step + 1)
+        total = int(runs.sum())
+        if not total:
+            continue
+        starts = np.repeat(np.cumsum(runs) - runs, runs)
+        b = np.repeat(bs, runs)
+        c = np.repeat(c_first, runs) + step * (np.arange(total) - starts)
+        gcd_ab = np.repeat(np.gcd(bs, a), runs)
+        primitive = (gcd_ab == 1) | (np.gcd(gcd_ab, c) == 1)
+        twins = (b > 0) & (b < a) & (c > a)
+        np.add.at(counts, (4 * a * c - b * b - d_lo) // mod, primitive * (1 + twins))
+    return counts

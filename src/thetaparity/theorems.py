@@ -122,58 +122,61 @@ class SeriesContext:
         return self.inv_theta7.coefficient(n)
 
 
-def _window_bits(series: BitSeries, lo: int, hi: int) -> np.ndarray:
-    # coefficients lo..hi, unpacking only the bytes of the word array they sit in
-    view = series.words.view(np.uint8)[lo >> 3:(hi >> 3) + 1]
-    bits = np.unpackbits(view, bitorder="little")[lo & 7:]
-    return bits[: hi - lo + 1].astype(bool)
+def _window_bits(series: BitSeries, grid: range) -> np.ndarray:
+    # the coefficients on the grid, unpacking only the bytes that it spans
+    view = series.words.view(np.uint8)[grid.start >> 3:(grid[-1] >> 3) + 1]
+    bits = np.unpackbits(view, bitorder="little")[grid.start & 7 :: grid.step]
+    return bits[: len(grid)].astype(bool)
 
 
 _ZERO_COORDINATE = "unexpected zero coordinate in primitive triple, n={}"
 
 
-def _arange(lo: int, hi: int) -> np.ndarray:
-    return np.arange(lo, hi + 1, dtype=np.int64)
+def _arange(grid: range) -> np.ndarray:
+    return np.arange(grid.start, grid.stop, grid.step, dtype=np.int64)
 
 
-def _class_column(lo: int, hi: int, table: Callable, *args) -> np.ndarray:
-    # table(*args, m_max)[m] at n = 8m + residue, the last of args; 0 elsewhere
-    return quadarith.class_column(args[-1], lo, hi,
-                                  lambda m_lo, m_hi: table(*args, m_hi)[m_lo:])
+def _class_entries(grid: range, table: Callable, *args) -> np.ndarray:
+    # table(*args, m_max)[m], at n = 8m + residue (residue < 8), on a grid in that class
+    return table(*args, grid[-1] // 8)[grid.start // 8 :: grid.step // 8].copy()
 
 
-def _primitive_r3(lo: int, hi: int, ctx: SeriesContext, scale: int,
+def _primitive_r3(grid: range, ctx: SeriesContext, scale: int,
                   residue: int) -> np.ndarray:
     """count_signed_representations(scale * n, (1, 1, 1), primitive=True)
-    where n = residue mod 8, else 0, checked: on those classes no sum of
+    on a grid of n = residue mod 8, checked: on those classes no sum of
     three squares has a zero term, so each count is 8 sign patterns per
     triple."""
-    signed = _class_column(lo, hi, quadarith.primitive_r3_class_table, scale, residue)
+    signed = _class_entries(grid, quadarith.primitive_r3_class_table, scale, residue)
     odd = np.flatnonzero(signed % 8)
     if odd.size:
-        raise AssertionError(_ZERO_COORDINATE.format(scale * (lo + int(odd[0]))))
+        raise AssertionError(_ZERO_COORDINATE.format(scale * grid[int(odd[0])]))
     return signed
 
 
-# The quantities of the statements over n in [lo, hi], index i at n = lo + i.
-# A column key is (kind, *args), and builder(lo, hi, ctx, *args) computes it;
+# The quantities of the statements on a grid, a range of n in [lo, hi] that
+# holds the grid of every statement reading it; entry i is at n = grid[i].
+# A column key is (kind, *args), and builder(grid, ctx, *args) computes it;
 # run_suite builds each key at its first reader and drops it after its last.
 _COLUMNS: dict[str, Callable] = {
-    "n": lambda lo, hi, ctx: _arange(lo, hi),
-    "member": lambda lo, hi, ctx: _window_bits(ctx.inv_theta, lo, hi),
-    "seventh": lambda lo, hi, ctx: _window_bits(ctx.inv_theta7, lo, hi),
-    # (root, is perfect square) of n // divisor
-    "roots": lambda lo, hi, ctx, divisor: quadarith._exact_sqrt(_arange(lo, hi) // divisor),
+    "n": lambda grid, ctx: _arange(grid),
+    "member": lambda grid, ctx: _window_bits(ctx.inv_theta, grid),
+    "seventh": lambda grid, ctx: _window_bits(ctx.inv_theta7, grid),
+    # the root of n // divisor where that is a perfect square, else -1
+    "roots": lambda grid, ctx, divisor: quadarith._exact_sqrt(_arange(grid) // divisor),
     # count_square_tuples(n, form)
-    "tuples": lambda lo, hi, ctx, form: quadarith.theta_product_table(form, hi)[lo:],
-    # count_square_tuples(scale * n, form) where n = residue mod 8, else 0
-    "class_tuples": lambda lo, hi, ctx, *key: _class_column(
-        lo, hi, quadarith.tuple_class_table, *key),
+    "tuples": lambda grid, ctx, form: quadarith.theta_product_table(form, grid[-1])[
+        grid.start :: grid.step].copy(),
+    # count_square_tuples(scale * n, form) on n = residue mod 8
+    "class_tuples": lambda grid, ctx, *key: _class_entries(
+        grid, quadarith.tuple_class_table, *key),
     "primitive_r3": _primitive_r3,
-    "factors": lambda lo, hi, ctx: quadarith.factor_columns(lo, hi),
-    # class_number(-scale * n) where n = residue mod 8, else 0
-    "class_numbers": lambda lo, hi, ctx, scale, residue: quadarith.class_numbers(
-        scale, residue, lo, hi),
+    # on odd n
+    "factors": lambda grid, ctx: quadarith.factor_columns(grid.start, grid[-1])[
+        :: grid.step // 2],
+    # class_number(-scale * n) on n = residue mod 8
+    "class_numbers": lambda grid, ctx, scale, residue: quadarith.class_numbers(
+        scale, residue, grid.start, grid[-1])[:: grid.step // 8],
 }
 
 
@@ -186,10 +189,9 @@ def _vacuous(**witness) -> Verdict:
 
 
 # Each statement has a scalar checker, the oracle, and a batch function that
-# takes the columns its registry entry reads, in that order, and returns
-# (ok, vacuous) boolean arrays over its window; the tallies count ok and
-# vacuous only where the statement applies. Columns check their own
-# invariants: FFT rounding, primitive r3 signs.
+# takes the columns its registry entry reads, in that order, each on the
+# statement's grid, and returns (ok, vacuous) boolean arrays over that grid.
+# Columns check their own invariants: FFT rounding, primitive r3 signs.
 
 def _check_t1_1(n: int, ctx: SeriesContext) -> Verdict:
     member = ctx.member(n)
@@ -200,7 +202,7 @@ def _check_t1_1(n: int, ctx: SeriesContext) -> Verdict:
 
 def _batch_square_flag(bits, roots):
     # a bitmap bit equals the perfect-square flag of a roots column
-    return bits == roots[1], False
+    return bits == (roots >= 0), False
 
 
 def _check_parity(form: tuple[int, ...], n: int, ctx: SeriesContext) -> Verdict:
@@ -286,8 +288,8 @@ def _check_l3_1(n: int, ctx: SeriesContext) -> Verdict:
 def _batch_l3_1(factors, roots):
     ideal = factors.ideal_counts
     u, v = ideal[IdealCountKind.MINUS_TWO], ideal[IdealCountKind.GAUSSIAN]
-    root, square = roots
-    exceptional = square & ((root % 8 == 3) | (root % 8 == 5))
+    # a non-square's root reads -1, which is 7 mod 8
+    exceptional = (roots % 8 == 3) | (roots % 8 == 5)
     return np.where(exceptional, (u % 4) * (v % 4) % 4 == 3, (u - v) % 4 == 0), False
 
 
@@ -303,7 +305,7 @@ def _check_l3_3(n: int, ctx: SeriesContext) -> Verdict:
 
 def _batch_l3_3(factors, roots, u1, v1):
     ideal = factors.ideal_counts
-    sq = roots[1].astype(np.int64)
+    sq = roots >= 0
     ok = ((ideal[IdealCountKind.MINUS_TWO] == 2 * u1 - sq)
           & (ideal[IdealCountKind.GAUSSIAN] == 2 * v1 - sq))
     return ok, False
@@ -479,10 +481,16 @@ def requires_seventh(sid: StatementId) -> bool:
     return ("seventh",) in _REGISTRY[sid].reads
 
 
-def applicable(sid: StatementId, n: int | np.ndarray) -> bool | np.ndarray:
-    """True when the statement's condition covers n; a mask for an array n."""
+def _grid(sid: StatementId, lo: int, hi: int) -> range:
+    # the n in [lo, hi] that the statement applies to
     stmt = _REGISTRY[sid]
-    return (n >= stmt.minimum) & (n % stmt.modulus == stmt.residue)
+    start = max(lo, stmt.minimum)
+    return range(start + (stmt.residue - start) % stmt.modulus, hi + 1, stmt.modulus)
+
+
+def applicable(sid: StatementId, n: int) -> bool:
+    """True when the statement's condition covers n."""
+    return n in _grid(sid, n, n)
 
 
 def verify(sid: StatementId, n: int, ctx: SeriesContext) -> Verdict:
@@ -517,23 +525,22 @@ class TheoremReport:
 
 
 def _scan(sid: StatementId, lo: int, hi: int, ctx: SeriesContext, columns: list):
-    n = _arange(lo, hi)
-    app = applicable(sid, n)
+    grid = _grid(sid, lo, hi)
+    if not grid:  # nothing applies, and nothing was read
+        return 0, 0, 0, hi - lo + 1, (), 0
     ok, vacuous = _REGISTRY[sid].batch(*columns)
-    vacuous = app & vacuous
-    bad = np.flatnonzero(app & ~vacuous & ~ok)
+    bad = np.flatnonzero(~(ok | vacuous))
     # witnesses come from the scalar oracle, which must agree that they fail
     kept = []
-    for i in bad[:MAX_RECORDED_VIOLATIONS]:
-        verdict = verify(sid, lo + int(i), ctx)
+    for n in (grid[int(i)] for i in bad[:MAX_RECORDED_VIOLATIONS]):
+        verdict = verify(sid, n, ctx)
         if verdict.status is not Status.VIOLATED:
-            raise AssertionError(f"{sid.name} at n={lo + int(i)}: batch verdict "
+            raise AssertionError(f"{sid.name} at n={n}: batch verdict "
                                  f"VIOLATED, scalar verdict {verdict.status.name}")
-        kept.append((lo + int(i), verdict.witness))
-    applicable_n = int(np.count_nonzero(app))
+        kept.append((n, verdict.witness))
     vacuous_n = int(np.count_nonzero(vacuous))
-    return (applicable_n - vacuous_n - bad.size, vacuous_n, bad.size,
-            n.size - applicable_n, tuple(kept), bad.size - len(kept))
+    return (len(grid) - vacuous_n - bad.size, vacuous_n, bad.size,
+            hi - lo + 1 - len(grid), tuple(kept), bad.size - len(kept))
 
 
 def check_range(ids: Iterable[StatementId], lo: int, hi: int) -> None:
@@ -559,11 +566,12 @@ def run_suite(ids: Iterable[StatementId], lo: int, hi: int,
     """One report per statement over every applicable n in [lo, hi].
 
     Each quantity the requested statements use is computed once as a column
-    over [lo, hi], at its first reader, and dropped after its last reader;
-    each statement's verdicts come out as one array. The report keeps the
-    first MAX_RECORDED_VIOLATIONS violations, in increasing n, with
-    witnesses from the scalar `verify`, and counts the rest as dropped. The
-    scalar checkers stay the oracle of the columns.
+    on the coarsest progression that holds the grid (the n it applies to) of
+    every reader, at its first reader, and dropped after its last; each
+    statement's verdicts come out as one array over its grid. The report
+    keeps the first MAX_RECORDED_VIOLATIONS violations, in increasing n,
+    with witnesses from the scalar `verify`, and counts the rest as dropped.
+    The scalar checkers stay the oracle of the columns.
     """
     ids = list(ids)
     check_range(ids, lo, hi)
@@ -577,14 +585,26 @@ def run_suite(ids: Iterable[StatementId], lo: int, hi: int,
         if ctx.inv_theta7.length <= hi:
             raise InsufficientBitmapError(hi + 1, ctx.inv_theta7.length, "1/g^7 bitmap")
 
+    # a statement that applies nowhere in the window reads nothing; each key
+    # is built on the coarsest progression to hi that holds its readers' grids
+    grids = [_grid(i, lo, hi) for i in ids]
+    reads = [keys if grid else () for keys, grid in zip(reads, grids)]
+    spans: dict = {}
+    for keys, grid in zip(reads, grids):
+        for key in keys:
+            span = spans.get(key, grid)
+            spans[key] = range(min(span.start, grid.start), hi + 1,
+                               math.gcd(span.step, grid.step, span.start - grid.start))
     readers = collections.Counter(key for keys in reads for key in keys)
     built: dict = {}
     reports = []
-    for sid, keys in zip(ids, reads):
+    for sid, grid, keys in zip(ids, grids, reads):
         for key in keys:
             if key not in built:
-                built[key] = _COLUMNS[key[0]](lo, hi, ctx, *key[1:])
-        result = _scan(sid, lo, hi, ctx, [built[key] for key in keys])
+                built[key] = _COLUMNS[key[0]](spans[key], ctx, *key[1:])
+        result = _scan(sid, lo, hi, ctx, [
+            built[key][spans[key].index(grid.start) :: grid.step // spans[key].step]
+            for key in keys])
         reports.append(TheoremReport(sid, lo, hi, *result))
         readers.subtract(keys)
         for key in keys:

@@ -285,20 +285,26 @@ def test_even_primitive_signed_r3_table_matches_per_query():
 
 def test_factor_columns_match_factorize():
     # windows from 0, far from 0 (3*5*...*23 = 111546435 has eight distinct
-    # primes), with odd and even ends; even n read 0
+    # primes), with odd and even ends; one entry per odd n
     primorial = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
     for lo, hi in ((0, 3000), (0, 0), (1, 1), (777, 1500), (2**16 - 5, 2**16 + 40),
                    (primorial - 600, primorial + 601)):
         cols = qa.factor_columns(lo, hi)
         assert cols.distinct_primes.dtype == cols.odd_exponent_primes.dtype == np.int8
-        for i, n in enumerate(range(lo, hi + 1)):
-            pairs = qa.factorize(n).pairs if n % 2 else ()
+        odd_n = range(lo | 1, hi + 1, 2)
+        assert len(cols.distinct_primes) == len(odd_n)
+        for i, n in enumerate(odd_n):
+            pairs = qa.factorize(n).pairs
             assert cols.distinct_primes[i] == len(pairs), n
             assert cols.odd_exponent_primes[i] == sum(c % 2 for _, c in pairs), n
             for kind in IdealCountKind:
                 assert cols.ideal_counts[kind].dtype == np.int32
-                want = qa.ideal_count(n, kind) if n % 2 else 0
-                assert cols.ideal_counts[kind][i] == want, (n, kind)
+                assert cols.ideal_counts[kind][i] == qa.ideal_count(n, kind), (n, kind)
+        # indexing slices every field alike
+        part = cols[1::3]
+        assert (part.odd_exponent_primes == cols.odd_exponent_primes[1::3]).all()
+        for kind in IdealCountKind:
+            assert (part.ideal_counts[kind] == cols.ideal_counts[kind][1::3]).all()
     assert qa.factor_columns(primorial, primorial).distinct_primes[0] == 8
     with pytest.raises(ValueError):
         qa.factor_columns(5, 4)
@@ -311,10 +317,8 @@ def test_class_numbers_match_class_number():
         for lo, hi in ((0, 2000), (0, 0), (3, 3), (1001, 1700), (5, 9), (8, 14),
                        (10**6 - 64, 10**6)):
             h = qa.class_numbers(scale, residue, lo, hi)
-            assert h.shape == (hi - lo + 1,)
-            for i, n in enumerate(range(lo, hi + 1)):
-                want = qa.class_number(-scale * n) if n % 8 == residue else 0
-                assert h[i] == want, (scale, n)
+            ns = [n for n in range(lo, hi + 1) if n % 8 == residue]
+            assert h.tolist() == [qa.class_number(-scale * n) for n in ns], (scale, lo, hi)
     for bad in ((1, 1, 0, 10), (8, 7, 10, 9), (0, 3, 0, 10), (1, 3, -1, 10)):
         with pytest.raises(ValueError):
             qa.class_numbers(*bad)
@@ -323,13 +327,13 @@ def test_class_numbers_match_class_number():
 def test_class_numbers_vs_sympy():
     # a third route: h(-n) for prime n = 3 mod 4, n > 3, is the sum of the
     # Legendre symbols (k|n) over 0 < k < n/2, divided by 2 - (2|n)
-    # (Dirichlet's class number formula)
+    # (Dirichlet's class number formula); h[m] is at n = 8m + 3
     sympy = pytest.importorskip("sympy")
     h = qa.class_numbers(1, 3, 0, 1000)
     for n in sympy.primerange(5, 1001):
         if n % 8 == 3:
             s = sum(sympy.legendre_symbol(k, n) for k in range(1, (n + 1) // 2))
-            assert h[n] == s // (2 - sympy.legendre_symbol(2, n)), n
+            assert h[n // 8] == s // (2 - sympy.legendre_symbol(2, n)), n
 
 
 def test_signed_representations_known_values():

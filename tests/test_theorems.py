@@ -36,6 +36,9 @@ def test_registry_covers_every_statement():
         stmt = th._REGISTRY[sid]
         assert len(set(stmt.reads)) == len(stmt.reads)
         assert all(key[0] in th._COLUMNS for key in stmt.reads)
+        # a class column is read on its own class mod 8
+        assert all(key[-1] == stmt.residue % 8 for key in stmt.reads
+                   if key[0] in ("class_tuples", "primitive_r3", "class_numbers"))
         assert len(inspect.signature(stmt.batch).parameters) == len(stmt.reads)
         assert th.requires_seventh(sid) == (sid is StatementId.L3_5)
 
@@ -227,12 +230,11 @@ def test_run_suite_frees_each_column_after_its_last_reader(ctx20k, monkeypatch):
     builds, alive = {}, {}
 
     def counting(kind, build):
-        def wrapped(lo, hi, ctx, *args):
+        def wrapped(grid, ctx, *args):
             key = (kind, *args)
-            column = build(lo, hi, ctx, *args)
+            column = build(grid, ctx, *args)
             builds[key] = builds.get(key, 0) + 1
-            # the roots column is a (root, is square) pair of arrays
-            alive[key] = weakref.ref(column[0] if kind == "roots" else column)
+            alive[key] = weakref.ref(column)
             return column
         return wrapped
 
@@ -252,6 +254,56 @@ def test_run_suite_frees_each_column_after_its_last_reader(ctx20k, monkeypatch):
     read = {key for sid in ids for key in th._REGISTRY[sid].reads}
     assert builds == dict.fromkeys(read, 1)
     assert all(ref() is None for ref in alive.values())
+
+
+def test_run_suite_builds_each_column_on_its_readers_class(ctx20k, monkeypatch):
+    # a column holds the coarsest class that holds every reader's grid
+    lengths = {}
+
+    def recording(kind, build):
+        def wrapped(grid, ctx, *args):
+            column = build(grid, ctx, *args)
+            lengths[(kind, *args)] = len(getattr(column, "distinct_primes", column))
+            return column
+        return wrapped
+
+    for kind, build in list(th._COLUMNS.items()):
+        monkeypatch.setitem(th._COLUMNS, kind, recording(kind, build))
+    th.run_suite(th.ALL_STATEMENTS, 0, 2000, ctx20k)
+    # every n, even n, odd n, 1 mod 16 and each class mod 8, whose GAUSS_24H
+    # class numbers start at n = 11
+    assert lengths == {
+        ("member",): 2001, ("roots", 2): 1001, ("roots", 1): 1000,
+        ("tuples", (1, 4)): 1000, ("tuples", (1, 2)): 1000, ("factors",): 1000,
+        ("seventh",): 125,
+        ("class_tuples", (1, 1, 1), 1, 3): 250, ("class_tuples", (1, 2, 8), 1, 3): 250,
+        ("class_tuples", (1, 2, 4), 1, 7): 250, ("class_tuples", (1, 1, 1), 2, 7): 250,
+        ("primitive_r3", 1, 3): 250, ("primitive_r3", 2, 7): 250,
+        ("class_numbers", 1, 3): 249, ("class_numbers", 8, 7): 250}
+    # one n builds one entry of each column that a statement applying there reads
+    rng = random.Random(5)
+    for n in (16 * rng.randrange(1250) + r for r in range(16)):
+        lengths.clear()
+        th.run_suite(th.ALL_STATEMENTS, n, n, ctx20k)
+        assert lengths == dict.fromkeys(
+            {key for sid in th.ALL_STATEMENTS if th.applicable(sid, n)
+             for key in th._REGISTRY[sid].reads}, 1), n
+
+
+def test_run_suite_alone_matches_the_suite(ctx20k):
+    # a statement run alone builds its columns on its own grid, which can be
+    # finer than the suite's (the (1,2,4) table read by T3_6 alone is on 7
+    # mod 16), and reports what the suite reports
+    rng = random.Random(11)
+    windows = [(n, n) for n in (16 * rng.randrange(1250) + r for r in range(16))]
+    windows += [(lo, lo + rng.randrange(60, 600))
+                for lo in (7, 2 * rng.randrange(9500) + 1, rng.randrange(19000))]
+    for lo, hi in windows:
+        ctx = tp.SeriesContext(_flip(ctx20k.inv_theta, rng, lo, hi, 0.02),
+                               _flip(ctx20k.inv_theta7, rng, lo, hi, 0.02))
+        for report in th.run_suite(th.ALL_STATEMENTS, lo, hi, ctx):
+            assert th.run_suite([report.statement], lo, hi, ctx) == [report], \
+                (report.statement, lo, hi)
 
 
 def test_run_suite_builds_no_table_past_hi(ctx20k, monkeypatch):
@@ -277,23 +329,25 @@ def test_run_suite_transforms_at_most_twice_hi(ctx20k, fft_calls):
 
 
 def test_class_columns_match_per_query():
-    # each three-square column holds its class mod 8 and 0 elsewhere, also
-    # in windows that end below the first member (hi = 0..2, 3, 7, 11, 15)
-    # or start at an odd or even lo
-    windows = [(0, hi) for hi in (0, 1, 2, 3, 7, 11, 15)]
+    # each three-square column on grids of its class at steps 8 and 16, also
+    # one n alone (hi = 3, 7, 11, 15) and from an odd or even lo
+    windows = [(0, hi) for hi in (3, 7, 11, 15)]
     windows += [(1, 15), (3, 3), (4, 30), (7, 7), (13, 90), (1000, 1100)]
     for lo, hi in windows:
         for form, scale, residue in (((1, 1, 1), 1, 3), ((1, 2, 8), 1, 3),
                                      ((1, 2, 4), 1, 7), ((1, 1, 1), 2, 7)):
-            got = th._COLUMNS["class_tuples"](lo, hi, None, form, scale, residue)
-            assert got.tolist() == [
-                qa.count_square_tuples(scale * n, form) if n % 8 == residue else 0
-                for n in range(lo, hi + 1)], (form, scale, lo, hi)
-        for scale, residue in ((1, 3), (2, 7)):
-            got = th._COLUMNS["primitive_r3"](lo, hi, None, scale, residue)
-            assert got.tolist() == [
-                qa.count_signed_representations(scale * n, (1, 1, 1), primitive=True)
-                if n % 8 == residue else 0 for n in range(lo, hi + 1)], (scale, lo, hi)
+            first = lo + (residue - lo) % 8
+            grids = (range(first, hi + 1, 8), range(first, hi + 1, 16),
+                     range(first + 8, hi + 1, 16))
+            for grid in filter(None, grids):
+                got = th._COLUMNS["class_tuples"](grid, None, form, scale, residue)
+                assert got.tolist() == [qa.count_square_tuples(scale * n, form)
+                                        for n in grid], (form, scale, grid)
+                if form == (1, 1, 1):  # the classes of the primitive r3 columns
+                    got = th._COLUMNS["primitive_r3"](grid, None, scale, residue)
+                    assert got.tolist() == [
+                        qa.count_signed_representations(scale * n, (1, 1, 1), primitive=True)
+                        for n in grid], (scale, grid)
 
 
 def test_batch_primitive_triples_keep_the_sign_check(ctx20k, monkeypatch):
@@ -324,8 +378,10 @@ def test_batch_primitive_triples_keep_the_sign_check(ctx20k, monkeypatch):
 def test_window_bits_match_coefficients(ctx20k):
     b = ctx20k.inv_theta
     for lo, hi in ((0, 0), (0, 7), (1, 8), (7, 9), (13, 130), (19990, 20000)):
-        got = th._window_bits(b, lo, hi)
-        assert got.tolist() == [bool(b.coefficient(n)) for n in range(lo, hi + 1)]
+        for step in (1, 2, 8, 16):
+            grid = range(lo, hi + 1, step)
+            got = th._window_bits(b, grid)
+            assert got.tolist() == [bool(b.coefficient(n)) for n in grid], grid
 
 
 def test_run_suite_class_number_ceiling(ctx20k):
