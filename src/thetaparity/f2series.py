@@ -14,12 +14,13 @@ The generators of interest here are sparse (perfect squares, generalized
 pentagonal numbers), so multiplication by a generator is an XOR of shifted
 copies, one per exponent below the truncation point. One word kernel,
 `_xor_shifted`, does every such product, and returns any window of its
-words, lo to hi. It groups the exponents by k mod 64, and for each residue
-r present XORs the unshifted source slices of that residue's exponents,
-each at word offset k >> 6, into one sum the size of the window. Shifting
+words, lo to hi. It groups the exponents by k mod 8, and for each residue
+r present XORs the unshifted source bytes of that residue's exponents,
+each at byte offset k >> 3, into one sum the size of the window. Shifting
 distributes over XOR, so that sum, shifted left by r bits with the carry
-from the word below, is the residue's part of the product: one shift per
-residue, none per exponent, and no shifted copy of the source. Products are
+from the word below, is the residue's part of the product: at most eight
+shifts per window, and numpy XORs bytes at any offset about as fast as
+aligned words. Products are
 built in tiles of `_TILE` words, each small enough that its sum stays in
 cache while every exponent of a residue streams the source past it.
 
@@ -196,31 +197,32 @@ def _xor_shifted(src: np.ndarray, exponents, nbits: int, lo: int, hi: int) -> np
     """Words lo..hi-1 of the XOR of src << k over the exponents k < nbits.
 
     On word arrays, `exponents` increasing, the product truncated to nbits
-    and hi at most its word count. An exponent k = 64q + r moves
-    source word i to word i + q shifted left by r, carrying into the word
-    above, and shifts distribute over XOR. So for each residue r present the
-    unshifted source slices of its offsets q < hi are XORed into one sum
-    over words lo-1..hi-1, and that sum, shifted left by r with its carry
-    from the word below, is XORed into the result a chunk at a time: the
-    result and the sum are the only window-sized buffers. Source bits past
-    nbits land in cleared bits.
+    and hi at most its word count. An exponent k = 8q + r moves source byte
+    i to byte i + q shifted left by r, carrying into the byte above, and
+    shifts distribute over XOR. So for each residue r present the unshifted
+    source bytes of its offsets q are XORed into one sum over words
+    lo-1..hi-1, from its byte d = q - 8 (lo - 1) on, and that sum, shifted
+    left by r with its carry from the word below, is XORed into the result
+    a chunk at a time: the result and the sum are the only window-sized
+    buffers. Source bits past nbits land in cleared bits.
     """
     nwords = (nbits + 63) // 64
-    src = src[:nwords]
+    src = src[:nwords].view(np.uint8)
     n = len(src)
     offsets: dict[int, list[int]] = {}
     for k in exponents:
         if k >= nbits or k >> 6 >= hi:
             break
-        if (k >> 6) + n >= lo:  # the source reaches word lo-1
-            offsets.setdefault(k & 63, []).append(k >> 6)
+        if (k >> 6) + n // 8 >= lo:  # the source reaches word lo-1
+            offsets.setdefault(k & 7, []).append((k >> 3) - 8 * (lo - 1))
     acc = np.zeros(hi - lo, dtype="<u8")
     total = np.empty(hi - lo + 1, dtype="<u8")  # words lo-1 .. hi-1
-    for r, words in offsets.items():
+    sums = total.view(np.uint8)
+    for r, offs in offsets.items():
         total[:] = 0
-        for q in words:
-            start, stop = max(lo - 1, q), min(hi, q + n)
-            total[start - lo + 1:stop - lo + 1] ^= src[start - q:stop - q]
+        for d in offs:
+            start, stop = max(0, d), min(sums.size, d + n)
+            sums[start:stop] ^= src[start - d:stop - d]
         for i in range(0, hi - lo, _CHUNK):
             j = min(i + _CHUNK, hi - lo)
             acc[i:j] ^= total[i + 1:j + 1] << r

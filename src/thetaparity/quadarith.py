@@ -10,24 +10,21 @@ arbitrary negative discriminants by reduced-form enumeration.
 Both per-query representation counts are sums over one enumerator of the
 nonnegative solutions, which walks the grid of leading coordinates in
 fixed-size blocks (memory O(sqrt n), n < 2^63). The batch functions compute
-the same quantities for every n of a range at once, and each is tested
-against its per-query oracle: count tables as products of theta series,
-three-square counts on one residue class as products of triangular-number
-series, primitive triple counts by Mobius inversion of those, factor
-counts and ideal counts from one sieve over the odd n of a window, and
-class numbers by one enumeration of reduced forms for a whole residue
+the same quantities for every n of a residue class or a window at once,
+and each is tested against its per-query oracle: square-tuple counts on
+one residue class, primitive triple counts by Mobius inversion of those,
+factor counts and ideal counts from one sieve over the odd n of a window,
+and class numbers by one enumeration of reduced forms for a whole residue
 class of discriminants.
 
-A count table to n_max places the product of two series exactly, in
-int64: the terms of the sparser series each shift the other's terms, which
-land on distinct entries, into the table, so the product costs O(n_max)
-with no transform. A third variable multiplies that table by its series in
-one real FFT of length at least 2 n_max + 1. On a class N = 8m + r (or
-2(8m + r)) every solution of the forms the statements read has fixed
-parities, and an odd square is 8T + 1 with T triangular (Gauss), so the
-count at N is the coefficient of x^m in a product of three series an
-eighth as long as the table to N. Counting conventions are fixed once and
-never converted implicitly:
+On the classes the statements read every solution has fixed parities, and
+an odd square is 8T + 1 with T triangular (Gauss), so the count at N =
+2m + 1 or 8m + r (or 2(8m + r)) is the coefficient of x^m in a product of
+two or three series. Two are placed exactly, in int64: each term of the
+sparser series shifts the other's terms, which land on distinct entries,
+into the table, O(m_max) with no transform. A third takes one real FFT of
+length at least 2 m_max + 1. Counting conventions are fixed once and never
+converted implicitly:
 
 * `count_square_tuples(n, form)` counts ORDERED tuples (s_1, ..., s_k) of
   nonnegative perfect-square values with sum a_i * s_i = n. Positions are
@@ -52,7 +49,6 @@ __all__ = [
     "IdealCountKind",
     "count_square_tuples",
     "count_signed_representations",
-    "theta_product_table",
     "tuple_class_table",
     "primitive_r3_class_table",
     "jacobi",
@@ -106,14 +102,21 @@ def _check_n(n: int) -> int:
 # grid cells per block of _solutions; a block never holds less than one row
 _BLOCK_CELLS = 1 << 16
 _MAX_ROOT = math.isqrt((1 << 63) - 1)
+# entries per block of the in-place passes of _exact_sqrt and factor_columns
+_COLUMN_BLOCK = 1 << 16
 
 
 def _exact_sqrt(values: np.ndarray) -> np.ndarray:
-    # the root of each nonnegative int64 value that is a perfect square, its
-    # rounded float sqrt, else -1; the cap keeps roots * roots inside int64
-    roots = np.rint(np.sqrt(values.astype(np.float64))).astype(np.int64)
-    roots = np.minimum(roots, _MAX_ROOT)
-    return np.where(roots * roots == values, roots, -1)
+    # each nonnegative int64 value replaced, in place and a block at a time,
+    # by its root where it is a perfect square, its rounded float sqrt, else
+    # by -1; the cap keeps roots * roots inside int64
+    flat = values.reshape(-1)
+    for i in range(0, flat.size, _COLUMN_BLOCK):
+        block = flat[i : i + _COLUMN_BLOCK]
+        roots = np.minimum(np.rint(np.sqrt(block, dtype=np.float64)).astype(np.int64),
+                           _MAX_ROOT)
+        block[...] = np.where(roots * roots == block, roots, -1)
+    return flat.reshape(values.shape)
 
 
 def _solutions(n: int, coeffs: tuple[int, ...]):
@@ -147,7 +150,8 @@ def count_square_tuples(n: int, form) -> int:
     """Ordered tuples of square values (s_1, ..., s_k) with sum a_i s_i = n.
 
     The number of nonnegative solutions from the block enumerator;
-    theta_product_table below is the fast path and is checked against it.
+    tuple_class_table below is the fast path on the classes the statements
+    read and is checked against it.
     """
     blocks = _solutions(_check_n(n), _coefficients(form))
     return sum(block.shape[1] for block in blocks)
@@ -208,55 +212,41 @@ def _fft_product(table: np.ndarray, exponents, n_max: int) -> np.ndarray:
     return _rounded(out)
 
 
-def theta_product_table(form, n_max: int) -> np.ndarray:
-    """counts[n] = count_square_tuples(n, form) for 0 <= n <= n_max.
+def tuple_class_table(form, scale: int, modulus: int, residue: int,
+                      m_max: int) -> np.ndarray:
+    """counts[m] = count_square_tuples(scale * (modulus * m + residue), form)
+    for m <= m_max, on the six classes the statements read.
 
-    Variable a_i contributes the series sum over k >= 0 of x^(a_i k^2). The
-    product of two series is placed exactly, in int64: each term of the
-    sparser one adds the other's terms, shifted, into the table, O(n_max) in
-    all. A third variable multiplies that table by one real FFT at a length
-    of at least 2 n_max + 1, which raises AssertionError when an entry lies
-    1/4 or more from an integer. count_square_tuples is the exact per-query
-    oracle.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    series = [c * np.arange(math.isqrt(n_max // c) + 1, dtype=np.int64) ** 2
-              for c in _coefficients(form)]
-    if len(series) == 1:
-        return np.bincount(series[0], minlength=n_max + 1)
-    if len(series) == 2:
-        return _exact_product(*series, n_max)
-    return _fft_product(_exact_product(*series[:2], n_max), series[2], n_max)
-
-
-def tuple_class_table(form, scale: int, residue: int, m_max: int) -> np.ndarray:
-    """counts[m] = count_square_tuples(scale * (8m + residue), form), m <= m_max.
-
-    For the four classes the statements read. On each, every solution has
-    fixed parities and an odd square (2a + 1)^2 is 8 T_a + 1, T_a = a (a +
-    1) / 2 (Gauss), so the count is a multiple of the coefficient of x^m in
-    a product of three series: two multiplied exactly, the third by one FFT
-    with theta_product_table's rounding check.
+    On each, every solution has fixed parities and an odd square (2a + 1)^2
+    is 8 T_a + 1, T_a = a (a + 1) / 2 (Gauss), so the count is a multiple of
+    the coefficient of x^m in a product of two or three series. A third
+    takes one real FFT, which raises AssertionError when an entry lies 1/4
+    or more from an integer. count_square_tuples is the exact oracle.
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
     t = np.arange(math.isqrt(4 * m_max + 2) + 1, dtype=np.int64)
     t = t * (t + 1) // 2  # every T_a <= 2 m_max + 1
-    classes = {  # (multiple, three series)
-        ((1, 1, 1), 1, 3): (1, t, t, t),  # all odd: T_a + T_b + T_c = m
-        ((1, 2, 8), 1, 3): (1, t, 2 * t, np.arange(math.isqrt(m_max) + 1) ** 2),
-        ((1, 2, 4), 1, 7): (1, t, 2 * t, 4 * t),  # all odd
+    squares = np.arange(math.isqrt(m_max) + 1, dtype=np.int64) ** 2
+    classes = {  # (multiple of a three-series product, the series)
+        # an odd N = 2m + 1 has x odd: m = 4 T_a + y^2, or 4 T_a + 2 y^2
+        ((1, 2), 1, 2, 1): (1, 4 * t, squares),
+        ((1, 4), 1, 2, 1): (1, 4 * t, 2 * squares),
+        ((1, 1, 1), 1, 8, 3): (1, t, t, t),  # all odd: T_a + T_b + T_c = m
+        ((1, 2, 8), 1, 8, 3): (1, t, 2 * t, squares),
+        ((1, 2, 4), 1, 8, 7): (1, t, 2 * t, 4 * t),  # all odd
         # N = 16m + 14 has two odd terms and one 2 mod 4, in three places:
         # T_a + T_b + 4 T_c = 2m + 1, one of T_a, T_b even, in two orders
-        ((1, 1, 1), 2, 7): (6, t[t % 2 == 0] // 2, t[t % 2 == 1] // 2, 2 * t),
+        ((1, 1, 1), 2, 8, 7): (6, t[t % 2 == 0] // 2, t[t % 2 == 1] // 2, 2 * t),
     }
-    key = (_coefficients(form), scale, residue)
+    key = (_coefficients(form), scale, modulus, residue)
     if key not in classes:
         raise ValueError(f"no class table for {key}")
     multiple, *series = classes[key]
-    first, second, third = (s[s <= m_max] for s in series)
-    return multiple * _fft_product(_exact_product(first, second, m_max), third, m_max)
+    first, second, *third = (s[s <= m_max] for s in series)
+    if not third:
+        return _exact_product(first, second, m_max)
+    return multiple * _fft_product(_exact_product(first, second, m_max), *third, m_max)
 
 
 def primitive_r3_class_table(scale: int, residue: int, m_max: int) -> np.ndarray:
@@ -270,7 +260,7 @@ def primitive_r3_class_table(scale: int, residue: int, m_max: int) -> np.ndarray
     1) / 8. Mobius inversion takes one prime p at a time: subtract the count
     at n / p^2 (numpy reads the right side whole before it writes).
     """
-    counts = 8 * tuple_class_table((1, 1, 1), scale, residue, m_max)
+    counts = 8 * tuple_class_table((1, 1, 1), scale, 8, residue, m_max)
     # p^2 divides an n of the class up to the top only if residue p^2 does
     for p in filter(is_prime, range(3, math.isqrt(8 * m_max // residue + 1) + 1, 2)):
         shift = residue * (p * p - 1) // 8
@@ -486,11 +476,13 @@ def factor_columns(lo: int, hi: int) -> FactorColumns:
         for kind, table in split.items():
             # split primes give c + 1; inert ones 1 for even c, 0 for odd c
             ideal[kind][s::p] *= e + 1 if table[p % 8] else 1 - (e & 1)
-    big = rem > 1
-    distinct += big
-    odd += big
-    for kind, table in split.items():
-        ideal[kind] *= np.where(big, 2 * table[rem % 8], 1)
+    for i in range(0, rem.size, _COLUMN_BLOCK):  # a block's temporaries at a time
+        block = slice(i, i + _COLUMN_BLOCK)
+        big = rem[block] > 1
+        distinct[block] += big
+        odd[block] += big
+        for kind, table in split.items():
+            ideal[kind][block] *= np.where(big, 2 * table[rem[block] % 8], 1)
     return FactorColumns(distinct, odd, ideal)
 
 

@@ -10,7 +10,7 @@ ideal counts, and class numbers in `quadarith`.
 Every statement has two verifiers. The scalar checker behind `verify` takes
 one n and calls the per-query oracles; it is the reference. The batch
 function behind `run_suite` decides a whole range at once from the columns
-its registry entry reads, built by the batch oracles (FFT count tables, a
+its registry entry reads, built by the batch oracles (class count tables, a
 prime sieve, one reduced-form enumeration per class of discriminants); each
 column is built at its first reader and dropped after its last. The scalar
 checker rebuilds the witness of each recorded violation.
@@ -132,13 +132,19 @@ def _window_bits(series: BitSeries, grid: range) -> np.ndarray:
 _ZERO_COORDINATE = "unexpected zero coordinate in primitive triple, n={}"
 
 
-def _arange(grid: range) -> np.ndarray:
-    return np.arange(grid.start, grid.stop, grid.step, dtype=np.int64)
+def _arange(grid: range, divisor: int = 1) -> np.ndarray:
+    # n // divisor at each n of the grid, divided in place
+    values = np.arange(grid.start, grid.stop, grid.step, dtype=np.int64)
+    values //= divisor
+    return values
 
 
-def _class_entries(grid: range, table: Callable, *args) -> np.ndarray:
-    # table(*args, m_max)[m], at n = 8m + residue (residue < 8), on a grid in that class
-    return table(*args, grid[-1] // 8)[grid.start // 8 :: grid.step // 8].copy()
+def _class_entries(grid: range, modulus: int, table: Callable, *args) -> np.ndarray:
+    # table(*args, m_max)[m] at n = modulus * m + residue, on a grid in that
+    # class; a part of the table is copied, so the rest is freed
+    counts = table(*args, grid[-1] // modulus)
+    part = counts[grid.start // modulus :: grid.step // modulus]
+    return counts if part.size == counts.size else part.copy()
 
 
 def _primitive_r3(grid: range, ctx: SeriesContext, scale: int,
@@ -147,7 +153,7 @@ def _primitive_r3(grid: range, ctx: SeriesContext, scale: int,
     on a grid of n = residue mod 8, checked: on those classes no sum of
     three squares has a zero term, so each count is 8 sign patterns per
     triple."""
-    signed = _class_entries(grid, quadarith.primitive_r3_class_table, scale, residue)
+    signed = _class_entries(grid, 8, quadarith.primitive_r3_class_table, scale, residue)
     odd = np.flatnonzero(signed % 8)
     if odd.size:
         raise AssertionError(_ZERO_COORDINATE.format(scale * grid[int(odd[0])]))
@@ -163,13 +169,10 @@ _COLUMNS: dict[str, Callable] = {
     "member": lambda grid, ctx: _window_bits(ctx.inv_theta, grid),
     "seventh": lambda grid, ctx: _window_bits(ctx.inv_theta7, grid),
     # the root of n // divisor where that is a perfect square, else -1
-    "roots": lambda grid, ctx, divisor: quadarith._exact_sqrt(_arange(grid) // divisor),
-    # count_square_tuples(n, form)
-    "tuples": lambda grid, ctx, form: quadarith.theta_product_table(form, grid[-1])[
-        grid.start :: grid.step].copy(),
-    # count_square_tuples(scale * n, form) on n = residue mod 8
-    "class_tuples": lambda grid, ctx, *key: _class_entries(
-        grid, quadarith.tuple_class_table, *key),
+    "roots": lambda grid, ctx, divisor: quadarith._exact_sqrt(_arange(grid, divisor)),
+    # count_square_tuples(scale * n, form) on n = residue mod modulus
+    "class_tuples": lambda grid, ctx, form, scale, modulus, residue: _class_entries(
+        grid, modulus, quadarith.tuple_class_table, form, scale, modulus, residue),
     "primitive_r3": _primitive_r3,
     # on odd n
     "factors": lambda grid, ctx: quadarith.factor_columns(grid.start, grid[-1])[
@@ -381,23 +384,23 @@ _REGISTRY: dict[StatementId, _Statement] = {
     ),
     StatementId.T1_2: _Statement(
         4, 1, functools.partial(_check_parity, (1, 4)), _batch_parity,
-        (("member",), ("tuples", (1, 4))),
+        (("member",), ("class_tuples", (1, 4), 1, 2, 1)),
         "n = 1 mod 4: membership matches the parity of the (1,4) square-tuple count",
     ),
     StatementId.T1_4: _Statement(
         8, 3, functools.partial(_check_parity, (1, 2, 8)), _batch_parity,
-        (("member",), ("class_tuples", (1, 2, 8), 1, 3)),
+        (("member",), ("class_tuples", (1, 2, 8), 1, 8, 3)),
         "n = 3 mod 8: membership matches the parity of the (1,2,8) square-tuple count",
     ),
     StatementId.L2_1_IDENTITY: _Statement(
         8, 3, _check_l2_1_identity, _batch_l2_1_identity,
-        (("class_tuples", (1, 1, 1), 1, 3), ("tuples", (1, 2)),
-         ("class_tuples", (1, 2, 8), 1, 3)),
+        (("class_tuples", (1, 1, 1), 1, 8, 3), ("class_tuples", (1, 2), 1, 2, 1),
+         ("class_tuples", (1, 2, 8), 1, 8, 3)),
         "n = 3 mod 8: (1,1,1) count plus (1,2) count equals twice the (1,2,8) count",
     ),
     StatementId.L2_1_SUFFICIENCY: _Statement(
         8, 3, _check_l2_1_sufficiency, _batch_l2_1_sufficiency,
-        (("class_tuples", (1, 1, 1), 1, 3), ("tuples", (1, 2)), ("member",)),
+        (("class_tuples", (1, 1, 1), 1, 8, 3), ("class_tuples", (1, 2), 1, 2, 1), ("member",)),
         "n = 3 mod 8: if both counts are divisible by 4, n is not in B",
     ),
     StatementId.L2_2: _Statement(
@@ -417,7 +420,8 @@ _REGISTRY: dict[StatementId, _Statement] = {
     ),
     StatementId.L3_3: _Statement(
         2, 1, _check_l3_3, _batch_l3_3,
-        (("factors",), ("roots", 1), ("tuples", (1, 2)), ("tuples", (1, 4))),
+        (("factors",), ("roots", 1), ("class_tuples", (1, 2), 1, 2, 1),
+         ("class_tuples", (1, 4), 1, 2, 1)),
         "odd n: ideal counts equal twice the (1,2) and (1,4) square-tuple counts, "
         "each less one when n is a square (V-side count read as the (1,4) form; "
         "as interpreted)",
@@ -428,16 +432,16 @@ _REGISTRY: dict[StatementId, _Statement] = {
     ),
     StatementId.T3_6: _Statement(
         16, 7, functools.partial(_check_parity, (1, 2, 4)), _batch_parity,
-        (("member",), ("class_tuples", (1, 2, 4), 1, 7)),
+        (("member",), ("class_tuples", (1, 2, 4), 1, 8, 7)),
         "n = 7 mod 16: membership matches the parity of the (1,2,4) square-tuple count",
     ),
     StatementId.L3_7_IDENTITY: _Statement(
         8, 7, _check_l3_7_identity, _batch_l3_7_identity,
-        (("class_tuples", (1, 1, 1), 2, 7), ("class_tuples", (1, 2, 4), 1, 7)),
+        (("class_tuples", (1, 1, 1), 2, 8, 7), ("class_tuples", (1, 2, 4), 1, 8, 7)),
         "n = 7 mod 8: the (1,1,1) count at 2n equals six times the (1,2,4) count at n",
     ),
     StatementId.T3_8: _Statement(
-        16, 7, _check_t3_8, _batch_t3_8, (("member",), ("class_tuples", (1, 1, 1), 2, 7)),
+        16, 7, _check_t3_8, _batch_t3_8, (("member",), ("class_tuples", (1, 1, 1), 2, 8, 7)),
         "n = 7 mod 16: membership matches the (1,1,1) count at 2n being 2 mod 4",
     ),
     StatementId.L3_9: _Statement(
@@ -447,7 +451,7 @@ _REGISTRY: dict[StatementId, _Statement] = {
         "divisible by 4",
     ),
     StatementId.C3_10: _Statement(
-        8, 7, _check_c3_10, _batch_c3_10, (("class_tuples", (1, 1, 1), 2, 7), ("factors",)),
+        8, 7, _check_c3_10, _batch_c3_10, (("class_tuples", (1, 1, 1), 2, 8, 7), ("factors",)),
         "n = 7 mod 8 with >= 3 odd-exponent primes: (1,1,1) count at 2n is divisible by 4",
     ),
     StatementId.T3_11: _Statement(

@@ -97,17 +97,6 @@ def test_count_square_tuples_vs_brute(monkeypatch):
                     brute_square_tuples(n, coeffs), (block, coeffs, n)
 
 
-# (4, 1) and (8, 2, 1) put the sparser series first, where (1, 4) and
-# (1, 2, 8) put it second; (2, 2) and (1, 1, 2) repeat a coefficient; and
-# (1, 4000) has a one-term series at every length tested
-FORMS = [(1, 1, 1), (1, 2, 8), (1, 2, 4), (1, 2), (1, 4), (3,), (2, 5), (4, 1),
-         (2, 2), (8, 2, 1), (1, 1, 2), (1, 4000), DiagonalForm((2, 1, 8))]
-
-
-def coefficients(form):
-    return form.coefficients if isinstance(form, DiagonalForm) else form
-
-
 def tuple_bincount(coeffs, n_max):
     """count_square_tuples for every n <= n_max: one bincount over all tuples."""
     sums = np.zeros(1, dtype=np.int64)
@@ -117,52 +106,56 @@ def tuple_bincount(coeffs, n_max):
     return np.bincount(sums[sums <= n_max], minlength=n_max + 1)
 
 
-def test_theta_product_table_matches_tuple_bincount():
-    for form in FORMS:
-        for n_max in (0, 1, 2, 7, 64, 3001):
-            table = qa.theta_product_table(form, n_max)
-            assert table.dtype == np.int64 and table.shape == (n_max + 1,)
-            assert (table == tuple_bincount(coefficients(form), n_max)).all(), (form, n_max)
+# (form, scale, modulus, residue) of each class table: N = scale * (modulus
+# * m + residue); the two-variable forms on the odd N, three on classes mod 8
+CLASSES = [((1, 2), 1, 2, 1), ((1, 4), 1, 2, 1), ((1, 1, 1), 1, 8, 3),
+           ((1, 2, 8), 1, 8, 3), ((1, 2, 4), 1, 8, 7), ((1, 1, 1), 2, 8, 7)]
 
 
-# (form, scale, residue) of each class table: N = scale * (8m + residue)
-CLASSES = [((1, 1, 1), 1, 3), ((1, 2, 8), 1, 3), ((1, 2, 4), 1, 7), ((1, 1, 1), 2, 7)]
+def test_class_tables_match_tuple_bincount():
+    # every entry of each class table, from the smallest N of its class on;
+    # a DiagonalForm names the same table as its coefficients
+    for form, scale, modulus, residue in CLASSES:
+        for m_max in (0, 1, 2, 7, 64, 1000):
+            top = scale * (modulus * m_max + residue)
+            want = tuple_bincount(form, top)[scale * residue :: scale * modulus]
+            table = qa.tuple_class_table(form, scale, modulus, residue, m_max)
+            assert table.dtype == np.int64 and table.shape == (m_max + 1,)
+            assert (table == want).all(), (form, scale, modulus, m_max)
+        assert (qa.tuple_class_table(DiagonalForm(form), scale, modulus, residue, 64)
+                == table[:65]).all()
 
 
 def test_class_tables_match_per_query():
     # every class table at every m, and the signed counts 8 times it where
-    # no term can be zero; m_max = 0 holds only the first member, N = 3, 7
-    # or 14
-    for form, scale, residue in CLASSES:
-        table = qa.tuple_class_table(form, scale, residue, 300)
+    # no term can be zero; m_max = 0 holds only the first member, N = 1, 3,
+    # 7 or 14
+    for form, scale, modulus, residue in CLASSES:
+        table = qa.tuple_class_table(form, scale, modulus, residue, 300)
         assert table.dtype == np.int64 and table.shape == (301,)
         for m in range(301):
-            n = scale * (8 * m + residue)
+            n = scale * (modulus * m + residue)
             assert table[m] == qa.count_square_tuples(n, form), (form, scale, m)
-            if form != (1, 2, 8):
+            if form in ((1, 1, 1), (1, 2, 4)):
                 assert 8 * table[m] == qa.count_signed_representations(n, form), n
         for m_max in (0, 1, 2, 7):
-            assert (qa.tuple_class_table(form, scale, residue, m_max)
+            assert (qa.tuple_class_table(form, scale, modulus, residue, m_max)
                     == table[: m_max + 1]).all()
 
 
 def test_tables_take_one_transform_at_twice_the_length(fft_calls):
-    # one or two variables are placed exactly; a third variable takes one
-    # inverse transform at twice the table's length, so a class table at
-    # m_max takes it at 2 m_max
-    n_max = 1000
-    one_irfft = [("irfft", qa._fft_size(2 * n_max + 1))]
-    for form in FORMS:
-        del fft_calls[:]
-        qa.theta_product_table(form, n_max)
-        if len(coefficients(form)) < 3:
-            assert fft_calls == [], form
-        else:
-            assert [call for call in fft_calls if call[0] == "irfft"] == one_irfft
+    # two variables are placed exactly; a third variable takes one inverse
+    # transform at twice the table's length, so a class table at m_max
+    # takes it at 2 m_max
+    m_max = 1000
+    one_irfft = [("irfft", qa._fft_size(2 * m_max + 1))]
     for key in CLASSES:
         del fft_calls[:]
-        qa.tuple_class_table(*key, n_max)
-        assert [call for call in fft_calls if call[0] == "irfft"] == one_irfft, key
+        qa.tuple_class_table(*key, m_max)
+        if len(key[0]) < 3:
+            assert fft_calls == [], key
+        else:
+            assert [call for call in fft_calls if call[0] == "irfft"] == one_irfft, key
 
 
 def traced_peak(build):
@@ -177,22 +170,28 @@ def traced_peak(build):
 
 def test_table_peaks_per_entry():
     # an exact two-variable table holds little besides its output; a
-    # three-variable one, a class table and a primitive class table hold
-    # the exact table's spectrum, the third series and its spectrum, then
-    # the inverse transform
-    n_max = 10**5
-    for form in ((1, 2), (1, 4), (1, 1)):
-        out = qa.theta_product_table(form, n_max)
-        peak = traced_peak(lambda: qa.theta_product_table(form, n_max))
-        assert peak <= 1.1 * out.nbytes, (form, peak, out.nbytes)
-    builds = [functools.partial(qa.theta_product_table, form, n_max)
-              for form in ((1, 1, 1), (1, 2, 8))]
-    builds += [functools.partial(qa.tuple_class_table, *key, n_max) for key in CLASSES]
-    builds += [functools.partial(qa.primitive_r3_class_table, *key, n_max)
-               for key in ((1, 3), (2, 7))]
-    for build in builds:
+    # three-variable class table and a primitive class table hold the exact
+    # table's spectrum, the third series and its spectrum, then the inverse
+    # transform
+    m_max = 10**5
+    for key in CLASSES:
+        build = functools.partial(qa.tuple_class_table, *key, m_max)
         peak = traced_peak(build)
-        assert peak <= 80 * (n_max + 1), (build, peak / (n_max + 1))
+        bound = 1.1 * 8 * (m_max + 1) if len(key[0]) < 3 else 80 * (m_max + 1)
+        assert peak <= bound, (key, peak / (m_max + 1))
+    for key in ((1, 3), (2, 7)):
+        peak = traced_peak(functools.partial(qa.primitive_r3_class_table, *key, m_max))
+        assert peak <= 80 * (m_max + 1), (key, peak / (m_max + 1))
+
+
+def test_roots_and_factor_columns_peaks_per_entry():
+    # the root pass overwrites its input a block at a time, and the factor
+    # sieve holds its 8-byte remainders, the 10-byte output and slices of a
+    # third of it, so neither holds a full-length temporary besides those
+    values = np.arange(1 << 21, dtype=np.int64)
+    assert traced_peak(lambda: qa._exact_sqrt(values)) <= 0.25 * values.nbytes
+    hi = 2 * 10**6
+    assert traced_peak(lambda: qa.factor_columns(0, hi)) <= 21 * (hi // 2)
 
 
 EVEN_R3_LENGTHS = (0, 1, 2, 7, 64, 1500)
@@ -204,38 +203,46 @@ def test_even_r3_table_matches_oracles():
     top = max(EVEN_R3_LENGTHS)
     tuples = tuple_bincount((1, 1, 1), 16 * top + 14)[14::16]
     for m_max in EVEN_R3_LENGTHS:
-        table = qa.tuple_class_table((1, 1, 1), 2, 7, m_max)
+        table = qa.tuple_class_table((1, 1, 1), 2, 8, 7, m_max)
         assert table.dtype == np.int64 and table.shape == (m_max + 1,)
         assert (table == tuples[: m_max + 1]).all(), m_max
 
 
 def test_table_scales_other_than_even_r3_are_refused():
-    # class tables exist for the four classes the statements read only,
-    # and tables take no scale or sign
-    for form, scale, residue in (((1, 1, 1), 3, 3), ((1, 2, 4), 2, 7), ((1, 2), 1, 3),
-                                 ((1, 1, 1), 1, 7), ((1, 1, 1), 2, 3), ((1, 2, 8), 1, 7)):
+    # class tables exist for the six classes the statements read only, each
+    # on the coarsest class of its readers: (1,2) is read on 3 mod 8 and on
+    # the odd n, so its table is on the odd n alone; tables take no sign
+    for key in (((1, 1, 1), 3, 8, 3), ((1, 2, 4), 2, 8, 7), ((1, 2), 1, 8, 3),
+                ((1, 4), 1, 4, 1), ((1, 2), 1, 2, 0), ((1, 1, 1), 1, 2, 1),
+                ((1, 1, 1), 1, 8, 7), ((1, 1, 1), 2, 8, 3), ((1, 2, 8), 1, 8, 7)):
         with pytest.raises(ValueError, match="class table"):
-            qa.tuple_class_table(form, scale, residue, 10)
+            qa.tuple_class_table(*key, 10)
     for scale, residue in ((1, 7), (2, 3), (3, 3), (1, 0)):
         with pytest.raises(ValueError, match="class table"):
             qa.primitive_r3_class_table(scale, residue, 10)
     with pytest.raises(TypeError):
-        qa.theta_product_table((1, 1, 1), 10, True)
-    with pytest.raises(ValueError, match="nonnegative"):
-        qa.tuple_class_table((1, 1, 1), 1, 3, -1)
+        qa.tuple_class_table((1, 1, 1), 1, 8, 3, 10, True)
+    for key in CLASSES:
+        with pytest.raises(ValueError, match="nonnegative"):
+            qa.tuple_class_table(*key, -1)
 
 
 def test_even_r3_table_peak_is_below_the_full_table():
     # the class table at 2n, n = 8m + 7, transforms at twice its m_max, an
-    # eighth of hi, where the full table to 2 hi would transform at 4 hi
+    # eighth of hi, where the full table to 2 hi, the exact product of two
+    # theta series times the third by FFT, would transform at 4 hi
     hi = 10**5
-    full = traced_peak(lambda: qa.theta_product_table((1, 1, 1), 2 * hi))
-    part = traced_peak(lambda: qa.tuple_class_table((1, 1, 1), 2, 7, (hi - 7) // 8))
+    squares = np.arange(math.isqrt(2 * hi) + 1, dtype=np.int64) ** 2
+    full = traced_peak(lambda: qa._fft_product(
+        qa._exact_product(squares, squares, 2 * hi), squares, 2 * hi))
+    part = traced_peak(lambda: qa.tuple_class_table((1, 1, 1), 2, 8, 7, (hi - 7) // 8))
     assert part <= 0.1 * full, (part, full)
 
 
-def test_theta_product_table_precision_check(monkeypatch):
-    # an inverse transform that is off by 0.3 somewhere must not round quietly
+def test_class_table_precision_check(monkeypatch):
+    # an inverse transform that is off by 0.3 somewhere must not round
+    # quietly; the exact two-variable tables take no transform
+    exact = {key: qa.tuple_class_table(*key, 100) for key in CLASSES if len(key[0]) < 3}
     irfft = np.fft.irfft
 
     def perturbed(*args, **kwargs):
@@ -244,22 +251,17 @@ def test_theta_product_table_precision_check(monkeypatch):
         return out
 
     monkeypatch.setattr(np.fft, "irfft", perturbed)
-    for form in ((1, 1, 1), (1, 2, 8)):
-        with pytest.raises(AssertionError, match="precision"):
-            qa.theta_product_table(form, 100)
     for key in CLASSES:
+        if key in exact:
+            assert (qa.tuple_class_table(*key, 100) == exact[key]).all()
+            continue
         with pytest.raises(AssertionError, match="precision"):
             qa.tuple_class_table(*key, 100)
     for key in ((1, 3), (2, 7)):
         with pytest.raises(AssertionError, match="precision"):
             qa.primitive_r3_class_table(*key, 100)
     monkeypatch.setattr(np.fft, "irfft", irfft)
-    assert qa.theta_product_table((1, 1, 1), 100)[5] == 6  # 4 + 1 + 0, ordered
-
-
-def test_theta_product_table_rejects_negative_length():
-    with pytest.raises(ValueError, match="nonnegative"):
-        qa.theta_product_table((1, 1, 1), -1)
+    assert qa.tuple_class_table((1, 1, 1), 1, 8, 3, 100)[5] == 3  # 43 = 25 + 9 + 9, ordered
 
 
 def test_primitive_signed_r3_table_matches_per_query():

@@ -36,9 +36,12 @@ def test_registry_covers_every_statement():
         stmt = th._REGISTRY[sid]
         assert len(set(stmt.reads)) == len(stmt.reads)
         assert all(key[0] in th._COLUMNS for key in stmt.reads)
-        # a class column is read on its own class mod 8
-        assert all(key[-1] == stmt.residue % 8 for key in stmt.reads
-                   if key[0] in ("class_tuples", "primitive_r3", "class_numbers"))
+        # a class column is read on its own class, mod 8 or its modulus
+        for key in stmt.reads:
+            modulus = key[-2] if key[0] == "class_tuples" else 8
+            if key[0] in ("class_tuples", "primitive_r3", "class_numbers"):
+                assert stmt.modulus % modulus == 0, (sid, key)
+                assert key[-1] == stmt.residue % modulus, (sid, key)
         assert len(inspect.signature(stmt.batch).parameters) == len(stmt.reads)
         assert th.requires_seventh(sid) == (sid is StatementId.L3_5)
 
@@ -274,10 +277,10 @@ def test_run_suite_builds_each_column_on_its_readers_class(ctx20k, monkeypatch):
     # class numbers start at n = 11
     assert lengths == {
         ("member",): 2001, ("roots", 2): 1001, ("roots", 1): 1000,
-        ("tuples", (1, 4)): 1000, ("tuples", (1, 2)): 1000, ("factors",): 1000,
-        ("seventh",): 125,
-        ("class_tuples", (1, 1, 1), 1, 3): 250, ("class_tuples", (1, 2, 8), 1, 3): 250,
-        ("class_tuples", (1, 2, 4), 1, 7): 250, ("class_tuples", (1, 1, 1), 2, 7): 250,
+        ("class_tuples", (1, 4), 1, 2, 1): 1000, ("class_tuples", (1, 2), 1, 2, 1): 1000,
+        ("factors",): 1000, ("seventh",): 125,
+        ("class_tuples", (1, 1, 1), 1, 8, 3): 250, ("class_tuples", (1, 2, 8), 1, 8, 3): 250,
+        ("class_tuples", (1, 2, 4), 1, 8, 7): 250, ("class_tuples", (1, 1, 1), 2, 8, 7): 250,
         ("primitive_r3", 1, 3): 250, ("primitive_r3", 2, 7): 250,
         ("class_numbers", 1, 3): 249, ("class_numbers", 8, 7): 250}
     # one n builds one entry of each column that a statement applying there reads
@@ -308,18 +311,20 @@ def test_run_suite_alone_matches_the_suite(ctx20k):
 
 def test_run_suite_builds_no_table_past_hi(ctx20k, monkeypatch):
     # the counts at 2n come from class tables at n, so no table, the
-    # primitive r3 ones included, runs past hi, and a class table stops at
-    # the last m of its class
+    # primitive r3 ones included, runs past hi, and every table, the
+    # two-variable ones included, stops at the last m of its class
     calls = []
-    for name in ("theta_product_table", "tuple_class_table", "primitive_r3_class_table"):
+    for name in ("tuple_class_table", "primitive_r3_class_table"):
         def recorded(*args, _table=getattr(qa, name)):
             calls.append(args)
             return _table(*args)
         monkeypatch.setattr(qa, name, recorded)
     th.run_suite(th.ALL_STATEMENTS, 0, 2000, ctx20k)
-    assert all(args[-1] <= (2000 if len(args) == 2 else (2000 - args[-2]) // 8)
-               for args in calls), calls
-    assert {((1, 1, 1), 2, 7, 249), (2, 7, 249), (1, 3, 249)} <= set(calls)
+    last_m = {((1, 2), 1, 2, 1): 999, ((1, 4), 1, 2, 1): 999,
+              ((1, 1, 1), 1, 8, 3): 249, ((1, 2, 8), 1, 8, 3): 249,
+              ((1, 2, 4), 1, 8, 7): 249, ((1, 1, 1), 2, 8, 7): 249,
+              (1, 3): 249, (2, 7): 249}
+    assert set(calls) == {(*key, m) for key, m in last_m.items()}, calls
 
 
 def test_run_suite_transforms_at_most_twice_hi(ctx20k, fft_calls):
@@ -329,18 +334,22 @@ def test_run_suite_transforms_at_most_twice_hi(ctx20k, fft_calls):
 
 
 def test_class_columns_match_per_query():
-    # each three-square column on grids of its class at steps 8 and 16, also
-    # one n alone (hi = 3, 7, 11, 15) and from an odd or even lo
-    windows = [(0, hi) for hi in (3, 7, 11, 15)]
+    # each count column on grids of its class at steps of one, two and four
+    # times its modulus (the odd n at steps 2, 4 and 8, as L3_3, T1_2 and
+    # L2_1 read them), also one n alone (hi = 1, 3, 7, 11, 15) and from an
+    # odd or even lo
+    windows = [(0, hi) for hi in (1, 3, 7, 11, 15)]
     windows += [(1, 15), (3, 3), (4, 30), (7, 7), (13, 90), (1000, 1100)]
     for lo, hi in windows:
-        for form, scale, residue in (((1, 1, 1), 1, 3), ((1, 2, 8), 1, 3),
-                                     ((1, 2, 4), 1, 7), ((1, 1, 1), 2, 7)):
-            first = lo + (residue - lo) % 8
-            grids = (range(first, hi + 1, 8), range(first, hi + 1, 16),
-                     range(first + 8, hi + 1, 16))
+        for form, scale, modulus, residue in (
+                ((1, 2), 1, 2, 1), ((1, 4), 1, 2, 1), ((1, 1, 1), 1, 8, 3),
+                ((1, 2, 8), 1, 8, 3), ((1, 2, 4), 1, 8, 7), ((1, 1, 1), 2, 8, 7)):
+            first = lo + (residue - lo) % modulus
+            grids = [range(first + k * modulus, hi + 1, step * modulus)
+                     for step in (1, 2, 4) for k in range(step)]
             for grid in filter(None, grids):
-                got = th._COLUMNS["class_tuples"](grid, None, form, scale, residue)
+                got = th._COLUMNS["class_tuples"](grid, None, form, scale, modulus,
+                                                  residue)
                 assert got.tolist() == [qa.count_square_tuples(scale * n, form)
                                         for n in grid], (form, scale, grid)
                 if form == (1, 1, 1):  # the classes of the primitive r3 columns
@@ -393,6 +402,11 @@ def test_run_suite_class_number_ceiling(ctx20k):
         th.check_range([StatementId.T1_1], 5, 4)
     th.check_range(th.ALL_STATEMENTS, 0, top)
     th.check_range([StatementId.T1_1], 0, top + 1)
+    # the ceiling is keyed on the class-number column: the statements that
+    # read the primitive r3 column or the (1,1,1) table at 2n without class
+    # numbers take any hi
+    th.check_range([StatementId.L3_9, StatementId.L3_7_IDENTITY, StatementId.T3_8,
+                    StatementId.C3_10], 0, top + 1)
 
 
 def test_run_suite_t1_1_range(ctx20k):
