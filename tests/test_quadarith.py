@@ -222,6 +222,9 @@ def test_table_scales_other_than_even_r3_are_refused():
             qa.primitive_r3_class_table(scale, residue, 10)
     with pytest.raises(TypeError):
         qa.tuple_class_table((1, 1, 1), 1, 8, 3, 10, True)
+
+
+def test_class_tables_reject_negative_length():
     for key in CLASSES:
         with pytest.raises(ValueError, match="nonnegative"):
             qa.tuple_class_table(*key, -1)
