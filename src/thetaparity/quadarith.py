@@ -10,12 +10,12 @@ arbitrary negative discriminants by reduced-form enumeration.
 Both per-query representation counts are sums over one enumerator of the
 nonnegative solutions, which walks the grid of leading coordinates in
 fixed-size blocks (memory O(sqrt n), n < 2^63). The batch functions compute
-the same quantities for every n of a residue class or a window at once,
-and each is tested against its per-query oracle: square-tuple counts on
-one residue class, primitive triple counts by Mobius inversion of those,
-factor counts and ideal counts from one sieve over the odd n of a window,
-and class numbers by one enumeration of reduced forms for a whole residue
-class of discriminants.
+the same quantities for every n of a residue class or a progression at
+once, and each is tested against its per-query oracle: square-tuple counts
+on one residue class, primitive triple counts by Mobius inversion of those,
+factor counts and ideal counts from one sieve over exactly the n of a
+progression of odd n, and class numbers by one enumeration of reduced forms
+onto exactly the n of a progression.
 
 On the classes the statements read every solution has fixed parities, and
 an odd square is 8T + 1 with T triangular (Gauss), so the count at N =
@@ -102,21 +102,16 @@ def _check_n(n: int) -> int:
 # grid cells per block of _solutions; a block never holds less than one row
 _BLOCK_CELLS = 1 << 16
 _MAX_ROOT = math.isqrt((1 << 63) - 1)
-# entries per block of the in-place passes of _exact_sqrt and factor_columns
+# entries per block of factor_columns' pass over the remainders above 1
 _COLUMN_BLOCK = 1 << 16
 
 
 def _exact_sqrt(values: np.ndarray) -> np.ndarray:
-    # each nonnegative int64 value replaced, in place and a block at a time,
-    # by its root where it is a perfect square, its rounded float sqrt, else
-    # by -1; the cap keeps roots * roots inside int64
-    flat = values.reshape(-1)
-    for i in range(0, flat.size, _COLUMN_BLOCK):
-        block = flat[i : i + _COLUMN_BLOCK]
-        roots = np.minimum(np.rint(np.sqrt(block, dtype=np.float64)).astype(np.int64),
-                           _MAX_ROOT)
-        block[...] = np.where(roots * roots == block, roots, -1)
-    return flat.reshape(values.shape)
+    # the root of each nonnegative int64 value that is a perfect square, else
+    # -1; the cap keeps roots * roots inside int64
+    roots = np.minimum(np.rint(np.sqrt(values, dtype=np.float64)).astype(np.int64),
+                       _MAX_ROOT)
+    return np.where(roots * roots == values, roots, -1)
 
 
 def _solutions(n: int, coeffs: tuple[int, ...]):
@@ -428,7 +423,7 @@ def ideal_count(n: int, kind: IdealCountKind) -> int:
 
 @dataclass(frozen=True)
 class FactorColumns:
-    """Factor counts of the odd n of a window, index i at its i-th odd n.
+    """Factor counts of the n of a grid of odd n, index i at grid[i].
 
     `distinct_primes` and `odd_exponent_primes` (int8) count the primes
     dividing n and those to an odd power, `ideal_counts[kind]` (int32) is
@@ -444,30 +439,34 @@ class FactorColumns:
                              {kind: column[key] for kind, column in self.ideal_counts.items()})
 
 
-def factor_columns(lo: int, hi: int) -> FactorColumns:
-    """Factor counts and ideal counts of every odd n in [lo, hi] from one sieve.
+def factor_columns(grid: range) -> FactorColumns:
+    """Factor counts and ideal counts of every n of a grid from one sieve.
 
-    Each odd prime p <= sqrt(hi) divides its multiples out of a remainder
-    column, one strided slice per power of p, and a remainder above 1 is one
-    more prime, so time and memory are O(hi - lo + sqrt(hi)). A prime's
+    The grid is a progression of odd n whose step is a power of two, so the
+    step is invertible mod every odd q and the multiples of q sit at the
+    indices i = -start / step mod q, every q-th. Each odd prime p <=
+    sqrt(grid[-1]) divides its multiples out of a remainder column, one
+    strided slice per power of p, and a remainder above 1 is one more prime,
+    so time and memory are O(len(grid) + sqrt(grid[-1])). A prime's
     character, like ideal_count's, is jacobi(kind, p), which for kind -1
     and -2 depends only on p mod 8.
     """
-    if not 0 <= lo <= hi:
-        raise ValueError("need 0 <= lo <= hi")
-    first = lo | 1
-    rem = np.arange(first, hi + 1, 2, dtype=np.int64)  # index i at n = first + 2i
+    start, step = grid.start, grid.step
+    if not grid or start < 1 or start % 2 == 0 or step < 2 or step & (step - 1):
+        raise ValueError("need a nonempty grid of odd n > 0 with a power-of-two step")
+    last = grid[-1]
+    rem = np.arange(start, last + 1, step, dtype=np.int64)  # index i at n = grid[i]
     distinct = np.zeros(rem.size, dtype=np.int8)
     odd = np.zeros(rem.size, dtype=np.int8)
     ideal = {kind: np.ones(rem.size, dtype=np.int32) for kind in IdealCountKind}
     split = {kind: np.array([r % 2 == 1 and jacobi(kind.value, r) == 1
                              for r in range(8)]) for kind in IdealCountKind}
-    for p in filter(is_prime, range(3, math.isqrt(hi) + 1, 2)):
-        s = (p - first) // 2 % p  # rem[s::p] are the multiples of p
+    for p in filter(is_prime, range(3, math.isqrt(last) + 1, 2)):
+        s = -start * pow(step, -1, p) % p  # rem[s::p] are the multiples of p
         e = np.zeros(rem[s::p].size, dtype=np.int8)  # and e their exponents
         q = p
-        while q <= hi:
-            i = (q - first) // 2 % q
+        while q <= last:
+            i = -start * pow(step, -1, q) % q
             rem[i::q] //= p
             e[(i - s) // p :: q // p] += 1
             q *= p
@@ -512,29 +511,27 @@ def class_number(d: int) -> int:
     return h
 
 
-def class_numbers(scale: int, residue: int, lo: int, hi: int) -> np.ndarray:
-    """h[i] = class_number(-scale * n) at the i-th n = residue mod 8 in [lo, hi].
+def class_numbers(scale: int, grid: range) -> np.ndarray:
+    """h[i] = class_number(-scale * grid[i]) on a grid of n > 0.
 
     One enumeration of reduced forms (Cohen, A Course in Computational
-    Algebraic Number Theory, 5.3) covers the whole residue class: for each a
-    and each 0 <= b <= a, the c >= a with 4ac - b^2 = scale * n for an n of
-    the class form one arithmetic progression, cut to the window. A form
+    Algebraic Number Theory, 5.3) covers the whole grid: for each a and
+    each 0 <= b <= a, the c >= a with 4ac - b^2 = scale * n for an n of the
+    grid form one arithmetic progression, cut to the grid's span. A form
     with 0 < b < a < c stands for itself and (a, -b, c). Each a adds its
-    forms' exact counts in place to the window's entries of the class.
+    forms' exact counts in place to the grid's entries.
     """
-    if scale < 1 or not 0 <= residue < 8 or (-scale * residue) % 4 not in (0, 1):
-        raise ValueError("-scale * n must be a discriminant for n = residue mod 8")
-    if not 0 <= lo <= hi or scale * hi >= 1 << 60:
-        raise ValueError("need 0 <= lo <= hi and scale * hi < 2^60")
-    mod = 8 * scale
-    target = scale * residue % mod
-    m_lo, m_hi = (lo - residue + 7) // 8, (hi - residue) // 8
-    if m_lo > m_hi:
-        return np.zeros(0, dtype=np.int64)
-    counts = np.zeros(m_hi - m_lo + 1, dtype=np.int64)
-    d_lo, d_hi = scale * (8 * m_lo + residue), scale * (8 * m_hi + residue)
+    if scale < 1 or not grid or grid.start < 1 or grid.step < 1 or scale * grid[-1] >= 1 << 60:
+        raise ValueError("need scale >= 1 and a nonempty grid of n > 0, scale * n < 2^60")
+    # -scale * n mod 4 repeats with period 4 along the grid
+    if any((-scale * n) % 4 not in (0, 1) for n in grid[:4]):
+        raise ValueError("-scale * n must be a discriminant for every n of the grid")
+    d_lo, d_hi = scale * grid.start, scale * grid[-1]
+    mod = scale * grid.step
+    target = d_lo % mod
+    counts = np.zeros(len(grid), dtype=np.int64)
     for a in range(1, math.isqrt(d_hi // 3) + 1):
-        # 4ac = b^2 + target (mod 8 * scale) has solutions c iff g
+        # 4ac = b^2 + target (mod scale * step) has solutions c iff g
         # divides the right side, and then they form one class mod `step`
         g = math.gcd(4 * a, mod)
         step = mod // g

@@ -132,13 +132,6 @@ def _window_bits(series: BitSeries, grid: range) -> np.ndarray:
 _ZERO_COORDINATE = "unexpected zero coordinate in primitive triple, n={}"
 
 
-def _arange(grid: range, divisor: int = 1) -> np.ndarray:
-    # n // divisor at each n of the grid, divided in place
-    values = np.arange(grid.start, grid.stop, grid.step, dtype=np.int64)
-    values //= divisor
-    return values
-
-
 def _class_entries(grid: range, modulus: int, table: Callable, *args) -> np.ndarray:
     # table(*args, m_max)[m] at n = modulus * m + residue, on a grid in that
     # class; a part of the table is copied, so the rest is freed
@@ -160,26 +153,32 @@ def _primitive_r3(grid: range, ctx: SeriesContext, scale: int,
     return signed
 
 
+def _roots(grid: range, ctx: SeriesContext, divisor: int) -> np.ndarray:
+    # k at each n = divisor * k^2 of the grid, -1 at every other n
+    roots = np.full(len(grid), -1, dtype=np.int64)
+    k = np.arange(math.isqrt(grid[-1] // divisor) + 1, dtype=np.int64)
+    n = divisor * k * k
+    on = (n >= grid.start) & ((n - grid.start) % grid.step == 0)
+    roots[(n[on] - grid.start) // grid.step] = k[on]
+    return roots
+
+
 # The quantities of the statements on a grid, a range of n in [lo, hi] that
 # holds the grid of every statement reading it; entry i is at n = grid[i].
 # A column key is (kind, *args), and builder(grid, ctx, *args) computes it;
 # run_suite builds each key at its first reader and drops it after its last.
 _COLUMNS: dict[str, Callable] = {
-    "n": lambda grid, ctx: _arange(grid),
     "member": lambda grid, ctx: _window_bits(ctx.inv_theta, grid),
     "seventh": lambda grid, ctx: _window_bits(ctx.inv_theta7, grid),
-    # the root of n // divisor where that is a perfect square, else -1
-    "roots": lambda grid, ctx, divisor: quadarith._exact_sqrt(_arange(grid, divisor)),
+    "roots": _roots,
     # count_square_tuples(scale * n, form) on n = residue mod modulus
     "class_tuples": lambda grid, ctx, form, scale, modulus, residue: _class_entries(
         grid, modulus, quadarith.tuple_class_table, form, scale, modulus, residue),
     "primitive_r3": _primitive_r3,
     # on odd n
-    "factors": lambda grid, ctx: quadarith.factor_columns(grid.start, grid[-1])[
-        :: grid.step // 2],
-    # class_number(-scale * n) on n = residue mod 8
-    "class_numbers": lambda grid, ctx, scale, residue: quadarith.class_numbers(
-        scale, residue, grid.start, grid[-1])[:: grid.step // 8],
+    "factors": lambda grid, ctx: quadarith.factor_columns(grid),
+    # class_number(-scale * n)
+    "class_numbers": lambda grid, ctx, scale: quadarith.class_numbers(scale, grid),
 }
 
 
@@ -216,8 +215,9 @@ def _check_parity(form: tuple[int, ...], n: int, ctx: SeriesContext) -> Verdict:
                     **{"count_" + "_".join(map(str, form)): count})
 
 
-def _batch_parity(member, count):
-    return member == (count % 2 == 1), False
+def _batch_residue(modulus: int, residue: int, member, count):
+    # membership matches a count being residue mod modulus
+    return member == (count % modulus == residue), False
 
 
 def _check_l2_1_identity(n: int, ctx: SeriesContext) -> Verdict:
@@ -326,18 +326,10 @@ def _check_l3_7_identity(n: int, ctx: SeriesContext) -> Verdict:
     return _verdict(r3 == 6 * t, r3=r3, count_1_2_4=t)
 
 
-def _batch_l3_7_identity(r3, t):
-    return r3 == 6 * t, False
-
-
 def _check_t3_8(n: int, ctx: SeriesContext) -> Verdict:
     member = ctx.member(n)
     r3 = quadarith.count_square_tuples(2 * n, (1, 1, 1))
     return _verdict(member == (r3 % 4 == 2), member=member, r3=r3)
-
-
-def _batch_t3_8(member, r3):
-    return member == (r3 % 4 == 2), False
 
 
 def _check_c3_10(n: int, ctx: SeriesContext) -> Verdict:
@@ -360,8 +352,9 @@ def _check_gauss(scale: int, disc: int, multiple: int, n: int,
     return _verdict(signed == multiple * h, signed_primitive=signed, class_number=h)
 
 
-def _batch_gauss(multiple: int, signed, h):
-    return signed == multiple * h, False
+def _batch_multiple(multiple: int, count, other):
+    # one count is a fixed multiple of another
+    return count == multiple * other, False
 
 
 @dataclass(frozen=True)
@@ -383,12 +376,14 @@ _REGISTRY: dict[StatementId, _Statement] = {
         "even n is in B iff n/2 is a perfect square",
     ),
     StatementId.T1_2: _Statement(
-        4, 1, functools.partial(_check_parity, (1, 4)), _batch_parity,
+        4, 1, functools.partial(_check_parity, (1, 4)),
+        functools.partial(_batch_residue, 2, 1),
         (("member",), ("class_tuples", (1, 4), 1, 2, 1)),
         "n = 1 mod 4: membership matches the parity of the (1,4) square-tuple count",
     ),
     StatementId.T1_4: _Statement(
-        8, 3, functools.partial(_check_parity, (1, 2, 8)), _batch_parity,
+        8, 3, functools.partial(_check_parity, (1, 2, 8)),
+        functools.partial(_batch_residue, 2, 1),
         (("member",), ("class_tuples", (1, 2, 8), 1, 8, 3)),
         "n = 3 mod 8: membership matches the parity of the (1,2,8) square-tuple count",
     ),
@@ -431,17 +426,19 @@ _REGISTRY: dict[StatementId, _Statement] = {
         "n = 1 mod 16: the 1/g^7 coefficient is 1 iff n is a perfect square",
     ),
     StatementId.T3_6: _Statement(
-        16, 7, functools.partial(_check_parity, (1, 2, 4)), _batch_parity,
+        16, 7, functools.partial(_check_parity, (1, 2, 4)),
+        functools.partial(_batch_residue, 2, 1),
         (("member",), ("class_tuples", (1, 2, 4), 1, 8, 7)),
         "n = 7 mod 16: membership matches the parity of the (1,2,4) square-tuple count",
     ),
     StatementId.L3_7_IDENTITY: _Statement(
-        8, 7, _check_l3_7_identity, _batch_l3_7_identity,
+        8, 7, _check_l3_7_identity, functools.partial(_batch_multiple, 6),
         (("class_tuples", (1, 1, 1), 2, 8, 7), ("class_tuples", (1, 2, 4), 1, 8, 7)),
         "n = 7 mod 8: the (1,1,1) count at 2n equals six times the (1,2,4) count at n",
     ),
     StatementId.T3_8: _Statement(
-        16, 7, _check_t3_8, _batch_t3_8, (("member",), ("class_tuples", (1, 1, 1), 2, 8, 7)),
+        16, 7, _check_t3_8, functools.partial(_batch_residue, 4, 2),
+        (("member",), ("class_tuples", (1, 1, 1), 2, 8, 7)),
         "n = 7 mod 16: membership matches the (1,1,1) count at 2n being 2 mod 4",
     ),
     StatementId.L3_9: _Statement(
@@ -460,14 +457,14 @@ _REGISTRY: dict[StatementId, _Statement] = {
         "n = 7 mod 16 with >= 3 odd-exponent primes is not in B",
     ),
     StatementId.GAUSS_24H: _Statement(
-        8, 3, functools.partial(_check_gauss, 1, 1, 24), functools.partial(_batch_gauss, 24),
-        (("primitive_r3", 1, 3), ("class_numbers", 1, 3)),
+        8, 3, functools.partial(_check_gauss, 1, 1, 24), functools.partial(_batch_multiple, 24),
+        (("primitive_r3", 1, 3), ("class_numbers", 1)),
         "n = 3 mod 8, n > 3: primitive signed triple count equals 24 h(-n)",
         minimum=4,
     ),
     StatementId.GAUSS_12H: _Statement(
-        8, 7, functools.partial(_check_gauss, 2, 8, 12), functools.partial(_batch_gauss, 12),
-        (("primitive_r3", 2, 7), ("class_numbers", 8, 7)),
+        8, 7, functools.partial(_check_gauss, 2, 8, 12), functools.partial(_batch_multiple, 12),
+        (("primitive_r3", 2, 7), ("class_numbers", 8)),
         "n = 7 mod 8: primitive signed triple count at 2n equals 12 h(-8n)",
     ),
 }

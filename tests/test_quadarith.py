@@ -9,6 +9,7 @@ Jacobi symbol.
 """
 
 import functools
+import itertools
 import math
 import random
 import tracemalloc
@@ -185,13 +186,17 @@ def test_table_peaks_per_entry():
 
 
 def test_roots_and_factor_columns_peaks_per_entry():
-    # the root pass overwrites its input a block at a time, and the factor
-    # sieve holds its 8-byte remainders, the 10-byte output and slices of a
-    # third of it, so neither holds a full-length temporary besides those
-    values = np.arange(1 << 21, dtype=np.int64)
-    assert traced_peak(lambda: qa._exact_sqrt(values)) <= 0.25 * values.nbytes
+    # the roots column places the roots of the squares into its output, and
+    # the factor sieve holds its 8-byte remainders, the 10-byte output and
+    # slices of a third of it, so neither holds a full-length temporary
+    # besides those
+    from thetaparity import theorems as th
+
+    grid = range(1 << 21)
+    peak = traced_peak(lambda: th._COLUMNS["roots"](grid, None, 1))
+    assert peak <= 1.1 * 8 * len(grid)
     hi = 2 * 10**6
-    assert traced_peak(lambda: qa.factor_columns(0, hi)) <= 21 * (hi // 2)
+    assert traced_peak(lambda: qa.factor_columns(range(1, hi + 1, 2))) <= 21 * (hi // 2)
 
 
 EVEN_R3_LENGTHS = (0, 1, 2, 7, 64, 1500)
@@ -289,44 +294,60 @@ def test_even_primitive_signed_r3_table_matches_per_query():
 
 
 def test_factor_columns_match_factorize():
-    # windows from 0, far from 0 (3*5*...*23 = 111546435 has eight distinct
-    # primes), with odd and even ends; one entry per odd n
+    # grids of every odd class at steps 2, 4, 8 and 16, in windows from 0,
+    # far from 0 (3*5*...*23 = 111546435 has eight distinct primes), with
+    # odd and even ends; one entry per n of the grid
     primorial = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
-    for lo, hi in ((0, 3000), (0, 0), (1, 1), (777, 1500), (2**16 - 5, 2**16 + 40),
-                   (primorial - 600, primorial + 601)):
-        cols = qa.factor_columns(lo, hi)
-        assert cols.distinct_primes.dtype == cols.odd_exponent_primes.dtype == np.int8
-        odd_n = range(lo | 1, hi + 1, 2)
-        assert len(cols.distinct_primes) == len(odd_n)
-        for i, n in enumerate(odd_n):
-            pairs = qa.factorize(n).pairs
-            assert cols.distinct_primes[i] == len(pairs), n
-            assert cols.odd_exponent_primes[i] == sum(c % 2 for _, c in pairs), n
+    windows = ((0, 3000), (1, 1), (777, 1500), (2**16 - 5, 2**16 + 40),
+               (primorial - 600, primorial + 601))
+    for step in (2, 4, 8, 16):
+        for residue, (lo, hi) in itertools.product(range(1, step, 2), windows):
+            grid = range(lo + (residue - lo) % step, hi + 1, step)
+            if not grid:
+                continue
+            cols = qa.factor_columns(grid)
+            assert cols.distinct_primes.dtype == cols.odd_exponent_primes.dtype == np.int8
+            assert len(cols.distinct_primes) == len(grid)
+            for i, n in enumerate(grid):
+                pairs = qa.factorize(n).pairs
+                assert cols.distinct_primes[i] == len(pairs), n
+                assert cols.odd_exponent_primes[i] == sum(c % 2 for _, c in pairs), n
+                for kind in IdealCountKind:
+                    assert cols.ideal_counts[kind].dtype == np.int32
+                    assert cols.ideal_counts[kind][i] == qa.ideal_count(n, kind), (n, kind)
+            # indexing slices every field alike
+            part = cols[1::3]
+            assert (part.odd_exponent_primes == cols.odd_exponent_primes[1::3]).all()
             for kind in IdealCountKind:
-                assert cols.ideal_counts[kind].dtype == np.int32
-                assert cols.ideal_counts[kind][i] == qa.ideal_count(n, kind), (n, kind)
-        # indexing slices every field alike
-        part = cols[1::3]
-        assert (part.odd_exponent_primes == cols.odd_exponent_primes[1::3]).all()
-        for kind in IdealCountKind:
-            assert (part.ideal_counts[kind] == cols.ideal_counts[kind][1::3]).all()
-    assert qa.factor_columns(primorial, primorial).distinct_primes[0] == 8
-    with pytest.raises(ValueError):
-        qa.factor_columns(5, 4)
+                assert (part.ideal_counts[kind] == cols.ideal_counts[kind][1::3]).all()
+    assert qa.factor_columns(range(primorial, primorial + 1, 8)).distinct_primes[0] == 8
+    # an even start, a step that is not a power of two, a negative start,
+    # a step of 1 and an empty grid
+    for bad in (range(4, 100, 8), range(3, 100, 3), range(-5, 100, 8), range(1, 100),
+                range(5, 5, 2)):
+        with pytest.raises(ValueError):
+            qa.factor_columns(bad)
 
 
 def test_class_numbers_match_class_number():
-    # every discriminant the suite asks for up to hi = 2000, and windows, the
-    # last at the top of a 10^6 run, where each n sums many leading a
-    for scale, residue in ((1, 3), (8, 7)):
-        for lo, hi in ((0, 2000), (0, 0), (3, 3), (1001, 1700), (5, 9), (8, 14),
+    # every discriminant the suite asks for up to hi = 2000, on grids of
+    # step 8 and 16, and windows, the last at the top of a 10^6 run, where
+    # each n sums many leading a
+    for scale, residue, step in ((1, 3, 8), (8, 7, 8), (1, 3, 16), (1, 11, 16),
+                                 (8, 7, 16), (8, 15, 16)):
+        for lo, hi in ((0, 2000), (3, 3), (1001, 1700), (5, 9), (8, 14), (8, 30),
                        (10**6 - 64, 10**6)):
-            h = qa.class_numbers(scale, residue, lo, hi)
-            ns = [n for n in range(lo, hi + 1) if n % 8 == residue]
-            assert h.tolist() == [qa.class_number(-scale * n) for n in ns], (scale, lo, hi)
-    for bad in ((1, 1, 0, 10), (8, 7, 10, 9), (0, 3, 0, 10), (1, 3, -1, 10)):
+            grid = range(lo + (residue - lo) % step, hi + 1, step)
+            if grid:
+                h = qa.class_numbers(scale, grid)
+                assert h.tolist() == [qa.class_number(-scale * n) for n in grid], \
+                    (scale, grid)
+    # n = 1 mod 8 at scale 1 (-n = 3 mod 4), a grid with such an n, an empty
+    # grid, scale 0 and n <= 0
+    for scale, grid in ((1, range(1, 100, 8)), (1, range(3, 100, 2)), (8, range(15, 15, 8)),
+                        (0, range(3, 100, 8)), (1, range(-5, 100, 8)), (8, range(0, 100, 8))):
         with pytest.raises(ValueError):
-            qa.class_numbers(*bad)
+            qa.class_numbers(scale, grid)
 
 
 def test_class_numbers_vs_sympy():
@@ -334,7 +355,7 @@ def test_class_numbers_vs_sympy():
     # Legendre symbols (k|n) over 0 < k < n/2, divided by 2 - (2|n)
     # (Dirichlet's class number formula); h[m] is at n = 8m + 3
     sympy = pytest.importorskip("sympy")
-    h = qa.class_numbers(1, 3, 0, 1000)
+    h = qa.class_numbers(1, range(3, 1001, 8))
     for n in sympy.primerange(5, 1001):
         if n % 8 == 3:
             s = sum(sympy.legendre_symbol(k, n) for k in range(1, (n + 1) // 2))

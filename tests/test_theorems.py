@@ -8,9 +8,12 @@ quietly passing.
 
 import dataclasses
 import inspect
+import itertools
+import math
 import random
 import weakref
 
+import numpy as np
 import pytest
 
 import thetaparity as tp
@@ -36,10 +39,10 @@ def test_registry_covers_every_statement():
         stmt = th._REGISTRY[sid]
         assert len(set(stmt.reads)) == len(stmt.reads)
         assert all(key[0] in th._COLUMNS for key in stmt.reads)
-        # a class column is read on its own class, mod 8 or its modulus
+        # a class table is read on its own class, mod 8 or its modulus
         for key in stmt.reads:
             modulus = key[-2] if key[0] == "class_tuples" else 8
-            if key[0] in ("class_tuples", "primitive_r3", "class_numbers"):
+            if key[0] in ("class_tuples", "primitive_r3"):
                 assert stmt.modulus % modulus == 0, (sid, key)
                 assert key[-1] == stmt.residue % modulus, (sid, key)
         assert len(inspect.signature(stmt.batch).parameters) == len(stmt.reads)
@@ -225,6 +228,7 @@ def test_run_suite_needs_scalar_agreement(ctx20k, monkeypatch):
     stmt = th._REGISTRY[StatementId.T1_1]
     monkeypatch.setitem(th._REGISTRY, StatementId.T1_1, dataclasses.replace(
         stmt, batch=lambda n: (n != 40, False), reads=(("n",),)))
+    monkeypatch.setitem(th._COLUMNS, "n", lambda grid, ctx: np.array(grid))
     with pytest.raises(AssertionError, match="n=40"):
         th.run_suite([StatementId.T1_1], 0, 100, ctx20k)
 
@@ -282,7 +286,7 @@ def test_run_suite_builds_each_column_on_its_readers_class(ctx20k, monkeypatch):
         ("class_tuples", (1, 1, 1), 1, 8, 3): 250, ("class_tuples", (1, 2, 8), 1, 8, 3): 250,
         ("class_tuples", (1, 2, 4), 1, 8, 7): 250, ("class_tuples", (1, 1, 1), 2, 8, 7): 250,
         ("primitive_r3", 1, 3): 250, ("primitive_r3", 2, 7): 250,
-        ("class_numbers", 1, 3): 249, ("class_numbers", 8, 7): 250}
+        ("class_numbers", 1): 249, ("class_numbers", 8): 250}
     # one n builds one entry of each column that a statement applying there reads
     rng = random.Random(5)
     for n in (16 * rng.randrange(1250) + r for r in range(16)):
@@ -291,6 +295,42 @@ def test_run_suite_builds_each_column_on_its_readers_class(ctx20k, monkeypatch):
         assert lengths == dict.fromkeys(
             {key for sid in th.ALL_STATEMENTS if th.applicable(sid, n)
              for key in th._REGISTRY[sid].reads}, 1), n
+
+
+def test_run_suite_builds_factors_on_the_statement_grid(ctx20k, monkeypatch):
+    # a statement on one class mod 8 or 16 run alone sieves only its own n
+    grids = []
+    factor_columns = qa.factor_columns
+
+    def recorded(grid):
+        grids.append(grid)
+        return factor_columns(grid)
+
+    monkeypatch.setattr(qa, "factor_columns", recorded)
+    for sid in (StatementId.T2_3, StatementId.T3_11):
+        n = _first_applicable(sid)
+        for lo, hi in ((0, 20000), (1001, 5000), (n, n)):
+            grids.clear()
+            th.run_suite([sid], lo, hi, ctx20k)
+            assert grids == [th._grid(sid, lo, hi)], (sid, lo, hi)
+
+
+def test_roots_column_matches_isqrt():
+    # k where n = divisor * k^2, else -1, on grids of steps 1, 2, 8 and 16
+    # from lo = 0 and from an odd lo, including single n
+    for step, divisor, lo in itertools.product((1, 2, 8, 16), (1, 2), (0, 977)):
+        for residue in range(step):
+            for hi in (lo, lo + 3000):
+                grid = range(lo + (residue - lo) % step, hi + 1, step)
+                if not grid:
+                    continue
+                got = th._COLUMNS["roots"](grid, None, divisor)
+                assert got.dtype == np.int64
+                want = []
+                for n in grid:
+                    k = math.isqrt(n // divisor)
+                    want.append(k if divisor * k * k == n else -1)
+                assert got.tolist() == want, (grid, divisor)
 
 
 def test_run_suite_alone_matches_the_suite(ctx20k):
