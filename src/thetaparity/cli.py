@@ -60,18 +60,14 @@ def _parse_count(text: str) -> int:
         raise argparse.ArgumentTypeError(f"bad count expression {text!r}") from exc
 
 
-def _positive_count(text: str) -> int:
-    value = _parse_count(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def _nonnegative_count(text: str) -> int:
-    value = _parse_count(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+def _count(floor: int):
+    """Parser of count expressions worth at least floor."""
+    def parse(text: str) -> int:
+        value = _parse_count(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be >= {floor}")
+        return value
+    return parse
 
 
 def _form(text: str) -> tuple[int, ...]:
@@ -215,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="build a bitmap and write it as .f2s")
     p_gen.add_argument("series", choices=_SERIES)
-    p_gen.add_argument("limit", type=_positive_count,
+    p_gen.add_argument("limit", type=_count(1),
                        help="coefficient count, e.g. 2^23+1")
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(run=_cmd_gen)
@@ -223,30 +219,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the statement suite over a range")
     p_ver.add_argument("statements", type=_statement_ids,
                        help="'all' or comma-separated ids like T1_1,L3_5")
-    p_ver.add_argument("lo", type=_nonnegative_count)
-    p_ver.add_argument("hi", type=_nonnegative_count)
+    p_ver.add_argument("lo", type=_count(0))
+    p_ver.add_argument("hi", type=_count(0))
     p_ver.add_argument("--inv-theta", required=True, help=".f2s bitmap of 1/g")
     p_ver.add_argument("--inv-theta7", help=".f2s bitmap of 1/g^7 (for L3_5)")
     p_ver.add_argument("--out", help="write the CSV report here instead of stdout")
     p_ver.set_defaults(run=_cmd_verify)
 
     p_cen = sub.add_parser("census", help="count members = 15 mod 16 per interval")
-    p_cen.add_argument("--x", type=_positive_count, required=True,
+    p_cen.add_argument("--x", type=_count(1), required=True,
                        help="interval width is 16*x")
-    p_cen.add_argument("--intervals", type=_nonnegative_count, required=True)
+    p_cen.add_argument("--intervals", type=_count(0), required=True)
     p_cen.add_argument("--bitmap", required=True)
     p_cen.add_argument("--out")
     p_cen.set_defaults(run=_cmd_census)
 
     p_alp = sub.add_parser("alpha", help="sweep the deviation alpha(x)")
-    p_alp.add_argument("--max-x", type=_positive_count, required=True)
-    p_alp.add_argument("--step", type=_positive_count, required=True)
+    p_alp.add_argument("--max-x", type=_count(1), required=True)
+    p_alp.add_argument("--step", type=_count(1), required=True)
     p_alp.add_argument("--bitmap", required=True)
     p_alp.add_argument("--out")
     p_alp.set_defaults(run=_cmd_alpha)
 
     p_rep = sub.add_parser("repcount", help="representation counts for one n")
-    p_rep.add_argument("--n", type=_nonnegative_count, required=True)
+    p_rep.add_argument("--n", type=_count(0), required=True)
     p_rep.add_argument("--form", type=_form, required=True,
                        help="comma-separated coefficients, e.g. 1,1,1")
     p_rep.add_argument("--signed", action="store_true",

@@ -9,21 +9,15 @@ arbitrary negative discriminants by reduced-form enumeration.
 
 Both per-query representation counts are sums over one enumerator of the
 nonnegative solutions, which walks the grid of leading coordinates in
-fixed-size blocks (memory O(sqrt n), n < 2^63). The batch functions compute
-the same quantities for every n of a residue class or a progression at
-once, and each is tested against its per-query oracle: square-tuple counts
-on one residue class, primitive triple counts by Mobius inversion of those,
-factor counts and ideal counts from one sieve over exactly the n of a
-progression of odd n, and class numbers by one enumeration of reduced forms
-onto exactly the n of a progression.
-
-On the classes the statements read every solution has fixed parities, and
-an odd square is 8T + 1 with T triangular (Gauss), so the count at N =
-2m + 1 or 8m + r (or 2(8m + r)) is the coefficient of x^m in a product of
-two or three series. Two are placed exactly, in int64: each term of the
-sparser series shifts the other's terms, which land on distinct entries,
-into the table, O(m_max) with no transform. A third takes one real FFT of
-length at least 2 m_max + 1. Counting conventions are fixed once and never
+fixed-size blocks (memory O(sqrt n), n < 2^63). Each batch function takes
+the grid it fills, a progression of n, and is tested against its per-query
+oracle: square-tuple counts, and primitive triple counts by Mobius
+inversion of those, on the one residue class each table is built on (the
+odd n, 3 or 7 mod 8: Gauss's odd square 8T + 1 fixes every parity there,
+so a count is a coefficient of a product of two series placed exactly in
+int64 and at most one more by FFT); factor and ideal counts from one sieve
+over a progression of odd n; class numbers from one enumeration of reduced
+forms onto a progression. Counting conventions are fixed once and never
 converted implicitly:
 
 * `count_square_tuples(n, form)` counts ORDERED tuples (s_1, ..., s_k) of
@@ -207,60 +201,81 @@ def _fft_product(table: np.ndarray, exponents, n_max: int) -> np.ndarray:
     return _rounded(out)
 
 
-def tuple_class_table(form, scale: int, modulus: int, residue: int,
-                      m_max: int) -> np.ndarray:
-    """counts[m] = count_square_tuples(scale * (modulus * m + residue), form)
-    for m <= m_max, on the six classes the statements read.
+# (coefficients, scale) -> (modulus, residue): a class table counts at N =
+# scale * n for the n = residue mod modulus, the class its statements read
+_TABLE_CLASSES = {((1, 2), 1): (2, 1), ((1, 4), 1): (2, 1), ((1, 1, 1), 1): (8, 3),
+                  ((1, 2, 8), 1): (8, 3), ((1, 2, 4), 1): (8, 7), ((1, 1, 1), 2): (8, 7)}
 
-    On each, every solution has fixed parities and an odd square (2a + 1)^2
-    is 8 T_a + 1, T_a = a (a + 1) / 2 (Gauss), so the count is a multiple of
-    the coefficient of x^m in a product of two or three series. A third
+
+def _table_class(key: tuple, grid: range) -> tuple[int, int]:
+    # the table's (modulus, residue), once the grid is checked to lie in it
+    if key not in _TABLE_CLASSES:
+        raise ValueError(f"no class table for {key}, grid {grid}")
+    modulus, residue = _TABLE_CLASSES[key]
+    if (not grid or min(grid.start, grid.step) < 0 or grid.start % modulus != residue
+            or grid.step % modulus):
+        raise ValueError(f"class table {key} is on n = {residue} mod {modulus}, not on {grid}")
+    return modulus, residue
+
+
+def _on_grid(counts: np.ndarray, grid: range, modulus: int) -> np.ndarray:
+    # a class table's entries on the grid; a part is copied, so the rest is freed
+    part = counts[grid.start // modulus :: grid.step // modulus]
+    return counts if part.size == counts.size else part.copy()
+
+
+def tuple_class_table(form, scale: int, grid: range) -> np.ndarray:
+    """counts[i] = count_square_tuples(scale * grid[i], form) on a grid of
+    the class of one of the six tables the statements read.
+
+    On each class every solution has fixed parities and an odd square (2a +
+    1)^2 is 8 T_a + 1, T_a = a (a + 1) / 2 (Gauss), so the count at n =
+    modulus * m + residue is a multiple of the coefficient of x^m in a
+    product of two or three series, built to the m of grid[-1]. A third
     takes one real FFT, which raises AssertionError when an entry lies 1/4
     or more from an integer. count_square_tuples is the exact oracle.
     """
-    if m_max < 0:
-        raise ValueError("m_max must be nonnegative")
+    key = (_coefficients(form), scale)
+    modulus, _ = _table_class(key, grid)
+    m_max = grid[-1] // modulus
     t = np.arange(math.isqrt(4 * m_max + 2) + 1, dtype=np.int64)
     t = t * (t + 1) // 2  # every T_a <= 2 m_max + 1
     squares = np.arange(math.isqrt(m_max) + 1, dtype=np.int64) ** 2
-    classes = {  # (multiple of a three-series product, the series)
+    products = {  # (multiple of a three-series product, the series)
         # an odd N = 2m + 1 has x odd: m = 4 T_a + y^2, or 4 T_a + 2 y^2
-        ((1, 2), 1, 2, 1): (1, 4 * t, squares),
-        ((1, 4), 1, 2, 1): (1, 4 * t, 2 * squares),
-        ((1, 1, 1), 1, 8, 3): (1, t, t, t),  # all odd: T_a + T_b + T_c = m
-        ((1, 2, 8), 1, 8, 3): (1, t, 2 * t, squares),
-        ((1, 2, 4), 1, 8, 7): (1, t, 2 * t, 4 * t),  # all odd
+        ((1, 2), 1): (1, 4 * t, squares),
+        ((1, 4), 1): (1, 4 * t, 2 * squares),
+        ((1, 1, 1), 1): (1, t, t, t),  # all odd: T_a + T_b + T_c = m
+        ((1, 2, 8), 1): (1, t, 2 * t, squares),
+        ((1, 2, 4), 1): (1, t, 2 * t, 4 * t),  # all odd
         # N = 16m + 14 has two odd terms and one 2 mod 4, in three places:
         # T_a + T_b + 4 T_c = 2m + 1, one of T_a, T_b even, in two orders
-        ((1, 1, 1), 2, 8, 7): (6, t[t % 2 == 0] // 2, t[t % 2 == 1] // 2, 2 * t),
+        ((1, 1, 1), 2): (6, t[t % 2 == 0] // 2, t[t % 2 == 1] // 2, 2 * t),
     }
-    key = (_coefficients(form), scale, modulus, residue)
-    if key not in classes:
-        raise ValueError(f"no class table for {key}")
-    multiple, *series = classes[key]
+    multiple, *series = products[key]
     first, second, *third = (s[s <= m_max] for s in series)
-    if not third:
-        return _exact_product(first, second, m_max)
-    return multiple * _fft_product(_exact_product(first, second, m_max), *third, m_max)
+    counts = (multiple * _fft_product(_exact_product(first, second, m_max), *third, m_max)
+              if third else _exact_product(first, second, m_max))
+    return _on_grid(counts, grid, modulus)
 
 
-def primitive_r3_class_table(scale: int, residue: int, m_max: int) -> np.ndarray:
-    """counts[m] = count_signed_representations(scale * (8m + residue),
-    (1, 1, 1), primitive=True) for m <= m_max, for scale 1 and residue 3 or
-    scale 2 and residue 7.
+def primitive_r3_class_table(scale: int, grid: range) -> np.ndarray:
+    """counts[i] = count_signed_representations(scale * grid[i], (1, 1, 1),
+    primitive=True) on a grid of the class of the (1, 1, 1) table at scale.
 
-    No term is zero there, so the signed count is 8 times tuple_class_table. As 4
-    does not divide N, a gcd d of a vector is odd, and d^2 = 1 mod 8 keeps
-    n / d^2 = 8m' + residue in the class, at m = d^2 m' + residue (d^2 -
-    1) / 8. Mobius inversion takes one prime p at a time: subtract the count
-    at n / p^2 (numpy reads the right side whole before it writes).
+    No term is zero there, so the signed count is 8 times tuple_class_table
+    on the whole class. As 4 does not divide N, a gcd d of a vector is odd,
+    and d^2 = 1 mod 8 keeps n / d^2 = 8m' + residue in the class, at m = d^2
+    m' + residue (d^2 - 1) / 8. Mobius inversion takes one prime p at a time:
+    subtract the count at n / p^2 (numpy reads the right side whole first).
     """
-    counts = 8 * tuple_class_table((1, 1, 1), scale, 8, residue, m_max)
+    modulus, residue = _table_class(((1, 1, 1), scale), grid)
+    counts = 8 * tuple_class_table((1, 1, 1), scale, range(residue, grid[-1] + 1, modulus))
     # p^2 divides an n of the class up to the top only if residue p^2 does
-    for p in filter(is_prime, range(3, math.isqrt(8 * m_max // residue + 1) + 1, 2)):
+    for p in filter(is_prime, range(3, math.isqrt(grid[-1] // residue) + 1, 2)):
         shift = residue * (p * p - 1) // 8
-        counts[shift :: p * p] -= counts[: (m_max - shift) // (p * p) + 1]
-    return counts
+        counts[shift :: p * p] -= counts[: (counts.size - 1 - shift) // (p * p) + 1]
+    return _on_grid(counts, grid, modulus)
 
 
 def jacobi(a: int, n: int) -> int:

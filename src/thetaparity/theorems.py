@@ -132,21 +132,11 @@ def _window_bits(series: BitSeries, grid: range) -> np.ndarray:
 _ZERO_COORDINATE = "unexpected zero coordinate in primitive triple, n={}"
 
 
-def _class_entries(grid: range, modulus: int, table: Callable, *args) -> np.ndarray:
-    # table(*args, m_max)[m] at n = modulus * m + residue, on a grid in that
-    # class; a part of the table is copied, so the rest is freed
-    counts = table(*args, grid[-1] // modulus)
-    part = counts[grid.start // modulus :: grid.step // modulus]
-    return counts if part.size == counts.size else part.copy()
-
-
-def _primitive_r3(grid: range, ctx: SeriesContext, scale: int,
-                  residue: int) -> np.ndarray:
+def _primitive_r3(grid: range, ctx: SeriesContext, scale: int) -> np.ndarray:
     """count_signed_representations(scale * n, (1, 1, 1), primitive=True)
-    on a grid of n = residue mod 8, checked: on those classes no sum of
-    three squares has a zero term, so each count is 8 sign patterns per
-    triple."""
-    signed = _class_entries(grid, 8, quadarith.primitive_r3_class_table, scale, residue)
+    on a grid of the primitive table's class, checked: there no sum of three
+    squares has a zero term, so each count is 8 sign patterns per triple."""
+    signed = quadarith.primitive_r3_class_table(scale, grid)
     odd = np.flatnonzero(signed % 8)
     if odd.size:
         raise AssertionError(_ZERO_COORDINATE.format(scale * grid[int(odd[0])]))
@@ -171,9 +161,8 @@ _COLUMNS: dict[str, Callable] = {
     "member": lambda grid, ctx: _window_bits(ctx.inv_theta, grid),
     "seventh": lambda grid, ctx: _window_bits(ctx.inv_theta7, grid),
     "roots": _roots,
-    # count_square_tuples(scale * n, form) on n = residue mod modulus
-    "class_tuples": lambda grid, ctx, form, scale, modulus, residue: _class_entries(
-        grid, modulus, quadarith.tuple_class_table, form, scale, modulus, residue),
+    # count_square_tuples(scale * n, form) on the class of its table
+    "class_tuples": lambda grid, ctx, *key: quadarith.tuple_class_table(*key, grid),
     "primitive_r3": _primitive_r3,
     # on odd n
     "factors": lambda grid, ctx: quadarith.factor_columns(grid),
@@ -378,29 +367,29 @@ _REGISTRY: dict[StatementId, _Statement] = {
     StatementId.T1_2: _Statement(
         4, 1, functools.partial(_check_parity, (1, 4)),
         functools.partial(_batch_residue, 2, 1),
-        (("member",), ("class_tuples", (1, 4), 1, 2, 1)),
+        (("member",), ("class_tuples", (1, 4), 1)),
         "n = 1 mod 4: membership matches the parity of the (1,4) square-tuple count",
     ),
     StatementId.T1_4: _Statement(
         8, 3, functools.partial(_check_parity, (1, 2, 8)),
         functools.partial(_batch_residue, 2, 1),
-        (("member",), ("class_tuples", (1, 2, 8), 1, 8, 3)),
+        (("member",), ("class_tuples", (1, 2, 8), 1)),
         "n = 3 mod 8: membership matches the parity of the (1,2,8) square-tuple count",
     ),
     StatementId.L2_1_IDENTITY: _Statement(
         8, 3, _check_l2_1_identity, _batch_l2_1_identity,
-        (("class_tuples", (1, 1, 1), 1, 8, 3), ("class_tuples", (1, 2), 1, 2, 1),
-         ("class_tuples", (1, 2, 8), 1, 8, 3)),
+        (("class_tuples", (1, 1, 1), 1), ("class_tuples", (1, 2), 1),
+         ("class_tuples", (1, 2, 8), 1)),
         "n = 3 mod 8: (1,1,1) count plus (1,2) count equals twice the (1,2,8) count",
     ),
     StatementId.L2_1_SUFFICIENCY: _Statement(
         8, 3, _check_l2_1_sufficiency, _batch_l2_1_sufficiency,
-        (("class_tuples", (1, 1, 1), 1, 8, 3), ("class_tuples", (1, 2), 1, 2, 1), ("member",)),
+        (("class_tuples", (1, 1, 1), 1), ("class_tuples", (1, 2), 1), ("member",)),
         "n = 3 mod 8: if both counts are divisible by 4, n is not in B",
     ),
     StatementId.L2_2: _Statement(
         8, 3, functools.partial(_check_primitive_triples, 1), _batch_primitive_triples,
-        (("primitive_r3", 1, 3), ("factors",)),
+        (("primitive_r3", 1), ("factors",)),
         "n = 3 mod 8 with >= 3 distinct primes: primitive triple count is divisible by 4",
     ),
     StatementId.T2_3: _Statement(
@@ -415,8 +404,7 @@ _REGISTRY: dict[StatementId, _Statement] = {
     ),
     StatementId.L3_3: _Statement(
         2, 1, _check_l3_3, _batch_l3_3,
-        (("factors",), ("roots", 1), ("class_tuples", (1, 2), 1, 2, 1),
-         ("class_tuples", (1, 4), 1, 2, 1)),
+        (("factors",), ("roots", 1), ("class_tuples", (1, 2), 1), ("class_tuples", (1, 4), 1)),
         "odd n: ideal counts equal twice the (1,2) and (1,4) square-tuple counts, "
         "each less one when n is a square (V-side count read as the (1,4) form; "
         "as interpreted)",
@@ -428,27 +416,27 @@ _REGISTRY: dict[StatementId, _Statement] = {
     StatementId.T3_6: _Statement(
         16, 7, functools.partial(_check_parity, (1, 2, 4)),
         functools.partial(_batch_residue, 2, 1),
-        (("member",), ("class_tuples", (1, 2, 4), 1, 8, 7)),
+        (("member",), ("class_tuples", (1, 2, 4), 1)),
         "n = 7 mod 16: membership matches the parity of the (1,2,4) square-tuple count",
     ),
     StatementId.L3_7_IDENTITY: _Statement(
         8, 7, _check_l3_7_identity, functools.partial(_batch_multiple, 6),
-        (("class_tuples", (1, 1, 1), 2, 8, 7), ("class_tuples", (1, 2, 4), 1, 8, 7)),
+        (("class_tuples", (1, 1, 1), 2), ("class_tuples", (1, 2, 4), 1)),
         "n = 7 mod 8: the (1,1,1) count at 2n equals six times the (1,2,4) count at n",
     ),
     StatementId.T3_8: _Statement(
         16, 7, _check_t3_8, functools.partial(_batch_residue, 4, 2),
-        (("member",), ("class_tuples", (1, 1, 1), 2, 8, 7)),
+        (("member",), ("class_tuples", (1, 1, 1), 2)),
         "n = 7 mod 16: membership matches the (1,1,1) count at 2n being 2 mod 4",
     ),
     StatementId.L3_9: _Statement(
         8, 7, functools.partial(_check_primitive_triples, 2), _batch_primitive_triples,
-        (("primitive_r3", 2, 7), ("factors",)),
+        (("primitive_r3", 2), ("factors",)),
         "n = 7 mod 8 with >= 3 distinct primes: primitive triple count at 2n is "
         "divisible by 4",
     ),
     StatementId.C3_10: _Statement(
-        8, 7, _check_c3_10, _batch_c3_10, (("class_tuples", (1, 1, 1), 2, 8, 7), ("factors",)),
+        8, 7, _check_c3_10, _batch_c3_10, (("class_tuples", (1, 1, 1), 2), ("factors",)),
         "n = 7 mod 8 with >= 3 odd-exponent primes: (1,1,1) count at 2n is divisible by 4",
     ),
     StatementId.T3_11: _Statement(
@@ -458,13 +446,13 @@ _REGISTRY: dict[StatementId, _Statement] = {
     ),
     StatementId.GAUSS_24H: _Statement(
         8, 3, functools.partial(_check_gauss, 1, 1, 24), functools.partial(_batch_multiple, 24),
-        (("primitive_r3", 1, 3), ("class_numbers", 1)),
+        (("primitive_r3", 1), ("class_numbers", 1)),
         "n = 3 mod 8, n > 3: primitive signed triple count equals 24 h(-n)",
         minimum=4,
     ),
     StatementId.GAUSS_12H: _Statement(
         8, 7, functools.partial(_check_gauss, 2, 8, 12), functools.partial(_batch_multiple, 12),
-        (("primitive_r3", 2, 7), ("class_numbers", 8)),
+        (("primitive_r3", 2), ("class_numbers", 8)),
         "n = 7 mod 8: primitive signed triple count at 2n equals 12 h(-8n)",
     ),
 }

@@ -448,6 +448,20 @@ def test_negative_counts_are_usage_errors(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["gen", "inv-theta", "0", "--out", "b.f2s"],
+    ["census", "--x", "0", "--intervals", "1", "--bitmap", "b.f2s"],
+    ["alpha", "--max-x", "4", "--step", "0", "--bitmap", "b.f2s"],
+    ["alpha", "--max-x", "-4", "--step", "1", "--bitmap", "b.f2s"],
+])
+def test_zero_counts_are_usage_errors(argv, capsys):
+    # sizes and steps count from 1, and each count names its own floor
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
     ["census", "--x=-2^2", "--intervals", "3"],
     ["census", "--x", "4", "--intervals=-3*-1"],
     ["repcount", "--n=-2^2", "--form", "1,1"],

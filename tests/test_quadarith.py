@@ -107,10 +107,18 @@ def tuple_bincount(coeffs, n_max):
     return np.bincount(sums[sums <= n_max], minlength=n_max + 1)
 
 
-# (form, scale, modulus, residue) of each class table: N = scale * (modulus
-# * m + residue); the two-variable forms on the odd N, three on classes mod 8
+# (form, scale, modulus, residue) of each class table: its counts are at N =
+# scale * n for the n = residue mod modulus; the two-variable forms on the
+# odd n, three on classes mod 8
 CLASSES = [((1, 2), 1, 2, 1), ((1, 4), 1, 2, 1), ((1, 1, 1), 1, 8, 3),
            ((1, 2, 8), 1, 8, 3), ((1, 2, 4), 1, 8, 7), ((1, 1, 1), 2, 8, 7)]
+# (scale, modulus, residue) of each primitive r3 table
+PRIMITIVE = [(1, 8, 3), (2, 8, 7)]
+
+
+def class_grid(modulus, residue, m_max):
+    # the whole class up to n = modulus * m_max + residue, the table's m_max
+    return range(residue, modulus * m_max + residue + 1, modulus)
 
 
 def test_class_tables_match_tuple_bincount():
@@ -120,11 +128,11 @@ def test_class_tables_match_tuple_bincount():
         for m_max in (0, 1, 2, 7, 64, 1000):
             top = scale * (modulus * m_max + residue)
             want = tuple_bincount(form, top)[scale * residue :: scale * modulus]
-            table = qa.tuple_class_table(form, scale, modulus, residue, m_max)
+            table = qa.tuple_class_table(form, scale, class_grid(modulus, residue, m_max))
             assert table.dtype == np.int64 and table.shape == (m_max + 1,)
             assert (table == want).all(), (form, scale, modulus, m_max)
-        assert (qa.tuple_class_table(DiagonalForm(form), scale, modulus, residue, 64)
-                == table[:65]).all()
+        assert (qa.tuple_class_table(DiagonalForm(form), scale,
+                                     class_grid(modulus, residue, 64)) == table[:65]).all()
 
 
 def test_class_tables_match_per_query():
@@ -132,7 +140,7 @@ def test_class_tables_match_per_query():
     # no term can be zero; m_max = 0 holds only the first member, N = 1, 3,
     # 7 or 14
     for form, scale, modulus, residue in CLASSES:
-        table = qa.tuple_class_table(form, scale, modulus, residue, 300)
+        table = qa.tuple_class_table(form, scale, class_grid(modulus, residue, 300))
         assert table.dtype == np.int64 and table.shape == (301,)
         for m in range(301):
             n = scale * (modulus * m + residue)
@@ -140,8 +148,76 @@ def test_class_tables_match_per_query():
             if form in ((1, 1, 1), (1, 2, 4)):
                 assert 8 * table[m] == qa.count_signed_representations(n, form), n
         for m_max in (0, 1, 2, 7):
-            assert (qa.tuple_class_table(form, scale, modulus, residue, m_max)
+            assert (qa.tuple_class_table(form, scale, class_grid(modulus, residue, m_max))
                     == table[: m_max + 1]).all()
+
+
+def class_sub_grids(modulus, residue, lo, hi):
+    # the grids of a class in [lo, hi] at steps of one, two and four times
+    # its modulus, each sub-class of them, and each n alone
+    first = lo + (residue - lo) % modulus
+    grids = [range(first + k * modulus, hi + 1, step * modulus)
+             for step in (1, 2, 4) for k in range(step)]
+    grids += [range(n, n + 1, modulus) for n in range(first, hi + 1, modulus)]
+    return [grid for grid in grids if grid]
+
+
+def test_class_tables_match_per_query_on_every_grid():
+    # a table takes the grid it fills: from 0 and from lo = 1000, at steps
+    # of 1, 2 and 4 times its modulus in every sub-class, and single n
+    for lo, hi in ((0, 300), (1000, 1300)):
+        for form, scale, modulus, residue in CLASSES:
+            want = {n: qa.count_square_tuples(scale * n, form)
+                    for n in range(lo + (residue - lo) % modulus, hi + 1, modulus)}
+            for grid in class_sub_grids(modulus, residue, lo, hi):
+                got = qa.tuple_class_table(form, scale, grid)
+                assert got.dtype == np.int64
+                assert got.tolist() == [want[n] for n in grid], (form, scale, grid)
+        for scale, modulus, residue in PRIMITIVE:
+            want = {n: qa.count_signed_representations(scale * n, (1, 1, 1), primitive=True)
+                    for n in range(lo + (residue - lo) % modulus, hi + 1, modulus)}
+            for grid in class_sub_grids(modulus, residue, lo, hi):
+                got = qa.primitive_r3_class_table(scale, grid)
+                assert got.tolist() == [want[n] for n in grid], (scale, grid)
+
+
+def test_class_tables_copy_the_part_a_grid_reads():
+    # a grid that reads part of a table gets its own array, so the rest of
+    # the table is freed; a grid of the whole class gets the table itself
+    def parts(modulus, residue):
+        top = 4000 - (4000 - residue) % modulus
+        return (range(residue + modulus, top + 1, modulus),
+                range(residue, top + 1, 2 * modulus), range(top, top + 1, modulus))
+
+    for form, scale, modulus, residue in CLASSES:
+        whole = qa.tuple_class_table(form, scale, class_grid(modulus, residue, 10))
+        assert whole.base is None and whole.shape == (11,)
+        for grid in parts(modulus, residue):
+            got = qa.tuple_class_table(form, scale, grid)
+            assert got.base is None and got.shape == (len(grid),), (form, scale, grid)
+    for scale, modulus, residue in PRIMITIVE:
+        for grid in parts(modulus, residue):
+            got = qa.primitive_r3_class_table(scale, grid)
+            assert got.base is None and got.shape == (len(grid),), (scale, grid)
+
+
+def test_class_tables_name_the_key_and_grid_they_refuse():
+    # a (form, scale) with no table, a grid off the class, at a step that
+    # is not a multiple of the modulus or running down, or empty, and the
+    # primitive table at scale 3
+    refused = [(((1, 1, 1), 3), range(3, 100, 8)), (((1, 2), 2), range(1, 100, 2)),
+               (((1, 1, 1), 1), range(7, 100, 8)), (((1, 2), 1), range(2, 100, 2)),
+               (((1, 1, 1), 1), range(3, 100, 4)), (((1, 2, 4), 1), range(7, 100, 12)),
+               (((1, 1, 1), 1), range(3, 3, 8)), (((1, 4), 1), range(1, 0, 2)),
+               (((1, 1, 1), 2), range(-1, 100, 8)), (((1, 2, 8), 1), range(99, 2, -8))]
+    for key, grid in refused:
+        with pytest.raises(ValueError) as exc:
+            qa.tuple_class_table(*key, grid)
+        assert str(key) in str(exc.value) and str(grid) in str(exc.value), exc.value
+    for scale, grid in ((3, range(3, 100, 8)), (1, range(7, 100, 8)), (2, range(7, 7, 8))):
+        with pytest.raises(ValueError) as exc:
+            qa.primitive_r3_class_table(scale, grid)
+        assert str(((1, 1, 1), scale)) in str(exc.value) and str(grid) in str(exc.value)
 
 
 def test_tables_take_one_transform_at_twice_the_length(fft_calls):
@@ -150,13 +226,13 @@ def test_tables_take_one_transform_at_twice_the_length(fft_calls):
     # takes it at 2 m_max
     m_max = 1000
     one_irfft = [("irfft", qa._fft_size(2 * m_max + 1))]
-    for key in CLASSES:
+    for form, scale, modulus, residue in CLASSES:
         del fft_calls[:]
-        qa.tuple_class_table(*key, m_max)
-        if len(key[0]) < 3:
-            assert fft_calls == [], key
+        qa.tuple_class_table(form, scale, class_grid(modulus, residue, m_max))
+        if len(form) < 3:
+            assert fft_calls == [], form
         else:
-            assert [call for call in fft_calls if call[0] == "irfft"] == one_irfft, key
+            assert [call for call in fft_calls if call[0] == "irfft"] == one_irfft, form
 
 
 def traced_peak(build):
@@ -175,14 +251,16 @@ def test_table_peaks_per_entry():
     # table's spectrum, the third series and its spectrum, then the inverse
     # transform
     m_max = 10**5
-    for key in CLASSES:
-        build = functools.partial(qa.tuple_class_table, *key, m_max)
+    for form, scale, modulus, residue in CLASSES:
+        build = functools.partial(qa.tuple_class_table, form, scale,
+                                  class_grid(modulus, residue, m_max))
         peak = traced_peak(build)
-        bound = 1.1 * 8 * (m_max + 1) if len(key[0]) < 3 else 80 * (m_max + 1)
-        assert peak <= bound, (key, peak / (m_max + 1))
-    for key in ((1, 3), (2, 7)):
-        peak = traced_peak(functools.partial(qa.primitive_r3_class_table, *key, m_max))
-        assert peak <= 80 * (m_max + 1), (key, peak / (m_max + 1))
+        bound = 1.1 * 8 * (m_max + 1) if len(form) < 3 else 80 * (m_max + 1)
+        assert peak <= bound, (form, scale, peak / (m_max + 1))
+    for scale, modulus, residue in PRIMITIVE:
+        peak = traced_peak(functools.partial(qa.primitive_r3_class_table, scale,
+                                             class_grid(modulus, residue, m_max)))
+        assert peak <= 80 * (m_max + 1), (scale, peak / (m_max + 1))
 
 
 def test_roots_and_factor_columns_peaks_per_entry():
@@ -208,7 +286,7 @@ def test_even_r3_table_matches_oracles():
     top = max(EVEN_R3_LENGTHS)
     tuples = tuple_bincount((1, 1, 1), 16 * top + 14)[14::16]
     for m_max in EVEN_R3_LENGTHS:
-        table = qa.tuple_class_table((1, 1, 1), 2, 8, 7, m_max)
+        table = qa.tuple_class_table((1, 1, 1), 2, class_grid(8, 7, m_max))
         assert table.dtype == np.int64 and table.shape == (m_max + 1,)
         assert (table == tuples[: m_max + 1]).all(), m_max
 
@@ -216,23 +294,30 @@ def test_even_r3_table_matches_oracles():
 def test_table_scales_other_than_even_r3_are_refused():
     # class tables exist for the six classes the statements read only, each
     # on the coarsest class of its readers: (1,2) is read on 3 mod 8 and on
-    # the odd n, so its table is on the odd n alone; tables take no sign
-    for key in (((1, 1, 1), 3, 8, 3), ((1, 2, 4), 2, 8, 7), ((1, 2), 1, 8, 3),
-                ((1, 4), 1, 4, 1), ((1, 2), 1, 2, 0), ((1, 1, 1), 1, 2, 1),
-                ((1, 1, 1), 1, 8, 7), ((1, 1, 1), 2, 8, 3), ((1, 2, 8), 1, 8, 7)):
+    # the odd n, so its table is on the odd n alone, and a grid at 3 mod 8
+    # (or 1 mod 4 for (1,4)) reads that table; tables take no sign
+    for form, scale, modulus, residue in (
+            ((1, 1, 1), 3, 8, 3), ((1, 2, 4), 2, 8, 7), ((1, 2), 1, 2, 0),
+            ((1, 1, 1), 1, 2, 1), ((1, 1, 1), 1, 8, 7), ((1, 1, 1), 2, 8, 3),
+            ((1, 2, 8), 1, 8, 7)):
         with pytest.raises(ValueError, match="class table"):
-            qa.tuple_class_table(*key, 10)
+            qa.tuple_class_table(form, scale, class_grid(modulus, residue, 10))
+    for form, modulus, residue in (((1, 2), 8, 3), ((1, 4), 4, 1)):
+        grid = class_grid(modulus, residue, 10)
+        assert qa.tuple_class_table(form, 1, grid).tolist() == [
+            qa.count_square_tuples(n, form) for n in grid]
     for scale, residue in ((1, 7), (2, 3), (3, 3), (1, 0)):
         with pytest.raises(ValueError, match="class table"):
-            qa.primitive_r3_class_table(scale, residue, 10)
+            qa.primitive_r3_class_table(scale, class_grid(8, residue, 10))
     with pytest.raises(TypeError):
-        qa.tuple_class_table((1, 1, 1), 1, 8, 3, 10, True)
+        qa.tuple_class_table((1, 1, 1), 1, class_grid(8, 3, 10), True)
 
 
-def test_class_tables_reject_negative_length():
-    for key in CLASSES:
-        with pytest.raises(ValueError, match="nonnegative"):
-            qa.tuple_class_table(*key, -1)
+def test_class_tables_reject_empty_grid():
+    # the grid of m_max = -1 holds no n
+    for form, scale, modulus, residue in CLASSES:
+        with pytest.raises(ValueError, match="class table"):
+            qa.tuple_class_table(form, scale, class_grid(modulus, residue, -1))
 
 
 def test_even_r3_table_peak_is_below_the_full_table():
@@ -243,14 +328,15 @@ def test_even_r3_table_peak_is_below_the_full_table():
     squares = np.arange(math.isqrt(2 * hi) + 1, dtype=np.int64) ** 2
     full = traced_peak(lambda: qa._fft_product(
         qa._exact_product(squares, squares, 2 * hi), squares, 2 * hi))
-    part = traced_peak(lambda: qa.tuple_class_table((1, 1, 1), 2, 8, 7, (hi - 7) // 8))
+    part = traced_peak(lambda: qa.tuple_class_table((1, 1, 1), 2, range(7, hi + 1, 8)))
     assert part <= 0.1 * full, (part, full)
 
 
 def test_class_table_precision_check(monkeypatch):
     # an inverse transform that is off by 0.3 somewhere must not round
     # quietly; the exact two-variable tables take no transform
-    exact = {key: qa.tuple_class_table(*key, 100) for key in CLASSES if len(key[0]) < 3}
+    exact = {key: qa.tuple_class_table(key[0], key[1], class_grid(*key[2:], 100))
+             for key in CLASSES if len(key[0]) < 3}
     irfft = np.fft.irfft
 
     def perturbed(*args, **kwargs):
@@ -260,37 +346,42 @@ def test_class_table_precision_check(monkeypatch):
 
     monkeypatch.setattr(np.fft, "irfft", perturbed)
     for key in CLASSES:
+        build = functools.partial(qa.tuple_class_table, key[0], key[1],
+                                  class_grid(*key[2:], 100))
         if key in exact:
-            assert (qa.tuple_class_table(*key, 100) == exact[key]).all()
+            assert (build() == exact[key]).all()
             continue
         with pytest.raises(AssertionError, match="precision"):
-            qa.tuple_class_table(*key, 100)
-    for key in ((1, 3), (2, 7)):
+            build()
+    for scale, modulus, residue in PRIMITIVE:
         with pytest.raises(AssertionError, match="precision"):
-            qa.primitive_r3_class_table(*key, 100)
+            qa.primitive_r3_class_table(scale, class_grid(modulus, residue, 100))
     monkeypatch.setattr(np.fft, "irfft", irfft)
-    assert qa.tuple_class_table((1, 1, 1), 1, 8, 3, 100)[5] == 3  # 43 = 25 + 9 + 9, ordered
+    # 43 = 25 + 9 + 9, ordered
+    assert qa.tuple_class_table((1, 1, 1), 1, class_grid(8, 3, 100))[5] == 3
 
 
 def test_primitive_signed_r3_table_matches_per_query():
     # N = 8m + 3; Mobius terms of odd d land at m = d^2 m' + 3 (d^2 - 1) / 8
-    table = qa.primitive_r3_class_table(1, 3, 400)
+    table = qa.primitive_r3_class_table(1, class_grid(8, 3, 400))
     for m in range(401):
         assert table[m] == qa.count_signed_representations(
             8 * m + 3, (1, 1, 1), primitive=True), m
     for m_max in (0, 1, 2, 3, 7):
-        assert (qa.primitive_r3_class_table(1, 3, m_max) == table[: m_max + 1]).all()
+        assert (qa.primitive_r3_class_table(1, class_grid(8, 3, m_max))
+                == table[: m_max + 1]).all()
 
 
 def test_even_primitive_signed_r3_table_matches_per_query():
     # N = 2n with n = 8m + 7: 4 does not divide N, so every d is odd and
     # n / d^2 stays in the class (n = 7 * 9 = 63 is the first with d = 3)
-    table = qa.primitive_r3_class_table(2, 7, 200)
+    table = qa.primitive_r3_class_table(2, class_grid(8, 7, 200))
     for m in range(201):
         assert table[m] == qa.count_signed_representations(
             2 * (8 * m + 7), (1, 1, 1), primitive=True), m
     for m_max in (0, 1, 2, 7):
-        assert (qa.primitive_r3_class_table(2, 7, m_max) == table[: m_max + 1]).all()
+        assert (qa.primitive_r3_class_table(2, class_grid(8, 7, m_max))
+                == table[: m_max + 1]).all()
 
 
 def test_factor_columns_match_factorize():

@@ -39,12 +39,14 @@ def test_registry_covers_every_statement():
         stmt = th._REGISTRY[sid]
         assert len(set(stmt.reads)) == len(stmt.reads)
         assert all(key[0] in th._COLUMNS for key in stmt.reads)
-        # a class table is read on its own class, mod 8 or its modulus
+        # a class table is read on its own class, which quadarith alone
+        # records: a key names (form, scale) or scale, and the table takes
+        # the statement's grid
+        grid = th._grid(sid, 0, 200)
         for key in stmt.reads:
-            modulus = key[-2] if key[0] == "class_tuples" else 8
             if key[0] in ("class_tuples", "primitive_r3"):
-                assert stmt.modulus % modulus == 0, (sid, key)
-                assert key[-1] == stmt.residue % modulus, (sid, key)
+                assert len(key) == {"class_tuples": 3, "primitive_r3": 2}[key[0]], key
+                th._COLUMNS[key[0]](grid, None, *key[1:])
         assert len(inspect.signature(stmt.batch).parameters) == len(stmt.reads)
         assert th.requires_seventh(sid) == (sid is StatementId.L3_5)
 
@@ -281,11 +283,11 @@ def test_run_suite_builds_each_column_on_its_readers_class(ctx20k, monkeypatch):
     # class numbers start at n = 11
     assert lengths == {
         ("member",): 2001, ("roots", 2): 1001, ("roots", 1): 1000,
-        ("class_tuples", (1, 4), 1, 2, 1): 1000, ("class_tuples", (1, 2), 1, 2, 1): 1000,
+        ("class_tuples", (1, 4), 1): 1000, ("class_tuples", (1, 2), 1): 1000,
         ("factors",): 1000, ("seventh",): 125,
-        ("class_tuples", (1, 1, 1), 1, 8, 3): 250, ("class_tuples", (1, 2, 8), 1, 8, 3): 250,
-        ("class_tuples", (1, 2, 4), 1, 8, 7): 250, ("class_tuples", (1, 1, 1), 2, 8, 7): 250,
-        ("primitive_r3", 1, 3): 250, ("primitive_r3", 2, 7): 250,
+        ("class_tuples", (1, 1, 1), 1): 250, ("class_tuples", (1, 2, 8), 1): 250,
+        ("class_tuples", (1, 2, 4), 1): 250, ("class_tuples", (1, 1, 1), 2): 250,
+        ("primitive_r3", 1): 250, ("primitive_r3", 2): 250,
         ("class_numbers", 1): 249, ("class_numbers", 8): 250}
     # one n builds one entry of each column that a statement applying there reads
     rng = random.Random(5)
@@ -352,19 +354,20 @@ def test_run_suite_alone_matches_the_suite(ctx20k):
 def test_run_suite_builds_no_table_past_hi(ctx20k, monkeypatch):
     # the counts at 2n come from class tables at n, so no table, the
     # primitive r3 ones included, runs past hi, and every table, the
-    # two-variable ones included, stops at the last m of its class
+    # two-variable ones included, takes a grid that stops at the last n of
+    # its class
     calls = []
     for name in ("tuple_class_table", "primitive_r3_class_table"):
         def recorded(*args, _table=getattr(qa, name)):
-            calls.append(args)
+            calls.append((*args[:-1], args[-1][-1]))
             return _table(*args)
         monkeypatch.setattr(qa, name, recorded)
     th.run_suite(th.ALL_STATEMENTS, 0, 2000, ctx20k)
-    last_m = {((1, 2), 1, 2, 1): 999, ((1, 4), 1, 2, 1): 999,
-              ((1, 1, 1), 1, 8, 3): 249, ((1, 2, 8), 1, 8, 3): 249,
-              ((1, 2, 4), 1, 8, 7): 249, ((1, 1, 1), 2, 8, 7): 249,
-              (1, 3): 249, (2, 7): 249}
-    assert set(calls) == {(*key, m) for key, m in last_m.items()}, calls
+    last_n = {((1, 2), 1): 1999, ((1, 4), 1): 1999,
+              ((1, 1, 1), 1): 1995, ((1, 2, 8), 1): 1995,
+              ((1, 2, 4), 1): 1999, ((1, 1, 1), 2): 1999,
+              (1,): 1995, (2,): 1999}
+    assert set(calls) == {(*key, n) for key, n in last_n.items()}, calls
 
 
 def test_run_suite_transforms_at_most_twice_hi(ctx20k, fft_calls):
@@ -388,12 +391,11 @@ def test_class_columns_match_per_query():
             grids = [range(first + k * modulus, hi + 1, step * modulus)
                      for step in (1, 2, 4) for k in range(step)]
             for grid in filter(None, grids):
-                got = th._COLUMNS["class_tuples"](grid, None, form, scale, modulus,
-                                                  residue)
+                got = th._COLUMNS["class_tuples"](grid, None, form, scale)
                 assert got.tolist() == [qa.count_square_tuples(scale * n, form)
                                         for n in grid], (form, scale, grid)
                 if form == (1, 1, 1):  # the classes of the primitive r3 columns
-                    got = th._COLUMNS["primitive_r3"](grid, None, scale, residue)
+                    got = th._COLUMNS["primitive_r3"](grid, None, scale)
                     assert got.tolist() == [
                         qa.count_signed_representations(scale * n, (1, 1, 1), primitive=True)
                         for n in grid], (scale, grid)
@@ -403,15 +405,15 @@ def test_batch_primitive_triples_keep_the_sign_check(ctx20k, monkeypatch):
     # both paths insist that primitive triples have no zero coordinate
     table = qa.primitive_r3_class_table
     monkeypatch.setattr(qa, "primitive_r3_class_table",
-                        lambda scale, residue, m: table(scale, residue, m) + 4)
+                        lambda scale, grid: table(scale, grid) + 4)
     with pytest.raises(AssertionError, match="zero coordinate"):
         th.run_suite([StatementId.L2_2], 0, 400, ctx20k)
     # the column checks every n of its class, also where the statement
     # reading it is vacuous: N = 11 (m = 1) has one prime factor, and
     # GAUSS_24H decides n = 11 from the same column
-    def off_at_11(scale, residue, m):
-        counts = table(scale, residue, m)
-        counts[1] += 4
+    def off_at_11(scale, grid):
+        counts = table(scale, grid)
+        counts[grid.index(11)] += 4
         return counts
 
     monkeypatch.setattr(qa, "primitive_r3_class_table", off_at_11)
