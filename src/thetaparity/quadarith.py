@@ -16,9 +16,9 @@ inversion of those, on the one residue class each table is built on (the
 odd n, 3 or 7 mod 8: Gauss's odd square 8T + 1 fixes every parity there,
 so a count is a coefficient of a product of two series placed exactly in
 int64 and at most one more by FFT); factor and ideal counts from one sieve
-over a progression of odd n; class numbers from one enumeration of reduced
-forms onto a progression. Counting conventions are fixed once and never
-converted implicitly:
+over a progression of odd n; class numbers from reduced forms of every
+content and the same Mobius sum over odd f. Counting conventions are fixed
+once and never converted implicitly:
 
 * `count_square_tuples(n, form)` counts ORDERED tuples (s_1, ..., s_k) of
   nonnegative perfect-square values with sum a_i * s_i = n. Positions are
@@ -204,7 +204,8 @@ def _fft_product(table: np.ndarray, exponents, n_max: int) -> np.ndarray:
 # (coefficients, scale) -> (modulus, residue): a class table counts at N =
 # scale * n for the n = residue mod modulus, the class its statements read
 _TABLE_CLASSES = {((1, 2), 1): (2, 1), ((1, 4), 1): (2, 1), ((1, 1, 1), 1): (8, 3),
-                  ((1, 2, 8), 1): (8, 3), ((1, 2, 4), 1): (8, 7), ((1, 1, 1), 2): (8, 7)}
+                  ((1, 2, 8), 1): (8, 3), ((1, 2, 4), 1): (8, 7), ((1, 1, 1), 2): (8, 7),
+                  ("class_numbers", 1): (8, 3), ("class_numbers", 8): (8, 7)}  # h(-N)
 
 
 def _table_class(key: tuple, grid: range) -> tuple[int, int]:
@@ -213,14 +214,32 @@ def _table_class(key: tuple, grid: range) -> tuple[int, int]:
         raise ValueError(f"no class table for {key}, grid {grid}")
     modulus, residue = _TABLE_CLASSES[key]
     if (not grid or min(grid.start, grid.step) < 0 or grid.start % modulus != residue
-            or grid.step % modulus):
-        raise ValueError(f"class table {key} is on n = {residue} mod {modulus}, not on {grid}")
+            or grid.step % modulus or grid.step & (grid.step - 1)):
+        raise ValueError(f"class table {key} is on n = {residue} mod {modulus} at "
+                         f"power-of-two steps, not on {grid}")
     return modulus, residue
 
 
+def _primitive(counts, grid: range) -> np.ndarray:
+    # the sum over odd squarefree f of mu(f) counts(n / f^2) at the n of the
+    # grid that f^2 divides, every f^2-th from index -start / step mod f^2 (a
+    # power-of-two step); counts(grid) comes last, as it may be their table
+    terms = []
+    for f in range(3, math.isqrt(grid[-1]) + 1, 2):
+        q, pairs = f * f, factorize(f).pairs
+        i = -grid.start * pow(grid.step, -1, q) % q
+        if i < len(grid) and all(c == 1 for _, c in pairs):
+            sub = range(grid[i] // q, grid[-1] // q + 1, grid.step)
+            terms.append((i, q, (-1) ** len(pairs) * counts(sub)))
+    total = counts(grid)
+    for i, q, term in terms:
+        total[i::q] += term
+    return total
+
+
 def _on_grid(counts: np.ndarray, grid: range, modulus: int) -> np.ndarray:
-    # a class table's entries on the grid; a part is copied, so the rest is freed
-    part = counts[grid.start // modulus :: grid.step // modulus]
+    # a class table's entries on a grid of its class; a part is copied
+    part = counts[grid.start // modulus :: grid.step // modulus][: len(grid)]
     return counts if part.size == counts.size else part.copy()
 
 
@@ -264,18 +283,13 @@ def primitive_r3_class_table(scale: int, grid: range) -> np.ndarray:
     primitive=True) on a grid of the class of the (1, 1, 1) table at scale.
 
     No term is zero there, so the signed count is 8 times tuple_class_table
-    on the whole class. As 4 does not divide N, a gcd d of a vector is odd,
-    and d^2 = 1 mod 8 keeps n / d^2 = 8m' + residue in the class, at m = d^2
-    m' + residue (d^2 - 1) / 8. Mobius inversion takes one prime p at a time:
-    subtract the count at n / p^2 (numpy reads the right side whole first).
+    on the whole class. As 4 does not divide N, a gcd f of a vector is odd,
+    and f^2 = 1 mod 8 keeps n / f^2 in the class: _primitive reads the
+    whole-class table on the sub-grids n / f^2.
     """
     modulus, residue = _table_class(((1, 1, 1), scale), grid)
-    counts = 8 * tuple_class_table((1, 1, 1), scale, range(residue, grid[-1] + 1, modulus))
-    # p^2 divides an n of the class up to the top only if residue p^2 does
-    for p in filter(is_prime, range(3, math.isqrt(grid[-1] // residue) + 1, 2)):
-        shift = residue * (p * p - 1) // 8
-        counts[shift :: p * p] -= counts[: (counts.size - 1 - shift) // (p * p) + 1]
-    return _on_grid(counts, grid, modulus)
+    r3 = 8 * tuple_class_table((1, 1, 1), scale, range(residue, grid[-1] + 1, modulus))
+    return _primitive(lambda sub: _on_grid(r3, sub, modulus), grid)
 
 
 def jacobi(a: int, n: int) -> int:
@@ -527,35 +541,38 @@ def class_number(d: int) -> int:
 
 
 def class_numbers(scale: int, grid: range) -> np.ndarray:
-    """h[i] = class_number(-scale * grid[i]) on a grid of n > 0.
+    """h[i] = class_number(-scale * grid[i]) on a grid of n = 3 mod 8 at
+    scale 1 or of n = 7 mod 8 at scale 8.
 
-    One enumeration of reduced forms (Cohen, A Course in Computational
-    Algebraic Number Theory, 5.3) covers the whole grid: for each a and
-    each 0 <= b <= a, the c >= a with 4ac - b^2 = scale * n for an n of the
-    grid form one arithmetic progression, cut to the grid's span. A form
-    with 0 < b < a < c stands for itself and (a, -b, c). Each a adds its
-    forms' exact counts in place to the grid's entries.
+    A reduced form of content f is f times a primitive one of discriminant
+    -scale * n / f^2, so f is odd, and f^2 = 1 mod 8 keeps n / f^2 in the
+    class: h is the Mobius sum over odd squarefree f (_primitive) of the
+    forms of every content (_reduced_forms) on the sub-grids n / f^2.
     """
-    if scale < 1 or not grid or grid.start < 1 or grid.step < 1 or scale * grid[-1] >= 1 << 60:
-        raise ValueError("need scale >= 1 and a nonempty grid of n > 0, scale * n < 2^60")
-    # -scale * n mod 4 repeats with period 4 along the grid
-    if any((-scale * n) % 4 not in (0, 1) for n in grid[:4]):
-        raise ValueError("-scale * n must be a discriminant for every n of the grid")
+    _table_class(("class_numbers", scale), grid)
+    if scale * grid[-1] >= 1 << 60:
+        raise ValueError(f"class numbers need scale * n < 2^60, not {scale} on {grid}")
+    return _primitive(functools.partial(_reduced_forms, scale), grid)
+
+
+def _reduced_forms(scale: int, grid: range) -> np.ndarray:
+    # reduced forms of every content at each n of the grid (Cohen, A Course
+    # in Computational Algebraic Number Theory, 5.3): for each a and b in [0,
+    # a], the c >= a with 4ac - b^2 = scale * n on the grid form one
+    # progression; a form with 0 < b < a < c stands for (a, +-b, c)
     d_lo, d_hi = scale * grid.start, scale * grid[-1]
     mod = scale * grid.step
-    target = d_lo % mod
+    rhs = (d_lo + np.arange(math.isqrt(d_hi // 3) + 1, dtype=np.int64) ** 2) % mod
     counts = np.zeros(len(grid), dtype=np.int64)
-    for a in range(1, math.isqrt(d_hi // 3) + 1):
-        # 4ac = b^2 + target (mod scale * step) has solutions c iff g
+    for a in range(1, rhs.size):
+        # 4ac = b^2 + d_lo = rhs[b] (mod scale * step) has solutions c iff g
         # divides the right side, and then they form one class mod `step`
         g = math.gcd(4 * a, mod)
         step = mod // g
-        bs = np.arange(a + 1, dtype=np.int64)
-        rhs = (target + bs * bs) % mod
-        bs, rhs = bs[rhs % g == 0], rhs[rhs % g == 0]
+        bs = np.flatnonzero(rhs[: a + 1] % g == 0)
         if not bs.size:
             continue
-        c0 = rhs // g * pow(4 * a // g, -1, step) % step
+        c0 = rhs[bs] // g * pow(4 * a // g, -1, step) % step
         c_first = np.maximum(a, -(-(d_lo + bs * bs) // (4 * a)))
         c_first += (c0 - c_first) % step
         runs = np.maximum(0, ((d_hi + bs * bs) // (4 * a) - c_first) // step + 1)
@@ -565,8 +582,6 @@ def class_numbers(scale: int, grid: range) -> np.ndarray:
         starts = np.repeat(np.cumsum(runs) - runs, runs)
         b = np.repeat(bs, runs)
         c = np.repeat(c_first, runs) + step * (np.arange(total) - starts)
-        gcd_ab = np.repeat(np.gcd(bs, a), runs)
-        primitive = (gcd_ab == 1) | (np.gcd(gcd_ab, c) == 1)
         twins = (b > 0) & (b < a) & (c > a)
-        np.add.at(counts, (4 * a * c - b * b - d_lo) // mod, primitive * (1 + twins))
+        np.add.at(counts, (4 * a * c - b * b - d_lo) // mod, 1 + twins)
     return counts

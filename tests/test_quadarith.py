@@ -209,15 +209,26 @@ def test_class_tables_name_the_key_and_grid_they_refuse():
                (((1, 1, 1), 1), range(7, 100, 8)), (((1, 2), 1), range(2, 100, 2)),
                (((1, 1, 1), 1), range(3, 100, 4)), (((1, 2, 4), 1), range(7, 100, 12)),
                (((1, 1, 1), 1), range(3, 3, 8)), (((1, 4), 1), range(1, 0, 2)),
-               (((1, 1, 1), 2), range(-1, 100, 8)), (((1, 2, 8), 1), range(99, 2, -8))]
+               (((1, 1, 1), 2), range(-1, 100, 8)), (((1, 2, 8), 1), range(99, 2, -8)),
+               (((1, 1, 1), 1), range(3, 100, 24))]
     for key, grid in refused:
         with pytest.raises(ValueError) as exc:
             qa.tuple_class_table(*key, grid)
         assert str(key) in str(exc.value) and str(grid) in str(exc.value), exc.value
-    for scale, grid in ((3, range(3, 100, 8)), (1, range(7, 100, 8)), (2, range(7, 7, 8))):
+    for scale, grid in ((3, range(3, 100, 8)), (1, range(7, 100, 8)), (2, range(7, 7, 8)),
+                        (2, range(7, 100, 24))):
         with pytest.raises(ValueError) as exc:
             qa.primitive_r3_class_table(scale, grid)
         assert str(((1, 1, 1), scale)) in str(exc.value) and str(grid) in str(exc.value)
+    # class numbers exist at scale 1 on 3 mod 8 and at scale 8 on 7 mod 8,
+    # at power-of-two steps: not at a step of 24, on 7 mod 8 or on even n
+    # at scale 1, or at scales 2 and 4
+    for scale, grid in ((1, range(3, 100, 24)), (8, range(7, 100, 24)), (1, range(7, 100, 8)),
+                        (1, range(4, 100, 8)), (2, range(3, 100, 8)), (2, range(7, 100, 8)),
+                        (4, range(3, 100, 8)), (4, range(7, 100, 8))):
+        with pytest.raises(ValueError) as exc:
+            qa.class_numbers(scale, grid)
+        assert str(("class_numbers", scale)) in str(exc.value) and str(grid) in str(exc.value)
 
 
 def test_tables_take_one_transform_at_twice_the_length(fft_calls):
@@ -372,6 +383,14 @@ def test_primitive_signed_r3_table_matches_per_query():
                 == table[: m_max + 1]).all()
 
 
+def square_windows(residue, center, width):
+    # the n = residue mod 8 within width of center at step 8, and each
+    # sub-class of them at step 32
+    first = center - width + (residue - center + width) % 8
+    return [range(first + 8 * k, center + width + 1, step) for step in (8, 32)
+            for k in range(step // 8)]
+
+
 def test_even_primitive_signed_r3_table_matches_per_query():
     # N = 2n with n = 8m + 7: 4 does not divide N, so every d is odd and
     # n / d^2 stays in the class (n = 7 * 9 = 63 is the first with d = 3)
@@ -382,6 +401,12 @@ def test_even_primitive_signed_r3_table_matches_per_query():
     for m_max in (0, 1, 2, 7):
         assert (qa.primitive_r3_class_table(2, class_grid(8, 7, m_max))
                 == table[: m_max + 1]).all()
+    # a window where large odd squares divide n: 77175 = 7 * 105^2
+    whole, *parts = square_windows(7, 77175, 160)
+    want = dict(zip(whole, (qa.count_signed_representations(2 * n, (1, 1, 1), primitive=True)
+                            for n in whole)))
+    for grid in (whole, *parts):
+        assert qa.primitive_r3_class_table(2, grid).tolist() == [want[n] for n in grid], grid
 
 
 def test_factor_columns_match_factorize():
@@ -433,6 +458,16 @@ def test_class_numbers_match_class_number():
                 h = qa.class_numbers(scale, grid)
                 assert h.tolist() == [qa.class_number(-scale * n) for n in grid], \
                     (scale, grid)
+    # windows where large odd squares divide n, 33075 = 3 * 105^2 and 77175
+    # = 7 * 105^2, at steps 8 and 32 (the second narrower: class_number takes
+    # about 12 ms per n there), and n = 3 * 1155^2, where mu(1155) = 1
+    for scale, residue, center, width in ((1, 3, 33075, 400), (8, 7, 77175, 32)):
+        whole, *parts = square_windows(residue, center, width)
+        want = {n: qa.class_number(-scale * n) for n in whole}
+        for grid in (whole, *parts):
+            assert qa.class_numbers(scale, grid).tolist() == [want[n] for n in grid], grid
+    n = 3 * 1155**2
+    assert qa.class_numbers(1, range(n, n + 1, 8)).tolist() == [qa.class_number(-n)]
     # n = 1 mod 8 at scale 1 (-n = 3 mod 4), a grid with such an n, an empty
     # grid, scale 0 and n <= 0
     for scale, grid in ((1, range(1, 100, 8)), (1, range(3, 100, 2)), (8, range(15, 15, 8)),
