@@ -21,7 +21,7 @@ _EXPORTS = {name: module for module, names in {
     "f2series": "NotInvertibleError SparseExponents build_B build_Bstar from_exponents "
                 "generalized_pentagonals inverse_seventh_power invert_newton "
                 "invert_recurrence mul_dense mul_sparse square squares",
-    "quadarith": "DiagonalForm Factorization IdealCountKind class_number "
+    "quadarith": "Factorization IdealCountKind class_number "
                  "count_signed_representations count_square_tuples factorize "
                  "ideal_count is_square jacobi odd_exponent_prime_count",
     "theorems": "ALL_STATEMENTS SeriesContext StatementId Status TheoremReport Verdict "

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,16 +143,15 @@ class SparseExponents:
     limit: int
 
     def __post_init__(self):
+        e = tuple(map(operator.index, self.exponents))  # floats raise TypeError
+        object.__setattr__(self, "exponents", e)
+        object.__setattr__(self, "limit", operator.index(self.limit))
         if self.limit < 1:
             raise ValueError("limit must be >= 1")
-        prev = -1
-        for e in self.exponents:
-            if e <= prev:
-                raise ValueError("exponents must be strictly increasing")
-            prev = e
-        if self.exponents:
-            if self.exponents[0] < 0 or self.exponents[-1] >= self.limit:
-                raise ValueError("exponents must lie in [0, limit)")
+        if any(a >= b for a, b in zip(e, e[1:])):
+            raise ValueError("exponents must be strictly increasing")
+        if e and (e[0] < 0 or e[-1] >= self.limit):
+            raise ValueError("exponents must lie in [0, limit)")
 
 
 def squares(limit: int) -> SparseExponents:

@@ -7,18 +7,18 @@ deterministic factorization, multiplicative ideal-count divisor sums for the
 imaginary quadratic orders of discriminant -4 and -8, and class numbers of
 arbitrary negative discriminants by reduced-form enumeration.
 
-Both per-query representation counts are sums over one enumerator of the
-nonnegative solutions, which walks the grid of leading coordinates in
-fixed-size blocks (memory O(sqrt n), n < 2^63). Each batch function takes
-the grid it fills, a progression of n, and is tested against its per-query
-oracle: square-tuple counts, and primitive triple counts by Mobius
-inversion of those, on the one residue class each table is built on (the
-odd n, 3 or 7 mod 8: Gauss's odd square 8T + 1 fixes every parity there,
-so a count is a coefficient of a product of two series placed exactly in
-int64 and at most one more by FFT); factor and ideal counts from one sieve
-over a progression of odd n; class numbers from reduced forms of every
-content and the same Mobius sum over odd f. Counting conventions are fixed
-once and never converted implicitly:
+Each input rule has one check: scalar integers pass operator.index (a float
+raises TypeError), a form is one to three of them in [1, 2^63), and a grid
+is a progression at a power-of-two step on its class in _TABLE_CLASSES. Both
+per-query counts sum over one blocked enumerator of the nonnegative
+solutions. Each batch function takes the grid it fills and is tested against
+its per-query oracle: square-tuple counts, and primitive triple counts by
+Mobius inversion of those, on the one class each table is built on (the odd
+n, 3 or 7 mod 8: Gauss's odd square 8T + 1 fixes every parity there, so a
+count is a coefficient of a product of two series placed exactly in int64
+and at most one more by FFT); factor and ideal counts from one sieve over
+the odd n; class numbers from reduced forms of every content and the same
+Mobius sum over odd f. Counting conventions are fixed once:
 
 * `count_square_tuples(n, form)` counts ORDERED tuples (s_1, ..., s_k) of
   nonnegative perfect-square values with sum a_i * s_i = n. Positions are
@@ -33,12 +33,12 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "DiagonalForm",
     "Factorization",
     "IdealCountKind",
     "count_square_tuples",
@@ -58,24 +58,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiagonalForm:
-    """Diagonal quadratic form a_1 x_1^2 + ... + a_k x_k^2 with 1 <= k <= 3."""
-
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self):
-        if not 1 <= len(self.coefficients) <= 3:
-            raise ValueError("forms have one to three variables")
-        if any(not 1 <= a < 1 << 63 for a in self.coefficients):
-            raise ValueError("coefficients must be integers in [1, 2^63)")
-
-
 def _coefficients(form) -> tuple[int, ...]:
-    if isinstance(form, DiagonalForm):
-        return form.coefficients
-    coeffs = tuple(int(a) for a in form)
-    DiagonalForm(coeffs)  # reuse its validation
+    # the one check of a form sum a_i x_i^2: one to three integers in [1, 2^63)
+    coeffs = tuple(map(operator.index, form))
+    if not 1 <= len(coeffs) <= 3:
+        raise ValueError("forms have one to three variables")
+    if any(not 1 <= a < 1 << 63 for a in coeffs):
+        raise ValueError("coefficients must be integers in [1, 2^63)")
     return coeffs
 
 
@@ -88,6 +77,7 @@ def is_square(n: int) -> bool:
 
 
 def _check_n(n: int) -> int:
+    n = operator.index(n)
     if not 0 <= n < 1 << 63:
         raise ValueError("n must satisfy 0 <= n < 2**63")
     return n
@@ -202,10 +192,11 @@ def _fft_product(table: np.ndarray, exponents, n_max: int) -> np.ndarray:
 
 
 # (coefficients, scale) -> (modulus, residue): a class table counts at N =
-# scale * n for the n = residue mod modulus, the class its statements read
+# scale * n for the n = residue mod modulus, the class its statements read;
+# also of class numbers h(-N) and of the factor columns, which sieve odd n
 _TABLE_CLASSES = {((1, 2), 1): (2, 1), ((1, 4), 1): (2, 1), ((1, 1, 1), 1): (8, 3),
                   ((1, 2, 8), 1): (8, 3), ((1, 2, 4), 1): (8, 7), ((1, 1, 1), 2): (8, 7),
-                  ("class_numbers", 1): (8, 3), ("class_numbers", 8): (8, 7)}  # h(-N)
+                  ("class_numbers", 1): (8, 3), ("class_numbers", 8): (8, 7), ("factors",): (2, 1)}
 
 
 def _table_class(key: tuple, grid: range) -> tuple[int, int]:
@@ -294,6 +285,7 @@ def primitive_r3_class_table(scale: int, grid: range) -> np.ndarray:
 
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a | n) for odd positive n, by binary reciprocity."""
+    a, n = operator.index(a), operator.index(n)
     if n <= 0 or n % 2 == 0:
         raise ValueError("lower argument must be an odd positive integer")
     a %= n
@@ -315,6 +307,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin with a fixed base set, deterministic for n < 2^64."""
+    n = operator.index(n)
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -378,7 +371,7 @@ class Factorization:
 _TRIAL_LIMIT = 1 << 16
 
 
-@functools.lru_cache(maxsize=1 << 16)
+@functools.lru_cache(maxsize=1 << 16, typed=True)  # so a float misses, and is refused
 def factorize(n: int) -> Factorization:
     """Deterministic factorization: trial division, then rho splitting.
 
@@ -386,6 +379,7 @@ def factorize(n: int) -> Factorization:
     prime (Miller-Rabin, deterministic in this range) or gets split by
     Pollard's rho with fixed seeds.
     """
+    n = operator.index(n)
     if not 1 <= n < 1 << 63:
         raise ValueError("n must satisfy 1 <= n < 2**63")
     value = n
@@ -471,19 +465,17 @@ class FactorColumns:
 def factor_columns(grid: range) -> FactorColumns:
     """Factor counts and ideal counts of every n of a grid from one sieve.
 
-    The grid is a progression of odd n whose step is a power of two, so the
-    step is invertible mod every odd q and the multiples of q sit at the
-    indices i = -start / step mod q, every q-th. Each odd prime p <=
-    sqrt(grid[-1]) divides its multiples out of a remainder column, one
-    strided slice per power of p, and a remainder above 1 is one more prime,
-    so time and memory are O(len(grid) + sqrt(grid[-1])). A prime's
-    character, like ideal_count's, is jacobi(kind, p), which for kind -1
-    and -2 depends only on p mod 8.
+    The grid is of odd n at a power-of-two step (_table_class), so the step
+    is invertible mod every odd q and the multiples of q sit at the indices
+    i = -start / step mod q, every q-th. Each odd prime p <= sqrt(grid[-1])
+    divides its multiples out of a remainder column, one strided slice per
+    power of p, and a remainder above 1 is one more prime, so time and memory
+    are O(len(grid) + sqrt(grid[-1])). A prime's character, like
+    ideal_count's, is jacobi(kind, p), which for kind -1 and -2 depends only
+    on p mod 8.
     """
-    start, step = grid.start, grid.step
-    if not grid or start < 1 or start % 2 == 0 or step < 2 or step & (step - 1):
-        raise ValueError("need a nonempty grid of odd n > 0 with a power-of-two step")
-    last = grid[-1]
+    _table_class(("factors",), grid)
+    start, step, last = grid.start, grid.step, grid[-1]
     rem = np.arange(start, last + 1, step, dtype=np.int64)  # index i at n = grid[i]
     distinct = np.zeros(rem.size, dtype=np.int8)
     odd = np.zeros(rem.size, dtype=np.int8)
@@ -523,6 +515,7 @@ def class_number(d: int) -> int:
     with a vectorized scan over the admissible b values. The scan holds
     b^2 - d <= -4d/3 in int64, so d must exceed -3*2^61.
     """
+    d = operator.index(d)
     if d >= 0 or d % 4 not in (0, 1):
         raise ValueError("discriminant must be negative and 0 or 1 mod 4")
     if d <= -3 * 2**61:

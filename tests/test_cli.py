@@ -414,9 +414,13 @@ def test_repcount_outputs(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["repcount", "--n", "11", "--form", "1,1,1", "--primitive"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run(["repcount", "--n", "11", "--form", "1,2,3,4"])
-    assert exc.value.code == 2
+    # the parser reads integers, the count checks the form
+    for form, message in (("1,2,3,4", "one to three variables"), ("0,1", "[1, 2^63)"),
+                          ("1.5", "bad form '1.5'")):
+        with pytest.raises(SystemExit) as exc:
+            run(["repcount", "--n", "11", "--form", form])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err, form
 
 
 def test_repcount_int64_edges(capsys):

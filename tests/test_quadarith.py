@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from thetaparity import quadarith as qa
-from thetaparity.quadarith import DiagonalForm, IdealCountKind
+from thetaparity.f2series import SparseExponents
+from thetaparity.quadarith import IdealCountKind
 
 
 @functools.lru_cache(maxsize=None)
@@ -56,13 +57,13 @@ def brute_signed(n, coeffs, primitive):
 
 
 def test_diagonal_form_validation():
-    DiagonalForm((1, 2, 8))
-    with pytest.raises(ValueError):
-        DiagonalForm(())
-    with pytest.raises(ValueError):
-        DiagonalForm((1, 2, 3, 4))
-    with pytest.raises(ValueError):
-        DiagonalForm((1, 0))
+    # one to three integer coefficients in [1, 2^63); a float is not rounded
+    for bad in ((), (1, 2, 3, 4), (1, 0), (1, -2), (1, 1 << 63)):
+        with pytest.raises(ValueError):
+            qa.count_square_tuples(11, bad)
+    for bad in ((1.5, 2, 8), (1.0, 2, 8), ("1", "2"), "12", np.array([1.0, 2.0, 8.0]), 3):
+        with pytest.raises(TypeError):
+            qa.count_square_tuples(11, bad)
 
 
 def test_count_square_tuples_known_values():
@@ -80,8 +81,11 @@ def test_count_square_tuples_known_values():
 
 
 def test_count_square_tuples_accepts_form_object():
-    form = DiagonalForm((1, 2, 8))
-    assert qa.count_square_tuples(11, form) == 2
+    # any sequence of integers is a form: a tuple, a list, numpy integers
+    for form in ((1, 2, 8), [1, 2, 8], np.array([1, 2, 8]), np.array([1, 2, 8], np.uint8),
+                 (np.int64(1), 2, np.int32(8)), range(1, 3)):
+        want = 2 if len(form) == 3 else 1
+        assert qa.count_square_tuples(11, form) == want, form
 
 
 # the default block holds each grid below whole; blocks of one row, of a few
@@ -122,8 +126,7 @@ def class_grid(modulus, residue, m_max):
 
 
 def test_class_tables_match_tuple_bincount():
-    # every entry of each class table, from the smallest N of its class on;
-    # a DiagonalForm names the same table as its coefficients
+    # every entry of each class table, from the smallest N of its class on
     for form, scale, modulus, residue in CLASSES:
         for m_max in (0, 1, 2, 7, 64, 1000):
             top = scale * (modulus * m_max + residue)
@@ -131,8 +134,6 @@ def test_class_tables_match_tuple_bincount():
             table = qa.tuple_class_table(form, scale, class_grid(modulus, residue, m_max))
             assert table.dtype == np.int64 and table.shape == (m_max + 1,)
             assert (table == want).all(), (form, scale, modulus, m_max)
-        assert (qa.tuple_class_table(DiagonalForm(form), scale,
-                                     class_grid(modulus, residue, 64)) == table[:65]).all()
 
 
 def test_class_tables_match_per_query():
@@ -229,6 +230,13 @@ def test_class_tables_name_the_key_and_grid_they_refuse():
         with pytest.raises(ValueError) as exc:
             qa.class_numbers(scale, grid)
         assert str(("class_numbers", scale)) in str(exc.value) and str(grid) in str(exc.value)
+    # factor columns sieve odd n at power-of-two steps: not from an even or a
+    # negative start, at a step of 3 or 1, running down, or on no n
+    for grid in (range(4, 100, 8), range(3, 100, 3), range(-5, 100, 8), range(1, 100),
+                 range(99, 2, -8), range(5, 5, 2)):
+        with pytest.raises(ValueError) as exc:
+            qa.factor_columns(grid)
+        assert str(("factors",)) in str(exc.value) and str(grid) in str(exc.value)
 
 
 def test_tables_take_one_transform_at_twice_the_length(fft_calls):
@@ -437,12 +445,6 @@ def test_factor_columns_match_factorize():
             for kind in IdealCountKind:
                 assert (part.ideal_counts[kind] == cols.ideal_counts[kind][1::3]).all()
     assert qa.factor_columns(range(primorial, primorial + 1, 8)).distinct_primes[0] == 8
-    # an even start, a step that is not a power of two, a negative start,
-    # a step of 1 and an empty grid
-    for bad in (range(4, 100, 8), range(3, 100, 3), range(-5, 100, 8), range(1, 100),
-                range(5, 5, 2)):
-        with pytest.raises(ValueError):
-            qa.factor_columns(bad)
 
 
 def test_class_numbers_match_class_number():
@@ -546,7 +548,7 @@ def test_counts_at_the_int64_edge():
         with pytest.raises(ValueError):
             count(1 << 63, (1, 2))
     with pytest.raises(ValueError):
-        DiagonalForm((1, 1 << 63))
+        qa.count_square_tuples(1, (1, 1 << 63))
 
 
 def test_signed_imprimitive_decomposition():
@@ -757,6 +759,41 @@ def test_class_number_validation():
     for bad in (5, 0, -5, -6, -10**19, -(1 << 70)):
         with pytest.raises(ValueError):
             qa.class_number(bad)
+
+
+def _one_integer_swapped(args, convert):
+    # copies of args with one int, at any depth of tuples, passed through convert
+    for i, arg in enumerate(args):
+        if isinstance(arg, tuple):
+            swapped = _one_integer_swapped(arg, convert)
+        elif isinstance(arg, int):
+            swapped = [convert(arg)]
+        else:
+            continue
+        yield from ((*args[:i], value, *args[i + 1:]) for value in swapped)
+
+
+@pytest.mark.parametrize("function, args", [
+    (qa.jacobi, (2, 7)),
+    (qa.is_prime, ((1 << 61) - 1,)),  # a float rounds it to 2^61
+    (qa.factorize, (12,)),
+    (qa.class_number, (-47,)),
+    (qa.ideal_count, (17, IdealCountKind.GAUSSIAN)),
+    (qa.count_square_tuples, (11, (1, 2, 8))),
+    (qa.count_signed_representations, (11, (1, 1, 1))),
+    (SparseExponents, ((0, 1, 4), 9)),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_integer_arguments_refuse_floats_and_strings(function, args):
+    # every int argument, coefficients and exponents too, refuses a float
+    # or a string with TypeError instead of answering for a rounded value,
+    # and numpy integers give the answer of the Python ints
+    want = function(*args)
+    for convert in (float, str):
+        for bad in _one_integer_swapped(args, convert):
+            with pytest.raises(TypeError):
+                function(*bad)
+    for same in _one_integer_swapped(args, np.int64):
+        assert function(*same) == want, same
 
 
 def test_class_number_against_triple_counts():
